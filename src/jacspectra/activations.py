@@ -86,6 +86,13 @@ class ActivationSpec:
             return False
         return all(abs(p.slope) in (0.0, 1.0) for p in self.pieces)
 
+    @property
+    def is_scale_free(self) -> bool:
+        """phi(c x) = c phi(x) for c > 0 (kinks at 0, no intercepts): mu_k is q-free."""
+        if self.pieces is None:
+            return False
+        return all(k == 0.0 for k in self.kinks) and all(p.intercept == 0.0 for p in self.pieces)
+
 
 # ---------------------------------------------------------------------------
 # piecewise machinery

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .density import make_lambda_grid, read_csv, read_json, to_singular_domain
 from .ensembles import WeightEnsemble
 from .errors import JacspectraError
 from .limits import BERNOULLI, SMOOTH, bernoulli_density, bernoulli_edges_atoms, smooth_density, smooth_edges
-from .master import SolverSettings, density
+from .master import SolverSettings, default_lam_max, density
 from .moments import jacobian_moments
 from .propagation import (
     NetworkConfig,
@@ -38,16 +39,6 @@ from .propagation import (
 from .simulate import EmpiricalSpectrum, empirical_density, ks_distance, run_trials
 
 THREADS_ENV = "JACSPECTRA_THREADS"
-
-_SOLVER_DEFAULTS = {
-    "step_base": 1.5,
-    "half_steps": 40,
-    "newton_tol": 1e-11,
-    "newton_max_iter": 100,
-    "final_epsilon": 1e-6,
-    "quad_nodes": 201,
-    "adaptive_epsilon": True,
-}
 
 _GRID_DEFAULTS = {"min": 1e-4, "max": None, "points": 600}
 
@@ -141,19 +132,12 @@ def _network_from(cfg: dict) -> NetworkConfig:
 
 
 def _solver_from(cfg: dict) -> tuple[SolverSettings, bool]:
-    merged = dict(_SOLVER_DEFAULTS)
-    merged.update(cfg.get("solver", {}))
+    """SolverSettings from config["solver"], every default echoed back into it."""
+    defaults = asdict(SolverSettings())
+    merged = {**defaults, "adaptive_epsilon": True, **cfg.get("solver", {})}
     cfg["solver"] = merged
-    adaptive = bool(merged["adaptive_epsilon"])
-    settings = SolverSettings(
-        step_base=float(merged["step_base"]),
-        half_steps=int(merged["half_steps"]),
-        newton_tol=float(merged["newton_tol"]),
-        newton_max_iter=int(merged["newton_max_iter"]),
-        final_epsilon=float(merged["final_epsilon"]),
-        quad_nodes=int(merged["quad_nodes"]),
-    )
-    return settings, adaptive
+    settings = SolverSettings(**{key: type(value)(merged[key]) for key, value in defaults.items()})
+    return settings, bool(merged["adaptive_epsilon"])
 
 
 def _grid_from(cfg: dict, lam_max_default: float) -> np.ndarray:
@@ -231,9 +215,7 @@ def cmd_theory_spectrum(args, extra) -> int:
     cfg = _load_config(args, extra)
     config = _network_from(cfg)
     settings, adaptive = _solver_from(cfg)
-    ms = jacobian_moments(config)
-    lam_max_default = 1.5 * max(4.0 * ms.m2 / max(ms.m1, 1e-12), 4.0 * ms.m1, 1.0)
-    grid = _grid_from(cfg, lam_max_default)
+    grid = _grid_from(cfg, default_lam_max(jacobian_moments(config)))
     dens = density(config, grid, settings, adaptive_epsilon=adaptive)
     if cfg.get("singular_domain", True):
         dens_out = to_singular_domain(dens)

@@ -36,7 +36,7 @@ from .activations import bernoulli_p, slope_distribution
 from .density import SQUARED_SINGULAR, SpectralDensity, make_lambda_grid, to_singular_domain
 from .ensembles import ORTHOGONAL
 from .errors import BranchLossError, ConvergenceError, PoleError
-from .moments import jacobian_moments
+from .moments import MomentSummary, jacobian_moments
 from .propagation import NetworkConfig, resolve_qstar
 from .special import default_rule
 
@@ -45,6 +45,7 @@ __all__ = [
     "master_residual",
     "solve_G_at",
     "density",
+    "default_lam_max",
     "probe_atom",
     "atom_candidates",
     "make_lambda_grid",
@@ -499,6 +500,11 @@ def density(
     return dens
 
 
+def default_lam_max(ms: MomentSummary) -> float:
+    """Top of the default lambda grid: 1.5x the edge guess max(4 m2/m1, 4 m1, 1)."""
+    return 1.5 * max(4.0 * ms.m2 / max(ms.m1, 1e-12), 4.0 * ms.m1, 1.0)
+
+
 def theory_density(
     config: NetworkConfig,
     *,
@@ -510,12 +516,9 @@ def theory_density(
 ) -> SpectralDensity:
     """Convenience wrapper: build a hybrid grid and solve the density.
 
-    When lam_max is omitted it is set to 1.5x the exact second-moment-based
-    edge guess max(4 m2, 4 m1), which covers every registry config's support
-    comfortably without simulation input.
+    When lam_max is omitted it is ``default_lam_max`` of the exact moments.
     """
     if lam_max is None:
-        ms = jacobian_moments(config)
-        lam_max = 1.5 * max(4.0 * ms.m2 / max(ms.m1, 1e-12), 4.0 * ms.m1, 1.0)
+        lam_max = default_lam_max(jacobian_moments(config))
     grid = make_lambda_grid(lam_max, lam_min=lam_min, n=points)
     return density(config, grid, settings, adaptive_epsilon=adaptive_epsilon)

@@ -1,21 +1,24 @@
 """Forward signal-propagation statistics.
 
-The pre-activation variance q^l of a wide random network obeys the depth
-recursion
+The pre-activation variance of a wide random network obeys the depth
+recursion q^l = V(q^{l-1}) with the variance map
 
-    q^l = sigma_w^2 * integral Dh phi(sqrt(q^{l-1}) h)^2 + sigma_b^2,
+    V(q) = sigma_w^2 * integral Dh phi(sqrt(q) h)^2 + sigma_b^2,
 
 whose fixed point q* sets the Gaussian at which all slope statistics are
 evaluated.  Criticality is the curve chi = sigma_w^2 * mu_1(q*) = 1 in the
 (sigma_w, sigma_b) plane; on it the mean squared singular value of the
 depth-L Jacobian stays at one for every L.
 
-The variance-matched depth schedule solves
-
-    mu_2(q*)/mu_1(q*)^2 = 1 + s0sq/L
-
-for q*(L), which pins the Jacobian spectral variance to s0sq at every depth
-(orthogonal weights) and drives q* -> 0, sigma_w -> 1 as L grows.
+Each question here is one root solve by ``special.bisect_root``: the fixed
+point V(q) = q; the critical line, parametrised by q* (Poole et al. 2016,
+arXiv 1606.05340) as sigma_w(q)^2 = 1/mu_1(q) and
+sigma_b(q)^2 = q - integral Dh phi(sqrt(q) h)^2 / mu_1(q); and the
+variance-matched depth schedule mu_2(q*)/mu_1(q*)^2 = 1 + s0sq/L, which pins
+the Jacobian spectral variance to s0sq at every depth (orthogonal weights)
+and drives q* -> 0, sigma_w -> 1 as L grows.  Scale-free units (every kink
+at 0, zero intercepts) have V(q) = chi q + sigma_b^2 with chi independent of
+q, so their fixed point and critical point are closed forms.
 """
 
 from __future__ import annotations
@@ -27,13 +30,15 @@ from typing import Optional
 import numpy as np
 
 from .activations import ActivationSpec, mu_k, phi_sq_mean
-from .ensembles import WeightEnsemble
+from .ensembles import WeightEnsemble, orthogonal
 from .errors import ActivationClassError, BracketError
-from .special import QuadratureRule
+from .special import QuadratureRule, bisect_root
 
 
 @dataclass(frozen=True)
 class FixedPoint:
+    """q* and chi there; ``iterations`` counts evaluations of the variance map."""
+
     qstar: float
     chi: float
     iterations: int
@@ -84,38 +89,67 @@ def chi(activation: ActivationSpec, sigma_w: float, qstar: float, rule=None) -> 
     return sigma_w * sigma_w * mu_k(activation, qstar, 1, rule)
 
 
+_Q_CEILING = 1e8  # a walk up past this reports divergence
+_TINY_Q = 1e-300
+
+
+def _walk(f, f1: float, up: bool):
+    """Factor-2 steps out of q = 1, where f = f1, until f changes sign.
+
+    Returns the bracket (lo, hi), or (last q, None) once the walk leaves
+    [1e-300, 1e8].
+    """
+    q = 1.0
+    while _TINY_Q <= q <= _Q_CEILING:
+        nxt = 2.0 * q if up else 0.5 * q
+        if math.copysign(1.0, f1) * f(nxt) <= 0.0:
+            return (q, nxt) if up else (nxt, q)
+        q = nxt
+    return q, None
+
+
 def qstar_fixed_point(
     activation: ActivationSpec,
     sigma_w: float,
     sigma_b: float,
     *,
-    damping: float = 0.5,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-    q0: float = 1.0,
-    ceiling: float = 1e8,
     rule: QuadratureRule | None = None,
 ) -> FixedPoint:
-    """Damped fixed-point iteration of the variance recursion.
+    """Fixed point that the variance recursion started at q = 1 tends to.
 
-    Returns converged=False (with the last iterate and residual) at the
-    iteration cap or when the iterate exceeds ``ceiling``.
+    Scale-free units with chi < 1 take the closed form sigma_b^2/(1 - chi),
+    and q* = 1 where every q is a fixed point (``fixed_point_is_degenerate``).
+    Otherwise a factor-2 bracket walks out of q = 1 in the direction of
+    sign(V(1) - 1) and V(q) - q is bisected in it.  A walk down with V(0) = 0
+    and sigma_w^2 phi'(0)^2 <= 1 ends at the ordered phase q* = 0; a walk up
+    past 1e8 returns converged=False, chi = nan and the last q of the walk.
     """
-    q = q0
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        t = _variance_map(activation, sigma_w, sigma_b, q, rule)
-        residual = abs(t - q)
-        if residual <= tol * (1.0 + abs(q)):
-            q = t
-            return FixedPoint(q, chi(activation, sigma_w, max(q, _TINY_Q), rule), it, True, residual)
-        q = (1.0 - damping) * q + damping * t
-        if q > ceiling or not math.isfinite(q):
-            return FixedPoint(q, math.nan, it, False, residual)
-    return FixedPoint(q, chi(activation, sigma_w, max(q, _TINY_Q), rule), max_iter, False, residual)
+    evals = 0
 
+    def gap(q: float) -> float:
+        nonlocal evals
+        evals += 1
+        return _variance_map(activation, sigma_w, sigma_b, q, rule) - q
 
-_TINY_Q = 1e-300
+    def result(q: float, converged: bool = True) -> FixedPoint:
+        residual = abs(gap(q))
+        c = chi(activation, sigma_w, max(q, _TINY_Q), rule) if converged else math.nan
+        return FixedPoint(q, c, evals, converged, residual)
+
+    if activation.is_scale_free:
+        if fixed_point_is_degenerate(activation, sigma_w, sigma_b, rule):
+            return result(1.0)
+        c = chi(activation, sigma_w, 1.0, rule)
+        if sigma_b * sigma_b < (1.0 - c) * _Q_CEILING:  # chi < 1 and q* below the ceiling
+            return result(sigma_b * sigma_b / (1.0 - c))
+    g1 = gap(1.0)
+    up = g1 > 0.0
+    if not up and gap(0.0) == 0.0 and (sigma_w * float(activation.dphi(np.array(0.0)))) ** 2 <= 1.0:
+        return result(0.0)
+    lo, hi = _walk(gap, g1, up)
+    if hi is None:  # past the ceiling, or below 1e-300: the ordered phase
+        return result(lo, converged=False) if up else result(0.0)
+    return result(bisect_root(gap, lo, hi))
 
 
 def fixed_point_is_degenerate(
@@ -123,67 +157,56 @@ def fixed_point_is_degenerate(
 ) -> bool:
     """True when the variance map is the identity (every q is a fixed point).
 
-    Happens exactly on scale-free critical points such as the linear network
-    at (1, 0); the fixed point then carries no information and callers should
-    report q* = 0.
+    That is a scale-free unit at sigma_b = 0 and chi = 1, such as the linear
+    network at (1, 0); the fixed point then carries no information and
+    callers should report q* = 0.
     """
-    for q in (0.5, 1.0, 2.0):
-        if abs(_variance_map(activation, sigma_w, sigma_b, q, rule) - q) > 1e-12 * (1.0 + q):
-            return False
-    return True
+    scale_free = activation.is_scale_free and sigma_b == 0.0
+    return scale_free and abs(chi(activation, sigma_w, 1.0, rule) - 1.0) <= 1e-12
 
 
 def critical_sigma_w(
     activation: ActivationSpec,
     sigma_b: float,
     *,
-    tol: float = 1e-10,
     rule: QuadratureRule | None = None,
 ) -> tuple[float, float]:
-    """Weight scale on the critical line chi = 1 at the given sigma_b.
+    """Point (sigma_w, q*) of the critical line chi = 1 at the given sigma_b.
 
-    Bisection on g(sigma_w) = chi(sigma_w, sigma_b) - 1 with the fixed point
-    re-solved at every trial sigma_w; the initial bracket [0.5, 2] expands by
-    doubling within (1e-6, 1e3).  Returns (sigma_w, qstar).
+    Solves sigma_b(q) = sigma_b for q* by ``bisect_root`` on a factor-2
+    bracket walked out of q = 1, then sigma_w = mu_1(q*)^{-1/2}.  For
+    scale-free units sigma_b(q) = 0 for every q, so at sigma_b = 0 the point
+    is sigma_w = mu_1^{-1/2} with the degenerate q* = 1.
+
+    Raises BracketError where the critical point is no finite fixed point:
+    scale-free units at sigma_b > 0 (q* diverges as chi -> 1), other units
+    at sigma_b = 0 (the critical point is the limit q* -> 0), when no q* in
+    [1e-300, 1e8] solves, and when the q* found is unstable (silu at small
+    sigma_b): V'(q*) >= 1, so the recursion never settles there.
     """
+    name = activation.name
+    if activation.is_scale_free and sigma_b > 0.0:
+        raise BracketError(f"{name} is scale-free: at sigma_b={sigma_b} q* diverges as chi -> 1")
+    if activation.is_scale_free:
+        return 1.0 / math.sqrt(mu_k(activation, 1.0, 1, rule)), 1.0
+    if sigma_b == 0.0:
+        raise BracketError(f"{name} at sigma_b=0: the critical point is the limit q* -> 0")
 
-    def g(sw: float) -> float:
-        fp = qstar_fixed_point(activation, sw, sigma_b, rule=rule)
-        return fp.chi - 1.0
+    def excess(q: float) -> float:  # sigma_b(q)^2 - sigma_b^2
+        return q - phi_sq_mean(activation, q, rule) / mu_k(activation, q, 1, rule) - sigma_b * sigma_b
 
-    lo, hi = 0.5, 2.0
-    glo, ghi = g(lo), g(hi)
-    while glo > 0.0 and lo > 1e-6:
-        hi, ghi = lo, glo
-        lo = max(lo / 2.0, 1e-6)
-        glo = g(lo)
-    while ghi < 0.0 and hi < 1e3:
-        lo, glo = hi, ghi
-        hi = min(hi * 2.0, 1e3)
-        ghi = g(hi)
-    if glo > 0.0 or ghi < 0.0:
-        raise BracketError(
-            f"no criticality crossing for {activation.name} at sigma_b={sigma_b} "
-            f"in sigma_w range (1e-6, 1e3)"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= tol:
-            fp = qstar_fixed_point(activation, mid, sigma_b, rule=rule)
-            return mid, fp.qstar
-        if gm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise BracketError("criticality bisection failed to reach tolerance")
-
-
-def _is_scale_degenerate(activation: ActivationSpec) -> bool:
-    # squared-slope law independent of q*: all kinks at the origin
-    if activation.pieces is None:
-        return False
-    return all(k == 0.0 for k in activation.kinks)
+    f1 = excess(1.0)
+    lo, hi = _walk(excess, f1, f1 < 0.0)
+    if hi is None:
+        raise BracketError(f"no critical point for {name} at sigma_b={sigma_b} with q* in [1e-300, 1e8]")
+    q = bisect_root(excess, lo, hi)
+    sigma_w = 1.0 / math.sqrt(mu_k(activation, q, 1, rule))
+    # chi = 1 gives V'(q*) = 1 + sigma_w^2 E[phi phi'']; the recursion settles at q* only if V'(q*) < 1
+    d = 1e-4 * q
+    rise = [_variance_map(activation, sigma_w, sigma_b, q + s, rule) for s in (-d, d)]
+    if rise[1] - rise[0] >= 2.0 * d:
+        raise BracketError(f"{name} at sigma_b={sigma_b}: the critical fixed point q*={q:.7g} is unstable")
+    return sigma_w, q
 
 
 def double_scaling_qstar(
@@ -191,15 +214,14 @@ def double_scaling_qstar(
     depth: int,
     sigma0_sq: float,
     *,
-    tol: float = 1e-12,
     rule: QuadratureRule | None = None,
 ) -> tuple[float, float]:
     """q*(L) pinning the Jacobian spectral variance to sigma0_sq (orthogonal).
 
-    Solves mu_2(q*)/mu_1(q*)^2 = 1 + sigma0_sq/depth by bisection on
-    q* in [1e-12, 1e2] and returns (q*, critical sigma_w = mu_1(q*)^{-1/2}).
+    Solves mu_2(q*)/mu_1(q*)^2 = 1 + sigma0_sq/depth by ``bisect_root`` on
+    q* in [1e-12, 1e2]; returns (q*, critical sigma_w = mu_1(q*)^{-1/2}).
     """
-    if _is_scale_degenerate(activation):
+    if activation.is_scale_free:
         raise ActivationClassError(
             f"{activation.name} has a scale-free slope distribution; "
             "no q* can hold the spectral variance fixed across depth"
@@ -207,42 +229,20 @@ def double_scaling_qstar(
     target = 1.0 + sigma0_sq / depth
 
     def h(q: float) -> float:
-        m1 = mu_k(activation, q, 1, rule)
-        m2 = mu_k(activation, q, 2, rule)
-        return m2 / (m1 * m1) - target
+        return mu_k(activation, q, 2, rule) / mu_k(activation, q, 1, rule) ** 2 - target
 
-    lo, hi = 1e-12, 1e2
-    if h(lo) > 0.0:
-        raise BracketError("variance-ratio already above target at q*=1e-12")
-    if h(hi) < 0.0:
-        raise BracketError("variance-ratio below target everywhere up to q*=1e2")
-    for _ in range(300):
-        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-        hm = h(mid)
-        if abs(hm) <= tol:
-            lo = hi = mid
-            break
-        if hm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    q = 0.5 * (lo + hi)
-    sigma_w = 1.0 / math.sqrt(mu_k(activation, q, 1, rule))
-    return q, sigma_w
+    try:
+        q = bisect_root(h, 1e-12, 1e2)
+    except BracketError as exc:
+        raise BracketError(f"{activation.name}: no q* gives the variance ratio {target}; {exc}") from None
+    return q, 1.0 / math.sqrt(mu_k(activation, q, 1, rule))
 
 
 def resolve_qstar(config: NetworkConfig, rule=None) -> FixedPoint:
     """Fixed point for a config, honoring an explicit qstar override."""
     if config.qstar is not None:
-        return FixedPoint(
-            qstar=config.qstar,
-            chi=chi(config.activation, config.sigma_w, config.qstar, rule),
-            iterations=0,
-            converged=True,
-            residual=0.0,
-        )
+        c = chi(config.activation, config.sigma_w, config.qstar, rule)
+        return FixedPoint(qstar=config.qstar, chi=c, iterations=0, converged=True, residual=0.0)
     return qstar_fixed_point(config.activation, config.sigma_w, config.sigma_b, rule=rule)
 
 
@@ -301,12 +301,10 @@ def critical_config(
     rule=None,
 ) -> NetworkConfig:
     """Config on the critical line at the given sigma_b."""
-    from .ensembles import WeightEnsemble as _WE
-
     sigma_w, qstar = critical_sigma_w(activation, sigma_b, rule=rule)
     return NetworkConfig(
         activation=activation,
-        ensemble=_WE(ensemble_kind, sigma_w),
+        ensemble=WeightEnsemble(ensemble_kind, sigma_w),
         sigma_w=sigma_w,
         sigma_b=sigma_b,
         depth=depth,
@@ -324,12 +322,10 @@ def double_scaled_config(
     rule=None,
 ) -> NetworkConfig:
     """Orthogonal config at depth with variance-matched q*(depth)."""
-    from .ensembles import orthogonal as _orth
-
     qstar, sigma_w = double_scaling_qstar(activation, depth, sigma0_sq, rule=rule)
     return NetworkConfig(
         activation=activation,
-        ensemble=_orth(sigma_w),
+        ensemble=orthogonal(sigma_w),
         sigma_w=sigma_w,
         sigma_b=0.0,
         depth=depth,

@@ -8,8 +8,10 @@ so the quadrature rule returned here is normalized for that measure: weights
 sum to one and an n-node rule integrates polynomials up to degree 2n-1
 exactly.
 
-The two transcendental solvers are kept self-contained:
+The solvers are kept self-contained:
 
+  * ``bisect_root`` -- the package's one real scalar root solver, used by
+    ``erf_inv`` and by every solve in ``propagation``.
   * ``lambert_w0`` -- principal branch of W, where W(x) e^{W(x)} = x,
     by Halley iteration from a seed chosen by region (Maclaurin series for
     small argument, branch-point series near -1/e, log asymptotics for large
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import ConvergenceError
+from .errors import BracketError, ConvergenceError
 
 _INV_E = math.exp(-1.0)
 _SQRT2 = math.sqrt(2.0)
@@ -48,30 +50,35 @@ def norm_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def erf_inv(y: float) -> float:
-    """Inverse of ``erf`` on (-1, 1).
+def bisect_root(f, lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] by bisection until no float lies between the ends.
 
-    Bisection bracket on [0, 7] followed by Newton polish; round-trips to
-    better than 1e-12.
+    Returns the end with the smaller |f|.  Raises BracketError when f has the
+    same strict sign at both ends.
     """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f = {flo!r}, {fhi!r}")
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo if abs(flo) <= abs(fhi) else hi
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+
+
+def erf_inv(y: float) -> float:
+    """Inverse of ``erf`` on (-1, 1), by ``bisect_root`` on [0, 7]."""
     if not -1.0 < y < 1.0:
         raise ValueError(f"erf_inv requires |y| < 1, got {y}")
-    if y == 0.0:
-        return 0.0
-    target = abs(y)
-    lo, hi = 0.0, 7.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if math.erf(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    # Newton: d/dx erf(x) = 2/sqrt(pi) exp(-x^2)
-    for _ in range(4):
-        r = math.erf(x) - target
-        x -= r * math.sqrt(math.pi) / 2.0 * math.exp(x * x)
-    return math.copysign(x, y)
+    return math.copysign(bisect_root(lambda x: math.erf(x) - abs(y), 0.0, 7.0), y)
 
 
 def _w0_seed(z: complex) -> complex:

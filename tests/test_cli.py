@@ -198,3 +198,15 @@ class TestErrors:
         proc = run_cli(["simulate", "--activation.name", "relu", "--qstar", "1.0"], tmp_path)
         assert proc.returncode != 0
         assert "requires config['width']" in proc.stderr
+
+    def test_critical_line_without_fixed_point(self, tmp_path):
+        proc = run_cli(
+            ["moments", "--activation.name", "leaky_relu", "--critical", "true", "--sigma-b", "0.2"], tmp_path
+        )
+        assert proc.returncode == 1
+        assert "leaky_relu is scale-free" in proc.stderr
+
+    def test_unstable_critical_point(self, tmp_path):
+        proc = run_cli(["moments", "--activation.name", "silu", "--critical", "true", "--sigma-b", "0.2"], tmp_path)
+        assert proc.returncode == 1
+        assert "q*=0.6894525 is unstable" in proc.stderr

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from jacspectra.activations import get_activation, mu_k, phi_sq_mean
-from jacspectra.errors import ActivationClassError
+import jacspectra.propagation as propagation
+from jacspectra.activations import get_activation, mu_k, phi_sq_mean, registry_names
+from jacspectra.errors import ActivationClassError, BracketError
 from jacspectra.propagation import (
     NetworkConfig,
     chi,
@@ -46,8 +47,54 @@ class TestFixedPoint:
         assert fp.chi == pytest.approx(sw * sw * mu_k(act, fp.qstar, 1), abs=1e-12)
 
     def test_divergence_flag(self):
-        fp = qstar_fixed_point(get_activation("linear"), 2.0, 1.0, max_iter=2000)
+        fp = qstar_fixed_point(get_activation("linear"), 2.0, 1.0)
         assert not fp.converged
+
+
+def damped_reference(act, sw, sb, *, damping=0.5, tol=1e-12, max_iter=10_000, ceiling=1e8):
+    """Damped iteration of the variance map from q = 1: (q, converged).
+
+    Independent of the bracketed solver; it stops once the residual is below
+    tol, at the iteration cap, or when the iterate exceeds the ceiling.
+    """
+    q = 1.0
+    for _ in range(max_iter):
+        t = sw * sw * phi_sq_mean(act, q) + sb * sb
+        if abs(t - q) <= tol * (1.0 + abs(q)):
+            return t, True
+        q = (1.0 - damping) * q + damping * t
+        if q > ceiling or not math.isfinite(q):
+            return q, False
+    return q, False
+
+
+class TestAgainstDampedIteration:
+    @pytest.mark.parametrize("name", registry_names())
+    def test_phase_grid_cells(self, name, monkeypatch):
+        act = get_activation(name)
+        slope0 = abs(float(act.dphi(np.array(0.0))))
+        calls = []
+
+        def counted_phi_sq_mean(*args):
+            calls.append(args)
+            return phi_sq_mean(*args)
+
+        monkeypatch.setattr(propagation, "phi_sq_mean", counted_phi_sq_mean)
+        for sw in np.linspace(0.5, 3.0, 11):
+            for sb in np.linspace(0.0, 1.0, 6):
+                calls.clear()
+                fp = qstar_fixed_point(act, sw, sb)
+                # the work is bounded by a count of variance-map evaluations
+                assert fp.iterations == len(calls) <= 200
+                q_ref, ok = damped_reference(act, sw, sb)
+                if ok:
+                    assert fp.converged
+                    assert abs(fp.qstar - q_ref) <= 1e-9 * (1.0 + q_ref), (sw, sb)
+                elif q_ref < 1.0:  # crept towards 0 until the cap: a marginal cell
+                    assert sb == 0.0 and sw * slope0 == 1.0, (sw, sb)
+                    assert fp.converged and fp.qstar == 0.0
+                else:  # grew without bound
+                    assert not fp.converged
 
 
 class TestChi:
@@ -77,11 +124,40 @@ class TestCriticalLine:
         assert sw == pytest.approx(oracles["htanh_critical_sw_sb0p2"], abs=1e-8)
         assert q == pytest.approx(oracles["htanh_critical_qstar_sb0p2"], abs=1e-8)
 
-    @pytest.mark.parametrize("name,sb", [("hard_tanh", 0.1), ("erf_main", 0.3), ("tanh", 0.2)])
+    @pytest.mark.parametrize(
+        "name,sb", [("hard_tanh", 0.1), ("erf_main", 0.3), ("tanh", 0.2), ("silu", 1.0)]
+    )
     def test_round_trip_chi_is_one(self, name, sb):
         act = get_activation(name)
         sw, q = critical_sigma_w(act, sb)
         assert chi(act, sw, q) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("name,sb", [("hard_tanh", 0.2), ("tanh", 0.2), ("arctan", 0.5), ("silu", 1.0)])
+    def test_critical_point_is_where_the_recursion_settles(self, name, sb):
+        act = get_activation(name)
+        sw, q = critical_sigma_w(act, sb)
+        fp = qstar_fixed_point(act, sw, sb)
+        assert fp.converged
+        assert fp.qstar == pytest.approx(q, rel=1e-9)
+
+    @pytest.mark.parametrize("sb", [0.1, 0.2, 0.5])
+    def test_unstable_critical_point_refused(self, sb):
+        # silu's chi = 1 point has V'(q*) > 1 here: the recursion from q = 1 runs away from it
+        act = get_activation("silu")
+        with pytest.raises(BracketError, match="silu at sigma_b=.*is unstable"):
+            critical_sigma_w(act, sb)
+
+    @pytest.mark.parametrize("name", ["linear", "relu", "leaky_relu"])
+    def test_scale_free_with_bias_refused(self, name):
+        # q* diverges as chi -> 1: there is no finite critical fixed point
+        with pytest.raises(BracketError, match=f"{name} is scale-free"):
+            critical_sigma_w(get_activation(name), 0.2)
+
+    @pytest.mark.parametrize("name", ["tanh", "hard_tanh"])
+    def test_zero_bias_limit_refused(self, name):
+        # the critical point is the q* -> 0 limit, not a fixed point
+        with pytest.raises(BracketError, match=r"limit q\* -> 0"):
+            critical_sigma_w(get_activation(name), 0.0)
 
 
 class TestDoubleScaling:
