@@ -212,6 +212,27 @@ def _check_off_support(spec: ActivationSpec, z: np.ndarray) -> None:
         )
 
 
+def slope_sq_law(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None = None):
+    """Squared-slope law as nodes and weights (t, c): M(z) = sum c t / (z - t).
+
+    Piecewise activations give their exact discrete law; smooth ones the
+    quadrature rule at t = phi'(sqrt(q) h)^2.  When t is even in h (t equals
+    its own reverse) each node is merged with its mirror, an exact fold of
+    the symmetric rule onto its non-negative nodes.
+    """
+    if spec.pieces is not None:
+        return slope_distribution(spec, qstar)
+    rule = rule or default_rule()
+    d = np.asarray(spec.dphi(math.sqrt(qstar) * rule.nodes), dtype=float)
+    t, c = d * d, rule.weights
+    if np.array_equal(t, t[::-1]):
+        half = t.size // 2
+        t, c = t[half:], c[half:] + c[::-1][half:]
+        if rule.nodes.size % 2:
+            c[0] = rule.weights[half]  # the middle node is its own mirror
+    return t, c
+
+
 def m_d2(
     spec: ActivationSpec,
     qstar: float,
@@ -234,14 +255,9 @@ def m_d2(
     _check_off_support(spec, zz)
     if use_arctan_closed_form and spec.closed_form == "ArcTan":
         out = arctan_m_d2_closed(qstar, zz)
-    elif spec.pieces is not None:
-        vals, masses = slope_distribution(spec, qstar)
-        out = (masses[None, :] * vals[None, :] / (zz[:, None] - vals[None, :])).sum(axis=1)
     else:
-        rule = rule or default_rule()
-        d = np.asarray(spec.dphi(math.sqrt(qstar) * rule.nodes), dtype=float)
-        t = d * d
-        out = ((rule.weights * t)[None, :] / (zz[:, None] - t[None, :])).sum(axis=1)
+        t, c = slope_sq_law(spec, qstar, rule)
+        out = ((c * t)[None, :] / (zz[:, None] - t[None, :])).sum(axis=1)
     return complex(out[0]) if scalar else out
 
 
@@ -265,16 +281,6 @@ def arctan_m_d2_closed(qstar: float, z):
         np.exp(zp / 2.0) / np.sqrt(zp) * erfc_c(np.sqrt(zp / 2.0))
         - np.exp(zm / 2.0) / np.sqrt(zm) * erfc_c(np.sqrt(zm / 2.0))
     )
-
-
-def m_d2_quadrature(spec: ActivationSpec, qstar: float, z, rule: QuadratureRule | None = None):
-    """Direct evaluation of the defining integral, for cross-checks.
-
-    For piecewise activations the integral is split at the kinks and each
-    constant-slope piece contributes its exact Gaussian-CDF mass, which avoids
-    quadrature ringing from the slope discontinuities.
-    """
-    return m_d2(spec, qstar, z, rule=rule)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .ensembles import WeightEnsemble
 from .errors import JacspectraError
 from .limits import BERNOULLI, SMOOTH, bernoulli_density, bernoulli_edges_atoms, smooth_density, smooth_edges
 from .master import SolverSettings, default_lam_max, density
-from .moments import jacobian_moments
+from .moments import jacobian_moments, moments_from_density
 from .propagation import (
     NetworkConfig,
     critical_sigma_w,
@@ -237,6 +237,8 @@ def cmd_theory_spectrum(args, extra) -> int:
             "grid_points": int(np.size(grid)),
             "total_mass": dens.metadata["total_mass"],
             "atoms": [list(a) for a in dens_out.atoms],
+            "residual_evals": dens.metadata["residual_evals"],
+            "newton_iters": dens.metadata["newton_iters"],
         },
     )
     return 0 if n_failed <= 0.05 * np.size(grid) else 1
@@ -305,9 +307,7 @@ def cmd_compare(args, extra) -> int:
         theory = to_singular_domain(theory)
     ks = ks_distance(spectrum, theory)
     sq = spectrum.squared()
-    th_m1 = float(np.trapezoid(theory.rho * theory.grid**2, theory.grid)) + sum(
-        m * l * l for l, m in theory.atoms
-    )
+    th_m1 = moments_from_density(theory, 2)
     report = {
         "ks": ks,
         "empirical_mean_squared": float(np.mean(sq)),

@@ -17,6 +17,13 @@ root, ending at lambda + i eps_final where the density is read off as
 rho = -Im G / pi.  Distinct lambdas are independent and are marched in
 lockstep as one vectorized ladder.
 
+Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
+pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
+together, and the accepted line-search candidate hands its residual and
+derivative on to the next iteration, so an undamped step costs one
+evaluation.  A squared slope even in the pre-activation (tanh, erf, arctan)
+folds the symmetric Gauss rule exactly onto its non-negative nodes (201 -> 101).
+
 Point masses are located by residue probing: at a candidate location the
 quantity eps * |Im G| tends to the atom mass as eps -> 0, and its
 convergence over the last rungs of the ladder separates true atoms from
@@ -27,12 +34,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .activations import bernoulli_p, slope_distribution
+from .activations import bernoulli_p, slope_sq_law
 from .density import SQUARED_SINGULAR, SpectralDensity, make_lambda_grid, to_singular_domain
 from .ensembles import ORTHOGONAL
 from .errors import BranchLossError, ConvergenceError, PoleError
@@ -52,7 +59,7 @@ __all__ = [
     "to_singular_domain",
 ]
 
-_FD_STEP = 1e-4  # relative to |M|; large enough to beat the cancellation noise near atoms, truncation ~1e-8
+_NUDGE = 1e-4  # step off a pole or NaN, relative to |M|/|z|
 _DAMPING_HALVINGS = 8
 _JUMP_FACTOR = 10.0
 _JUMP_G_CAP = 10.0  # heuristic only meaningful away from atoms/divergences
@@ -85,40 +92,12 @@ class SolverSettings:
             raise ValueError("bad Newton settings")
 
 
-def _m_d2_evaluator(config: NetworkConfig, qstar: float, n_nodes: int) -> Callable:
-    """Vectorized w -> M(w) closure at the resolved fixed point."""
-    act = config.activation
-    if act.pieces is not None:
-        vals, masses = slope_distribution(act, qstar)
-        coef = masses * vals
-
-        def m_fn(w):
-            w = np.asarray(w, dtype=complex)
-            return (coef / (w[..., None] - vals)).sum(axis=-1)
-
-        return m_fn
-    rule = default_rule(n_nodes)
-    d = np.asarray(act.dphi(math.sqrt(qstar) * rule.nodes), dtype=float)
-    t = d * d
-    coef = rule.weights * t
-
-    def m_fn(w):
-        w = np.asarray(w, dtype=complex)
-        return (coef / (w[..., None] - t)).sum(axis=-1)
-
-    return m_fn
-
-
-def _s_evaluator(config: NetworkConfig) -> Callable:
-    inv_sw2 = config.sigma_w**-2.0
-    if config.ensemble.kind == ORTHOGONAL:
-        return lambda x: inv_sw2
-    return lambda x: inv_sw2 / (1.0 + x)
-
-
 def _residual_factory(config: NetworkConfig, qstar: float, n_nodes: int) -> Callable:
-    m_fn = _m_d2_evaluator(config, qstar, n_nodes)
-    s_fn = _s_evaluator(config)
+    """(G, z) -> (R, dR/dG); with M = zG - 1, dlog w/dM = -p/(M(1+M)), less 1/(1+M) for gaussian S."""
+    t, c = slope_sq_law(config.activation, qstar, default_rule(n_nodes))
+    ct = c * t
+    inv_sw2 = config.sigma_w**-2.0
+    gaussian = config.ensemble.kind != ORTHOGONAL
     L = config.depth
     p = 1.0 - 1.0 / L
     inv_L = 1.0 / L
@@ -126,9 +105,14 @@ def _residual_factory(config: NetworkConfig, qstar: float, n_nodes: int) -> Call
     def res(G, z):
         M = z * G - 1.0
         with np.errstate(all="ignore"):
-            F = s_fn(M) * ((1.0 + M) / M) ** p
-            w = z**inv_L * F
-            return M - m_fn(w)
+            S = inv_sw2 / (1.0 + M) if gaussian else inv_sw2
+            dlog_w = -p / (M * (1.0 + M)) - (1.0 / (1.0 + M) if gaussian else 0.0)
+            w = z**inv_L * (S * ((1.0 + M) / M) ** p)
+            r = w[..., None] - t
+            np.reciprocal(r, out=r)
+            m = r @ ct
+            np.square(r, out=r)
+            return M - m, z * (1.0 + (r @ ct) * w * dlog_w)
 
     return res
 
@@ -157,7 +141,7 @@ def master_residual(config: NetworkConfig, G, z, *, n_nodes: Optional[int] = Non
     if np.any(M == 0) or np.any(M == -1.0):
         raise PoleError("master residual evaluated at a pole (zG-1 in {0,-1})")
     res = _residual_factory(config, fp.qstar, n_nodes or SolverSettings().quad_nodes)
-    out = res(G, z)
+    out = res(G, z)[0]
     return complex(out) if out.ndim == 0 else out
 
 
@@ -166,18 +150,18 @@ def master_residual(config: NetworkConfig, G, z, *, n_nodes: Optional[int] = Non
 
 
 def _newton_batch(res_fn, z, G, tol, max_iter):
-    """Damped Newton on a batch of (z, G); returns (G, converged, niter)."""
+    """Damped Newton on a batch of (z, G); res_fn gives (R, dR/dG).  Returns (G, converged, niter)."""
     n = G.shape[0]
     converged = np.zeros(n, dtype=bool)
     alive = np.ones(n, dtype=bool)
     iters = np.zeros(n, dtype=int)
     G = G.copy()
+    R, dR = res_fn(G, z)
     for it in range(max_iter):
         idx = np.nonzero(alive & ~converged)[0]
         if idx.size == 0:
             break
-        Gi, zi = G[idx], z[idx]
-        R = res_fn(Gi, zi)
+        Gi, zi, Ri = G[idx], z[idx], R[idx]
         # tolerance relative to |M| = |zG-1|: the equation admits a pseudo
         # zone near M = 0 where the absolute residual ~ |M|^(1-1/L) becomes
         # arbitrarily small without M being a root; only the residual
@@ -186,39 +170,31 @@ def _newton_batch(res_fn, z, G, tol, max_iter):
         # both sides of the equation blow up together.
         absM = np.abs(zi * Gi - 1.0)
         tol_eff = tol * absM + 64.0 * np.finfo(float).eps * (1.0 + absM) ** 2
-        ok = np.abs(R) <= tol_eff
+        ok = np.abs(Ri) <= tol_eff
         converged[idx[ok]] = True
         idx = idx[~ok]
         if idx.size == 0:
             continue
-        Gi, zi, R, tol_eff = G[idx], z[idx], R[~ok], tol_eff[~ok]
-        # central difference along the direction that moves M = zG-1 parallel
-        # to the real axis: any other direction can push the probes across the
-        # (1+M)/M branch cut when the root sits near the segment (-1, 0),
-        # which happens throughout spectral gaps; the scale is |M|, the
-        # variable the residual actually depends on
-        h = _FD_STEP * (np.abs(zi * Gi - 1.0) + 1e-12) / np.abs(zi)
-        step_dir = np.conj(zi) / np.abs(zi)
-        dh = h * step_dir
-        dR = (res_fn(Gi + dh, zi) - res_fn(Gi - dh, zi)) / (2.0 * dh)
+        Gi, zi, Ri, tol_eff = Gi[~ok], zi[~ok], Ri[~ok], tol_eff[~ok]
         with np.errstate(all="ignore"):
-            step = -R / dR
-        step = np.where(np.isfinite(step), step, h)  # nudge off poles/NaNs
+            step = -Ri / dR[idx]
+        nudge = _NUDGE * (absM[~ok] + 1e-12) / np.abs(zi)
+        step = np.where(np.isfinite(step), step, nudge)  # off poles/NaNs
         # damped line search along the Newton direction
-        absR = np.abs(R)
+        absR = np.abs(Ri)
         absR[~np.isfinite(absR)] = np.inf
         settled = np.zeros(idx.size, dtype=bool)
-        G_new = Gi.copy()
         factor = np.ones(idx.size)
         for _ in range(_DAMPING_HALVINGS + 1):
             trial = np.nonzero(~settled)[0]
             if trial.size == 0:
                 break
             cand = Gi[trial] + step[trial] * factor[trial]
-            Rc = res_fn(cand, zi[trial])
+            Rc, dRc = res_fn(cand, zi[trial])
             better = np.abs(Rc) < absR[trial]
             better &= np.isfinite(Rc)
-            G_new[trial[better]] = cand[better]
+            won = idx[trial[better]]
+            G[won], R[won], dR[won] = cand[better], Rc[better], dRc[better]
             settled[trial[better]] = True
             factor[trial[~better]] *= 0.5
         stuck = ~settled
@@ -226,20 +202,20 @@ def _newton_batch(res_fn, z, G, tol, max_iter):
         noise_ok = stuck & (absR <= 100.0 * tol_eff)
         converged[idx[noise_ok]] = True
         alive[idx[stuck & ~noise_ok]] = False  # no descent within 8 halvings
-        G[idx[settled]] = G_new[settled]
         iters[idx] += 1
-    failed = ~converged
-    return G, ~failed, iters
+    return G, converged, iters
 
 
+@dataclass
 class _LadderResult:
-    def __init__(self, G, converged, fail_step, jump_flags, probe_eps, probe_vals):
-        self.G = G
-        self.converged = converged
-        self.fail_step = fail_step
-        self.jump_flags = jump_flags
-        self.probe_eps = probe_eps  # (n, 5) last rung heights
-        self.probe_vals = probe_vals  # (n, 5) eps * |Im G| there
+    G: np.ndarray
+    converged: np.ndarray
+    fail_step: np.ndarray
+    jump_flags: np.ndarray
+    probe_eps: np.ndarray  # (n, 5) last rung heights
+    probe_vals: np.ndarray  # (n, 5) eps * |Im G| there
+    residual_evals: int  # point-evaluations of the residual
+    newton_iters: int  # Newton iterations summed over points and rungs
 
 
 def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float = 1.0) -> _LadderResult:
@@ -263,6 +239,19 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
     jump_flags = np.zeros(n, dtype=bool)
     hist_eps = np.zeros((n, 5))
     hist_val = np.zeros((n, 5))
+    residual_evals = newton_iters = 0
+
+    def counted_res(G, z):
+        nonlocal residual_evals
+        residual_evals += G.size
+        return res_fn(G, z)
+
+    def newton(z, seed):
+        nonlocal newton_iters
+        G, conv, iters = _newton_batch(counted_res, z, seed, settings.newton_tol, settings.newton_max_iter)
+        newton_iters += int(iters.sum())
+        return G, conv
+
     for k in range(1, k_max + 1):
         rung = b ** (N - k)
         eff = np.maximum(rung, eps_targets)
@@ -277,9 +266,7 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
         # 1/z in the asymptotic regime, so carrying G directly would throw
         # the seed across the (1+M)/M branch cut
         seed = ((z_prev[idx] * G_prev - 1.0) + 1.0) / z_k
-        G_new, conv, _ = _newton_batch(
-            res_fn, z_k, seed, settings.newton_tol, settings.newton_max_iter
-        )
+        G_new, conv = newton(z_k, seed)
         # heuristic: successive roots should move no faster than ~10x the z
         # step; a violation near moderate |G| signals a root hop (physical
         # and mirror roots nearly collide close to hard spectral edges), so
@@ -297,9 +284,7 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
                 eps_t = eff[idx][sub] * (np.imag(z_sub_prev) / eff[idx][sub]) ** (1.0 - frac)
                 z_t = lams[idx][sub] + 1j * eps_t
                 seed_t = (z_sub_prev * G_sub) / z_t
-                G_t, conv_t, _ = _newton_batch(
-                    res_fn, z_t, seed_t, settings.newton_tol, settings.newton_max_iter
-                )
+                G_t, conv_t = newton(z_t, seed_t)
                 ok_sub &= conv_t
                 G_sub = np.where(conv_t, G_t, G_sub)
                 z_sub_prev = z_t
@@ -320,7 +305,7 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
         done[idx[finishing[idx]]] = True
         if np.all(done | failed):
             break
-    return _LadderResult(G, ~failed, fail_step, jump_flags, hist_eps, hist_val)
+    return _LadderResult(G, ~failed, fail_step, jump_flags, hist_eps, hist_val, residual_evals, newton_iters)
 
 
 def solve_G_at(config: NetworkConfig, lam: float, settings: SolverSettings | None = None) -> complex:
@@ -389,6 +374,19 @@ def atom_candidates(config: NetworkConfig, qstar: float) -> list:
     return cands
 
 
+def _rho_noise(grid, targets, G, settings: SolverSettings) -> np.ndarray:
+    """Noise envelope of the readout rho = -Im G / pi at z = grid + i targets.
+
+    Newton stops at a residual ~ tol*(1+|M|) (or 100x that when stagnating
+    at the cancellation floor); the induced G noise is that divided by |z|.
+    """
+    absM = np.abs((grid + 1j * targets) * G - 1.0)
+    eps_mach = np.finfo(float).eps
+    return 1e-8 + 200.0 * (
+        settings.newton_tol * (1.0 + absM) + 64.0 * eps_mach * (1.0 + absM) ** 2
+    ) / np.maximum(grid, targets)
+
+
 def density(
     config: NetworkConfig,
     grid,
@@ -431,17 +429,10 @@ def density(
         )
     rho = -out.G.imag / math.pi
     rho[~out.converged] = 0.0
-    # Newton stops at a residual ~ tol*(1+|M|) (or 100x that when stagnating
-    # at the cancellation floor); the induced G noise is that divided by |z|.
     # Where the true Im G is ~0 (off support, next to atoms) the readout can
-    # come out slightly negative within this envelope; clamp it, and fail on
-    # anything larger, which would mean a lost branch rather than noise.
-    z_final = grid + 1j * targets
-    absM = np.abs(z_final * out.G - 1.0)
-    eps_mach = np.finfo(float).eps
-    noise = 1e-8 + 200.0 * (
-        settings.newton_tol * (1.0 + absM) + 64.0 * eps_mach * (1.0 + absM) ** 2
-    ) / np.maximum(grid, targets)
+    # come out slightly negative within the noise envelope; clamp it, and fail
+    # on anything larger, which would mean a lost branch rather than noise.
+    noise = _rho_noise(grid, targets, out.G, settings)
     too_negative = rho < -noise
     if np.any(too_negative):
         worst = int(np.argmin(rho + noise))
@@ -471,17 +462,11 @@ def density(
         "activation": config.activation.name,
         "activation_params": dict(config.activation.params),
         "ensemble": config.ensemble.kind,
-        "settings": {
-            "step_base": settings.step_base,
-            "half_steps": settings.half_steps,
-            "newton_tol": settings.newton_tol,
-            "newton_max_iter": settings.newton_max_iter,
-            "final_epsilon": settings.final_epsilon,
-            "quad_nodes": settings.quad_nodes,
-            "adaptive_epsilon": adaptive_epsilon,
-        },
+        "settings": {**asdict(settings), "adaptive_epsilon": adaptive_epsilon},
         "failed_points": [int(i) for i in np.nonzero(~out.converged)[0]],
         "jump_flagged_points": [int(i) for i in np.nonzero(out.jump_flags)[0]],
+        "residual_evals": out.residual_evals,
+        "newton_iters": out.newton_iters,
     }
     dens = SpectralDensity(
         domain=SQUARED_SINGULAR,

@@ -37,11 +37,17 @@ _SQRT2 = math.sqrt(2.0)
 
 erf = math.erf  # total on the reals; |error| well below 1e-14
 
-erf_vec = np.vectorize(math.erf, otypes=[float])
+
+def erf_vec(x) -> np.ndarray:
+    """``math.erf`` elementwise, as a float array of the input's shape."""
+    x = np.asarray(x, dtype=float)
+    return np.array(list(map(math.erf, x.ravel().tolist())), dtype=float).reshape(x.shape)
 
 
 def norm_cdf(x):
-    """Standard normal CDF, elementwise."""
+    """Standard normal CDF, elementwise; a scalar goes straight to ``math.erf``."""
+    if np.ndim(x) == 0:
+        return np.float64(0.5 * (1.0 + math.erf(float(x) / _SQRT2)))
     return 0.5 * (1.0 + erf_vec(np.asarray(x, dtype=float) / _SQRT2))
 
 

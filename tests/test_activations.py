@@ -9,11 +9,11 @@ from jacspectra.activations import (
     d2_moments,
     get_activation,
     m_d2,
-    m_d2_quadrature,
     mu_k,
     phi_sq_mean,
     registry_names,
     slope_distribution,
+    slope_sq_law,
 )
 from jacspectra.errors import ActivationClassError, SupportError
 from jacspectra.special import default_rule, erf
@@ -155,7 +155,7 @@ class TestMD2:
             if min(abs(z - v) for v in vals) < 0.1:
                 continue
             direct = sum(m * v / (z - v) for v, m in zip(vals, masses))
-            assert abs(m_d2_quadrature(spec, q, z) - direct) <= 1e-7
+            assert abs(m_d2(spec, q, z) - direct) <= 1e-7
             count += 1
 
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -201,6 +201,25 @@ class TestMD2:
                 closed = m_d2(spec, q, z, use_arctan_closed_form=True)
                 assert abs(quad - closed) <= 1e-7
                 count += 1
+
+    @pytest.mark.parametrize("name", ["tanh", "erf_sm", "erf_main", "arctan", "silu"])
+    def test_even_law_folds_exactly(self, name):
+        # an even squared slope merges each Gauss node with its mirror: the
+        # 201-node sum and the folded 101-node one agree to rounding
+        spec = get_activation(name)
+        q = 0.8
+        rule = default_rule(201)
+        d = spec.dphi(math.sqrt(q) * rule.nodes)
+        t_all, c_all = d * d, rule.weights
+        t, c = slope_sq_law(spec, q, rule)
+        assert t.size == (201 if name == "silu" else 101)
+        assert c.sum() == pytest.approx(1.0, abs=1e-15)
+        rng = np.random.default_rng(6)
+        w = rng.uniform(-2.0, 3.0, 200) + 1j * rng.choice([-1.0, 1.0], 200) * rng.uniform(0.01, 2.0, 200)
+        full = (c_all * t_all / (w[:, None] - t_all)).sum(axis=1)
+        folded = (c * t / (w[:, None] - t)).sum(axis=1)
+        assert np.all(np.abs(folded - full) <= 1e-13 * np.abs(full))
+        np.testing.assert_array_equal(m_d2(spec, q, w), folded)
 
 
 class TestBernoulliP:

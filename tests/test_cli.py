@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import jacspectra
+from jacspectra.density import SINGULAR, SpectralDensity
 
 PY = [sys.executable, "-m", "jacspectra"]
 
@@ -19,10 +20,14 @@ PY = [sys.executable, "-m", "jacspectra"]
 PKG_PARENT = str(Path(jacspectra.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd):
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PKG_PARENT, env.get("PYTHONPATH")]))
-    return subprocess.run(PY + args, cwd=cwd, env=env, capture_output=True, text=True)
+    return env
+
+
+def run_cli(args, cwd):
+    return subprocess.run(PY + args, cwd=cwd, env=child_env(), capture_output=True, text=True)
 
 
 def provenance(proc):
@@ -122,6 +127,30 @@ class TestLimitCommand:
         assert math.sqrt(edges["lambda_plus"]) == pytest.approx(1.557, abs=2e-3)
 
 
+class TestCompare:
+    def test_theory_mean_squared_is_second_moment(self, tmp_path):
+        # over singular values s, E[s^2]: the trapezoid of rho s^2 plus the atoms' mass * loc^2
+        grid = np.linspace(0.0, 2.0, 41)
+        theory = SpectralDensity(SINGULAR, grid, 0.7 * 0.75 * grid * (2.0 - grid), atoms=((1.5, 0.3),))
+        theory.write_json(tmp_path / "th.json")
+        (tmp_path / "sp.csv").write_text("s\n0.5\n1.0\n1.5\n")
+        sidecar = {"width": 3, "depth": 1, "trials": 1, "seed": 0, "config": {}}
+        (tmp_path / "sp.json").write_text(json.dumps(sidecar))
+        doc = provenance(
+            run_cli(
+                [
+                    "compare",
+                    "--empirical.spectrum_csv", "sp.csv",
+                    "--empirical.sidecar_json", "sp.json",
+                    "--theory.density", "th.json",
+                ],
+                tmp_path,
+            )
+        )
+        expected = float(np.trapezoid(theory.rho * grid**2, grid)) + sum(m * l * l for l, m in theory.atoms)
+        assert abs(doc["report"]["theory_mean_squared"] - expected) <= 1e-15 * expected
+
+
 class TestPipeline:
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -172,6 +201,10 @@ class TestPipeline:
         assert doc["report"]["ks"] <= 0.08
         assert doc["report"]["empirical_mean_squared"] == pytest.approx(1.0, abs=0.15)
 
+    def test_report_counts_solver_work(self, theory_doc):
+        report = theory_doc["report"]
+        assert 0 < report["newton_iters"] < report["residual_evals"]
+
     def test_density_csv_byte_stable(self, workdir, theory_doc):
         first = (workdir / "th.csv").read_bytes()
         provenance(run_cli(["theory-spectrum", "--config", "cfg.json"], workdir))
@@ -210,3 +243,27 @@ class TestErrors:
         proc = run_cli(["moments", "--activation.name", "silu", "--critical", "true", "--sigma-b", "0.2"], tmp_path)
         assert proc.returncode == 1
         assert "q*=0.6894525 is unstable" in proc.stderr
+
+
+class TestImports:
+    def test_solver_paths_load_no_scipy(self):
+        # importing scipy.special alone adds about 23 MB of resident memory
+        code = "\n".join(
+            [
+                "import sys",
+                "import numpy as np",
+                "import jacspectra",
+                "from jacspectra.activations import get_activation",
+                "from jacspectra.limits import bernoulli_density, smooth_density",
+                "from jacspectra.master import theory_density",
+                "from jacspectra.propagation import critical_config, critical_sigma_w",
+                "theory_density(critical_config(get_activation('tanh'), 'orthogonal', 0.2, 4), points=20)",
+                "critical_sigma_w(get_activation('hard_tanh'), 0.2)",
+                "bernoulli_density(0.25, np.linspace(0.1, 2.0, 5))",
+                "smooth_density(0.25, np.linspace(0.5, 2.0, 5))",
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ]
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

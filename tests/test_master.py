@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,16 +8,18 @@ from jacspectra.activations import get_activation
 from jacspectra.density import make_lambda_grid
 from jacspectra.ensembles import gaussian, orthogonal
 from jacspectra.errors import BranchLossError, PoleError
+from jacspectra import master
 from jacspectra.master import (
     SolverSettings,
     atom_candidates,
+    default_lam_max,
     density,
     master_residual,
     probe_atom,
     solve_G_at,
 )
 from jacspectra.moments import jacobian_moments, moments_from_density
-from jacspectra.propagation import NetworkConfig, double_scaled_config
+from jacspectra.propagation import NetworkConfig, critical_config, double_scaled_config
 
 
 def _linear_orth(depth=8):
@@ -170,3 +173,148 @@ class TestDensity:
         strangled = SolverSettings(newton_max_iter=1)
         with pytest.raises(BranchLossError):
             density(_linear_gauss(), make_lambda_grid(4.0, n=100), strangled)
+
+
+# ---------------------------------------------------------------------------
+# the analytic-derivative Newton against the central-difference one it replaced
+
+_FD_STEP = 1e-4
+
+
+def _central_difference_newton(res_fn, z, G, tol, max_iter):
+    """Test-only reference: the damped Newton with a central-difference dR/dG.
+
+    It evaluates the residual afresh at every iterate, twice more for the
+    difference and again in the line search; only R of ``res_fn``'s
+    (R, dR/dG) is used.
+    """
+
+    def res(G, z):
+        return res_fn(G, z)[0]
+
+    n = G.shape[0]
+    converged = np.zeros(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    iters = np.zeros(n, dtype=int)
+    G = G.copy()
+    for _ in range(max_iter):
+        idx = np.nonzero(alive & ~converged)[0]
+        if idx.size == 0:
+            break
+        Gi, zi = G[idx], z[idx]
+        R = res(Gi, zi)
+        absM = np.abs(zi * Gi - 1.0)
+        tol_eff = tol * absM + 64.0 * np.finfo(float).eps * (1.0 + absM) ** 2
+        ok = np.abs(R) <= tol_eff
+        converged[idx[ok]] = True
+        idx = idx[~ok]
+        if idx.size == 0:
+            continue
+        Gi, zi, R, tol_eff = G[idx], z[idx], R[~ok], tol_eff[~ok]
+        # difference along the direction that moves M = zG - 1 parallel to
+        # the real axis, so the probes stay off the (1+M)/M branch cut
+        h = _FD_STEP * (np.abs(zi * Gi - 1.0) + 1e-12) / np.abs(zi)
+        dh = h * np.conj(zi) / np.abs(zi)
+        dR = (res(Gi + dh, zi) - res(Gi - dh, zi)) / (2.0 * dh)
+        with np.errstate(all="ignore"):
+            step = -R / dR
+        step = np.where(np.isfinite(step), step, h)
+        absR = np.abs(R)
+        absR[~np.isfinite(absR)] = np.inf
+        settled = np.zeros(idx.size, dtype=bool)
+        G_new = Gi.copy()
+        factor = np.ones(idx.size)
+        for _ in range(9):
+            trial = np.nonzero(~settled)[0]
+            if trial.size == 0:
+                break
+            cand = Gi[trial] + step[trial] * factor[trial]
+            Rc = res(cand, zi[trial])
+            better = (np.abs(Rc) < absR[trial]) & np.isfinite(Rc)
+            G_new[trial[better]] = cand[better]
+            settled[trial[better]] = True
+            factor[trial[~better]] *= 0.5
+        stuck = ~settled
+        noise_ok = stuck & (absR <= 100.0 * tol_eff)
+        converged[idx[noise_ok]] = True
+        alive[idx[stuck & ~noise_ok]] = False
+        G[idx[settled]] = G_new[settled]
+        iters[idx] += 1
+    return G, converged, iters
+
+
+def _solve(config, grid, newton):
+    """density() with the given Newton, and the noise envelope at its grid points."""
+    ladders = []
+    run_ladder = master._run_ladder
+
+    def spy(res_fn, lams, targets, settings, m1):
+        out = run_ladder(res_fn, lams, targets, settings, m1)
+        ladders.append((lams, targets, settings, out.G))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(master, "_newton_batch", newton)
+        mp.setattr(master, "_run_ladder", spy)
+        dens = density(config, grid)
+    lams, targets, settings, G = ladders[0]  # the grid; the rest are atom probes
+    return dens, master._rho_noise(lams, targets, G, settings)[np.isin(lams, dens.grid)]
+
+
+_REFERENCE_CONFIGS = {
+    "hard_tanh-orth-L16": lambda: critical_config(get_activation("hard_tanh"), "orthogonal", 0.2, 16),
+    "tanh-gauss-L16": lambda: critical_config(get_activation("tanh"), "gaussian", 0.2, 16),
+    "erf_sm-orth-L64": lambda: critical_config(get_activation("erf_sm"), "orthogonal", 0.2, 64),
+    "ds-hard_tanh-L16": lambda: double_scaled_config(get_activation("hard_tanh"), 16, 0.25),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_REFERENCE_CONFIGS))
+def both_solves(request):
+    config = _REFERENCE_CONFIGS[request.param]()
+    grid = make_lambda_grid(default_lam_max(jacobian_moments(config)), n=60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mass lost below the grid: not what is compared here
+        return _solve(config, grid, master._newton_batch), _solve(config, grid, _central_difference_newton)
+
+
+class TestAgainstCentralDifferenceNewton:
+    def test_no_point_fails(self, both_solves):
+        for dens, _ in both_solves:
+            assert dens.metadata["failed_points"] == []
+
+    def test_density_within_noise_envelope(self, both_solves):
+        (new, new_noise), (ref, ref_noise) = both_solves
+        np.testing.assert_array_equal(new.grid, ref.grid)
+        diff = np.abs(new.rho - ref.rho)
+        assert np.all(diff <= np.minimum(new_noise, ref_noise))
+        resolved = ref.rho > 1e-6 * ref.rho.max()
+        assert np.all(diff[resolved] <= 1e-8 * ref.rho[resolved])
+
+    def test_same_atoms(self, both_solves):
+        (new, _), (ref, _) = both_solves
+        assert [loc for loc, _ in new.atoms] == [loc for loc, _ in ref.atoms]
+        for (_, m_new), (_, m_ref) in zip(new.atoms, ref.atoms):
+            assert m_new == pytest.approx(m_ref, rel=1e-6)
+
+    def test_fewer_residual_evaluations(self, both_solves):
+        (new, _), (ref, _) = both_solves
+        assert new.metadata["residual_evals"] <= 0.4 * ref.metadata["residual_evals"]
+        assert 0 < new.metadata["newton_iters"] < new.metadata["residual_evals"]
+
+
+@pytest.mark.parametrize("name", ["hard_tanh", "tanh", "silu"])
+@pytest.mark.parametrize("ensemble", [orthogonal, gaussian])
+def test_analytic_derivative_matches_central_difference(name, ensemble):
+    sw = 1.3
+    config = NetworkConfig(get_activation(name), ensemble(sw), sw, 0.1, depth=8, qstar=0.9)
+    res = master._residual_factory(config, 0.9, 201)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0.1, 5.0, 50) + 1j * rng.uniform(0.05, 2.0, 50)
+    # M = zG - 1 off the real axis, clear of the (1+M)/M cut on (-1, 0)
+    M = rng.uniform(-2.0, 2.0, 50) + 1j * rng.choice([-1.0, 1.0], 50) * rng.uniform(0.2, 2.0, 50)
+    G = (1.0 + M) / z
+    _, dR = res(G, z)
+    h = 1e-5 * np.abs(G)
+    dR_cd = (res(G + h, z)[0] - res(G - h, z)[0]) / (2.0 * h)
+    assert np.all(np.abs(dR - dR_cd) <= 1e-6 * np.abs(dR))

@@ -8,10 +8,32 @@ from jacspectra.errors import ConvergenceError
 from jacspectra.special import (
     erf,
     erf_inv,
+    erf_vec,
     gauss_normal_rule,
     lambert_w0,
+    norm_cdf,
     r_lambert,
 )
+
+
+class TestElementwiseErf:
+    @pytest.mark.parametrize(
+        "x",
+        [0.3, -2.0, 3, np.float64(1.5), np.array(0.7), [0.1, -0.4], np.linspace(-7.0, 7.0, 12).reshape(3, 4),
+         np.array([]), [math.inf, -math.inf, 0.0], np.array([1, 2])],
+    )
+    def test_bitwise_math_erf(self, x):
+        arr = np.asarray(x, dtype=float)
+        got = erf_vec(x)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == arr.shape
+        assert got.tobytes() == np.array([math.erf(v) for v in arr.ravel()], dtype=float).tobytes()
+        cdf = norm_cdf(x)
+        if arr.ndim == 0:
+            assert type(cdf) is np.float64
+        else:
+            assert type(cdf) is np.ndarray and cdf.dtype == np.float64 and cdf.shape == arr.shape
+        expected = [0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr.ravel()]
+        assert np.asarray(cdf).tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 class TestErf:
