@@ -328,20 +328,19 @@ def cmd_limit(args, extra) -> int:
     klass = cfg.get("class", BERNOULLI)
     s0sq = float(cfg.get("sigma0_sq", 0.25))
     cfg["class"], cfg["sigma0_sq"] = klass, s0sq
-    points = int(cfg.get("grid", {}).get("points", 1200))
+    half = int(cfg.get("grid", {}).get("points", 1200)) // 2
     if klass == BERNOULLI:
         info = bernoulli_edges_atoms(s0sq)
-        lam_hi = max(info["lambda1"], info["lambda2"]) * 1.1
-        grid = np.concatenate(
-            [np.geomspace(1e-10, info["lambda1"], points // 2), np.linspace(1e-6, lam_hi, points // 2)]
-        )
-        grid = np.unique(grid)
-        dens = bernoulli_density(s0sq, grid, eps=float(cfg.get("readout_epsilon", 1e-9)))
+        # rho ~ 1/(lambda log^2 lambda) near 0: reach far down; the report has the mass below
+        geo = np.geomspace(1e-100, info["lambda1"], half)
+        lin = np.linspace(1e-6, max(info["lambda1"], info["lambda2"]) * 1.1, half)
+        dens = bernoulli_density(s0sq, np.unique(np.concatenate([geo, lin])))
         edges = {k: info[k] for k in ("lambda0", "lambda1", "lambda2")}
     elif klass == SMOOTH:
         lo, hi = smooth_edges(s0sq)
-        grid = np.linspace(max(lo * 0.8, 1e-8), hi * 1.05, points)
-        dens = smooth_density(s0sq, grid, eps=float(cfg.get("readout_epsilon", 1e-9)))
+        # geometric points resolve a lower edge near 0
+        grid = np.concatenate([np.geomspace(lo, hi, half), np.linspace(0.8 * lo, 1.05 * hi, half)])
+        dens = smooth_density(s0sq, np.unique(grid))
         edges = {"lambda_minus": lo, "lambda_plus": hi}
     else:
         raise SystemExit(f"unknown limit class {klass!r}")
@@ -356,7 +355,7 @@ def cmd_limit(args, extra) -> int:
         "limit",
         cfg,
         {"density_csv": csv_path, "density_json": json_path},
-        {"edges": edges, "atoms": [list(a) for a in dens_s.atoms]},
+        {"edges": edges, "atoms": [list(a) for a in dens_s.atoms], "mass": dens.metadata["mass"]},
     )
     return 0
 

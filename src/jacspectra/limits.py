@@ -1,34 +1,27 @@
 """Closed-form infinite-depth limits of the Jacobian spectrum.
 
 In the variance-matched deep limit (spectral variance pinned to s0sq,
-orthogonal weights) the squared-singular-value distribution converges to one
-of two universal laws, distinguished only by the squared-slope distribution
-of the nonlinearity as q* -> 0:
+orthogonal weights) the squared-singular-value law converges to one of two
+universal laws, fixed by the squared-slope law of the nonlinearity as
+q* -> 0.  ``bernoulli_G`` and ``smooth_G`` give the resolvents off the real
+axis; the densities come from exact parametrisations of the support.
 
-  * {0,1}-valued squared slope ("Bernoulli" class, e.g. saturating or
-    shifted piecewise-linear units):
+  * {0,1}-valued squared slope ("Bernoulli" class, e.g. saturating units):
+    G(z) = s0sq / (z (s0sq + W(-s0sq/z))), W the principal Lambert W.  On
+    its cut W = w = -theta cot(theta) + i theta, theta in (0, pi) (Corless
+    et al. 1996), so lambda(theta) = s0sq sin(theta) e^{theta cot(theta)} /
+    theta falls from lambda1 = e*s0sq to 0, and rho = s0sq theta /
+    (pi lambda |s0sq + w|^2).  The continuum mass below lambda(theta) is
+    [arg w + (s0sq - 1) arg(w + s0sq)] / pi, of total min(s0sq, 1); the rest,
+    1 - s0sq for s0sq < 1, is an atom at lambda2 = exp(s0sq).
 
-        G(z) = (1/z) * s0sq / (s0sq + W(-s0sq/z)),
-
-    with W the principal Lambert-W branch.  The bulk occupies (0, e*s0sq)
-    with its right edge at lambda1 = e*s0sq; a point mass sits at
-    lambda2 = exp(s0sq) whenever s0sq <= 1, and the density diverges
-    (integrably) at the origin.
-
-  * squared slope concentrating smoothly at 1 (e.g. erf-like or
-    sigmoid-weighted-linear units):
-
-        G(z) = W_r(-s0sq * z * exp(s0sq)) / (z * s0sq),   r = -exp(s0sq) * z,
-
-    with W_r the generalized root of w e^w + r w = z on the branch through
-    the origin.  The support is a single interval with edges
-
-        lambda_pm = (1/2) exp(-sg^2/2) (2 + sg'^2),
-        sg^2, sg'^2 in {s0 (s0 +- sqrt(s0^2+4))},
-
-    the labels resolved by sorting (the two printed conventions for the
-    edges swap their subscripts; numerically the smaller one is the left
-    edge).
+  * squared slope concentrating smoothly at 1 (e.g. erf-like units):
+    G(z) = w / (z s0sq), z = w e^{w - s0sq} / (w - s0sq), on the branch
+    through w = 0 at z = 0.  z is real on the arch w = x + i y,
+    (x - s0sq/2)^2 = s0sq^2/4 + s0sq y cot(y) - y^2, and rises along it
+    between the edges at the roots of w^2 - s0sq w - s0sq.  There
+    rho = Im w / (pi s0sq lambda), the mass above lambda is
+    Im[log(w - s0sq) - w^2 / (2 s0sq)] / pi, and there are no atoms.
 """
 
 from __future__ import annotations
@@ -40,15 +33,12 @@ import numpy as np
 
 from .density import SQUARED_SINGULAR, SpectralDensity
 from .errors import ConvergenceError, PoleError
-from .special import _newton_rlambert, lambert_w0, r_lambert
+from .special import _newton_rlambert, bisect_root, lambert_w0, r_lambert
 
 BERNOULLI = "bernoulli"
 SMOOTH = "smooth"
 
-_READOUT_EPS = 1e-9
-_PROBE_EPS = (1e-6, 1e-7, 1e-8, 1e-9)
-_ATOM_SPREAD_TOL = 0.02
-_ATOM_MASS_MIN = 1e-3
+_NEWTON_MAX = 50
 
 
 def bernoulli_G(sigma0_sq: float, z) -> complex:
@@ -92,33 +82,32 @@ def smooth_G(sigma0_sq: float, z) -> complex:
 
 
 def bernoulli_edges_atoms(sigma0_sq: float) -> dict:
-    """Edge locations and probed atom masses of the Bernoulli-class limit.
-
-    lambda0 = 0 and lambda2 = exp(s0sq) are the candidate point masses
-    (lambda2 only for s0 <= 1); lambda1 = e*s0sq is the right edge of the
-    bulk.  Masses come from the residue probe; the origin probe converges
-    to zero mass (the divergence there is integrable, not a point mass).
-    """
-    lambda1 = math.e * sigma0_sq
+    """Edges lambda0 = 0, lambda1 = e*s0sq, lambda2 = exp(s0sq) and the atoms of the Bernoulli limit."""
     lambda2 = math.exp(sigma0_sq)
-    atoms = []
-    candidates = [0.0]
-    if sigma0_sq <= 1.0:
-        candidates.append(lambda2)
-    for loc in candidates:
-        mass, is_atom = _residue_probe(lambda z: bernoulli_G(sigma0_sq, z), loc)
-        if is_atom:
-            atoms.append((loc, mass))
-    return {
-        "lambda0": 0.0,
-        "lambda1": lambda1,
-        "lambda2": lambda2,
-        "atoms": tuple(atoms),
-    }
+    atoms = ((lambda2, 1.0 - sigma0_sq),) if sigma0_sq < 1.0 else ()
+    return {"lambda0": 0.0, "lambda1": math.e * sigma0_sq, "lambda2": lambda2, "atoms": atoms}
+
+
+def bernoulli_log_ratio(theta) -> np.ndarray:
+    """log(lambda(theta) / s0sq), falling from 1 at theta -> 0 to -inf at theta -> pi."""
+    return np.log(np.sin(theta) / theta) + theta / np.tan(theta)
+
+
+def bernoulli_w(sigma0_sq: float, lam) -> np.ndarray:
+    """W(-s0sq/lambda) above its cut, theta bisected until no float lies between the ends."""
+    target = np.log(np.asarray(lam, dtype=float) / sigma0_sq)
+    lo, hi = np.zeros_like(target), np.full_like(target, math.pi)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            return -mid / np.tan(mid) + 1j * mid
+        right = open_ & (bernoulli_log_ratio(mid) > target)
+        lo, hi = np.where(right, mid, lo), np.where(open_ & ~right, mid, hi)
 
 
 def smooth_edges(sigma0_sq: float) -> tuple[float, float]:
-    """Support endpoints (lambda_minus, lambda_plus) of the smooth limit."""
+    """Sorted support edges (1/2) exp(-sg^2/2) (2 + sg'^2), {sg^2, sg'^2} = {s0 (s0 +- sqrt(s0^2+4))}."""
     s0 = math.sqrt(sigma0_sq)
     root = math.sqrt(sigma0_sq + 4.0)
     sg_p = s0 * (s0 + root)
@@ -133,55 +122,66 @@ def smooth_s_edges(sigma0_sq: float) -> tuple[float, float]:
     return math.sqrt(lo), math.sqrt(hi)
 
 
-def _residue_probe(g_fn, loc: float) -> tuple[float, bool]:
-    vals = []
-    for eps in _PROBE_EPS:
-        g = g_fn(loc + 1j * eps)
-        vals.append(eps * abs(g.imag))
-    vals = np.array(vals)
-    if np.any(vals <= 0.0):
-        return 0.0, False
-    spread = (vals.max() - vals.min()) / vals.mean()
-    mass = min(float(vals[-1]), 1.0)
-    return mass, bool(spread <= _ATOM_SPREAD_TOL and mass >= _ATOM_MASS_MIN)
+def smooth_arch(sigma0_sq: float, n: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """n points w along the smooth support arch, left to right, and lambda = Re z(w)."""
+    half = 0.5 * sigma0_sq
+
+    def r2(y):
+        return half * half + sigma0_sq * y / np.tan(y) - y * y  # falls to -inf at pi
+
+    t = np.linspace(0.0, math.pi, n + 2)[1:-1]
+    y = bisect_root(r2, 1e-12, math.pi) * np.sin(t)
+    w = half - np.sign(np.cos(t)) * np.sqrt(np.maximum(r2(y), 0.0)) + 1j * y
+    return w, (w * np.exp(w - sigma0_sq) / (w - sigma0_sq)).real
 
 
-def _density_from_G(g_fn, grid, eps, atoms, meta) -> SpectralDensity:
+def smooth_w(sigma0_sq: float, lam) -> np.ndarray:
+    """Arch point w with z(w) = lambda in (lambda_-, lambda_+), by Newton on log z from an arch seed."""
+    arch, arch_lam = smooth_arch(sigma0_sq)
+    log_lam = np.log(np.atleast_1d(np.asarray(lam, dtype=float)))
+    w = np.interp(log_lam, np.log(arch_lam), arch)
+    todo = np.arange(w.size)
+    for _ in range(_NEWTON_MAX):
+        wt = w[todo]
+        f = wt - sigma0_sq + np.log(wt) - np.log(wt - sigma0_sq) - log_lam[todo]
+        done = (np.abs(f) <= 1e-14 * (1.0 + np.abs(log_lam[todo]))) & (wt.imag > 0.0)
+        todo, wt, f = todo[~done], wt[~done], f[~done]
+        if todo.size == 0:
+            return w
+        w[todo] = wt - f / (1.0 + 1.0 / wt - 1.0 / (wt - sigma0_sq))
+    raise ConvergenceError(f"no arch point at lambda = {np.exp(log_lam[todo])}", last_iterate=w[todo])
+
+
+def bernoulli_density(sigma0_sq: float, grid) -> SpectralDensity:
+    """Bernoulli-class limit density on a positive grid; metadata["mass"] is its closed-form ledger."""
     grid = np.asarray(grid, dtype=float)
-    rho = np.empty_like(grid)
-    for i, lam in enumerate(grid):
-        rho[i] = -g_fn(lam + 1j * eps).imag / math.pi
-    rho = np.maximum(rho, 0.0)
-    keep = np.ones(grid.size, dtype=bool)
-    for loc, _ in atoms:
-        keep &= np.abs(grid - loc) > 100.0 * eps
-    return SpectralDensity(
-        domain=SQUARED_SINGULAR,
-        grid=grid[keep],
-        rho=rho[keep],
-        atoms=tuple(atoms),
-        metadata=meta,
-    )
-
-
-def bernoulli_density(sigma0_sq: float, grid, *, eps: float = _READOUT_EPS) -> SpectralDensity:
-    """Bernoulli-class limit density on a squared-singular-value grid."""
+    if grid[0] <= 0.0:
+        raise ValueError("the Bernoulli limit density diverges at 0; the grid must be positive")
     info = bernoulli_edges_atoms(sigma0_sq)
-    meta = {"class": BERNOULLI, "sigma0_sq": sigma0_sq, "readout_epsilon": eps}
-    meta.update({k: info[k] for k in ("lambda0", "lambda1", "lambda2")})
-    return _density_from_G(
-        lambda z: bernoulli_G(sigma0_sq, z), grid, eps, info["atoms"], meta
-    )
+    inside = np.log(grid / sigma0_sq) < 1.0  # lambda < lambda1, decided as bernoulli_w bisects
+    w = bernoulli_w(sigma0_sq, grid[inside])
+    rho = np.zeros_like(grid)
+    rho[inside] = sigma0_sq * w.imag / (math.pi * grid[inside] * np.abs(sigma0_sq + w) ** 2)
+    below = min(sigma0_sq, 1.0)  # continuum mass below grid[0]
+    if inside[0]:
+        below = (np.angle(w[0]) + (sigma0_sq - 1.0) * np.angle(w[0] + sigma0_sq)) / math.pi
+    meta = {"class": BERNOULLI, "sigma0_sq": sigma0_sq, "mass": {"continuum_total": min(sigma0_sq, 1.0),
+            "below_grid": float(below), "atoms": float(sum(m for _, m in info["atoms"]))}}
+    meta.update((k, info[k]) for k in ("lambda0", "lambda1", "lambda2"))
+    return SpectralDensity(SQUARED_SINGULAR, grid, rho, atoms=info["atoms"], metadata=meta)
 
 
-def smooth_density(sigma0_sq: float, grid, *, eps: float = _READOUT_EPS) -> SpectralDensity:
-    """Smooth-class limit density on a squared-singular-value grid."""
+def smooth_density(sigma0_sq: float, grid) -> SpectralDensity:
+    """Smooth-class limit density on a grid; metadata["mass"] is its closed-form ledger."""
+    grid = np.asarray(grid, dtype=float)
     lo, hi = smooth_edges(sigma0_sq)
-    meta = {
-        "class": SMOOTH,
-        "sigma0_sq": sigma0_sq,
-        "readout_epsilon": eps,
-        "lambda_minus": lo,
-        "lambda_plus": hi,
-    }
-    return _density_from_G(lambda z: smooth_G(sigma0_sq, z), grid, eps, (), meta)
+    inside = (grid > lo) & (grid < hi)
+    w = smooth_w(sigma0_sq, grid[inside])
+    rho = np.zeros_like(grid)
+    rho[inside] = w.imag / (math.pi * sigma0_sq * grid[inside])
+    below = float(grid[0] >= hi)
+    if inside[0]:
+        below = 1.0 - (np.log(w[0] - sigma0_sq) - w[0] ** 2 / (2.0 * sigma0_sq)).imag / math.pi
+    meta = {"class": SMOOTH, "sigma0_sq": sigma0_sq, "lambda_minus": lo, "lambda_plus": hi}
+    meta["mass"] = {"continuum_total": 1.0, "below_grid": float(below), "atoms": 0.0}
+    return SpectralDensity(SQUARED_SINGULAR, grid, rho, metadata=meta)

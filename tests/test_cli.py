@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import jacspectra
-from jacspectra.density import SINGULAR, SpectralDensity
+from jacspectra.density import SINGULAR, SpectralDensity, read_csv
 
 PY = [sys.executable, "-m", "jacspectra"]
 
@@ -119,6 +119,19 @@ class TestLimitCommand:
         lines = (tmp_path / "b.csv").read_text().strip().splitlines()
         assert lines[0] == "domain,x,rho"
         assert lines[-1].startswith("atom,")
+
+    def test_bernoulli_unit_variance_closes_mass(self, tmp_path):
+        # sigma0^2 = 1 is where the atom at exp(sigma0^2) meets the bulk edge e*sigma0^2
+        doc = provenance(
+            run_cli(["limit", "--class", "bernoulli", "--sigma0-sq", "1", "--out.density_csv", "b.csv"], tmp_path)
+        )
+        dens = read_csv(tmp_path / "b.csv")
+        m1 = np.trapezoid(dens.rho * dens.grid**2, dens.grid) + sum(m * loc**2 for loc, m in dens.atoms)
+        assert dens.total_mass() == pytest.approx(1.0, abs=2e-2)
+        assert m1 == pytest.approx(1.0, abs=5e-2)
+        mass = doc["report"]["mass"]
+        assert mass["continuum_total"] == 1.0 and mass["atoms"] == 0.0
+        assert 0.0 < mass["below_grid"] < 1e-2
 
     def test_smooth_edges_report(self, tmp_path):
         doc = provenance(run_cli(["limit", "--class", "smooth", "--sigma0-sq", "0.25"], tmp_path))
@@ -255,9 +268,11 @@ class TestImports:
                 "import jacspectra",
                 "from jacspectra.activations import get_activation",
                 "from jacspectra.limits import bernoulli_density, smooth_density",
-                "from jacspectra.master import theory_density",
+                "from jacspectra.master import SolverSettings, theory_density",
                 "from jacspectra.propagation import critical_config, critical_sigma_w",
                 "theory_density(critical_config(get_activation('tanh'), 'orthogonal', 0.2, 4), points=20)",
+                "theory_density(critical_config(get_activation('tanh'), 'orthogonal', 0.2, 4), points=20,"
+                " settings=SolverSettings(quad_nodes=301))",
                 "critical_sigma_w(get_activation('hard_tanh'), 0.2)",
                 "bernoulli_density(0.25, np.linspace(0.1, 2.0, 5))",
                 "smooth_density(0.25, np.linspace(0.5, 2.0, 5))",

@@ -4,16 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from jacspectra import limits
 from jacspectra.activations import get_activation
-from jacspectra.errors import PoleError
+from jacspectra.errors import ConvergenceError, PoleError
 from jacspectra.limits import (
     bernoulli_G,
     bernoulli_density,
     bernoulli_edges_atoms,
+    bernoulli_log_ratio,
+    smooth_arch,
     smooth_G,
     smooth_density,
     smooth_edges,
     smooth_s_edges,
+    smooth_w,
 )
 from jacspectra.master import solve_G_at
 from jacspectra.propagation import double_scaled_config
@@ -193,3 +197,128 @@ class TestLimitDensities:
         d = smooth_density(0.25, np.linspace(lo, hi, 500))
         assert not d.atoms
         assert d.continuum_mass() == pytest.approx(1.0, abs=5e-3)
+
+
+def _readout(g_fn, s0sq, lam):
+    """Reference: the offset readout -Im G(lambda + 1e-9 i)/pi through the resolvent."""
+    return np.array([-g_fn(s0sq, l + 1e-9j).imag / math.pi for l in lam])
+
+
+def _below_grid(density_fn, s0sq, lam):
+    """The closed-form continuum mass below lambda, as the density's ledger reports it."""
+    return density_fn(s0sq, np.array([lam])).metadata["mass"]["below_grid"]
+
+
+def _smooth_mass_above(s0sq, lam):
+    w = smooth_w(s0sq, lam)
+    return (np.log(w - s0sq) - w**2 / (2.0 * s0sq)).imag / math.pi
+
+
+def _away_from_edges(lo, hi, n=120):
+    # the offset readout carries an eps/lambda bias below 1e-2 and smooths hard edges
+    width = hi - lo
+    return np.geomspace(max(1e-2, lo + 1e-3 * width), hi - 1e-3 * width, n)
+
+
+class TestParametrisedReadout:
+    @pytest.mark.parametrize("s0sq", [0.1, 0.25, 1.0, 4.0])
+    def test_bernoulli_matches_offset_readout(self, s0sq):
+        lam = _away_from_edges(0.0, math.e * s0sq)
+        ref = _readout(bernoulli_G, s0sq, lam)
+        assert np.allclose(bernoulli_density(s0sq, lam).rho, ref, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("s0sq", [0.1, 0.25, 1.0, 4.0])
+    def test_smooth_matches_offset_readout(self, s0sq):
+        lam = _away_from_edges(*smooth_edges(s0sq))
+        ref = _readout(smooth_G, s0sq, lam)
+        assert np.allclose(smooth_density(s0sq, lam).rho, ref, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("s0sq", [0.25, 1.0, 4.0])
+    def test_zero_outside_support(self, s0sq):
+        lam1, lam2 = math.e * s0sq, math.exp(s0sq)
+        grid = np.array([lam1, lam1 * (1 + 1e-15), 1.5 * lam1, lam2, 2.0 * max(lam1, lam2)])
+        assert np.all(bernoulli_density(s0sq, np.unique(grid)).rho == 0.0)
+        lo, hi = smooth_edges(s0sq)
+        grid = np.array([1e-3 * lo, 0.5 * lo, lo, hi, hi * (1 + 1e-15), 2.0 * hi])
+        rho = smooth_density(s0sq, grid).rho
+        assert np.all(rho == 0.0)
+        inside = smooth_density(s0sq, np.array([lo * (1 + 1e-12), hi * (1 - 1e-12)])).rho
+        assert np.all(inside > 0.0)
+
+    def test_unconverged_point_raises(self, monkeypatch):
+        monkeypatch.setattr(limits, "_NEWTON_MAX", 1)
+        lo, hi = smooth_edges(0.25)
+        with pytest.raises(ConvergenceError):
+            smooth_density(0.25, np.linspace(lo, hi, 7))
+
+    def test_bernoulli_needs_positive_grid(self):
+        with pytest.raises(ValueError):
+            bernoulli_density(0.25, np.array([0.0, 0.5]))
+
+    def test_lambda_of_theta_is_monotone(self):
+        # lambda(theta) / s0sq does not depend on s0sq
+        theta = np.linspace(0.0, math.pi, 20001)[1:-1]
+        log_ratio = bernoulli_log_ratio(theta)
+        assert np.all(np.diff(log_ratio) < 0.0)
+        assert log_ratio[0] == pytest.approx(1.0, abs=1e-7)  # lambda1 = e * s0sq
+
+    @pytest.mark.parametrize("s0sq", [0.25, 1.0, 4.0])
+    def test_smooth_arch_is_real_and_monotone(self, s0sq):
+        w, lam = smooth_arch(s0sq, 20001)
+        z = w * np.exp(w - s0sq) / (w - s0sq)
+        assert np.all(w.imag > 0.0)
+        assert np.max(np.abs(z.imag) / np.abs(z)) <= 1e-14
+        assert np.all(np.diff(lam) > 0.0)
+        lo, hi = smooth_edges(s0sq)
+        assert lam[0] == pytest.approx(lo, rel=1e-6)
+        assert lam[-1] == pytest.approx(hi, rel=1e-6)
+
+    @pytest.mark.parametrize("s0sq", [1e-3, 0.1, 0.25, 0.5, 0.999])
+    def test_atom_mass_is_exactly_one_minus_variance(self, s0sq):
+        info = bernoulli_edges_atoms(s0sq)
+        assert info["atoms"] == ((math.exp(s0sq), 1.0 - s0sq),)
+        assert bernoulli_density(s0sq, np.array([0.5])).atoms == info["atoms"]
+
+    @pytest.mark.parametrize("s0sq", [1.0, 1.44, 4.0])
+    def test_no_atom_from_unit_variance_on(self, s0sq):
+        assert bernoulli_edges_atoms(s0sq)["atoms"] == ()
+
+    @pytest.mark.parametrize("s0sq", [0.25, 1.0, 4.0])
+    def test_bernoulli_ledger_matches_theta_quadrature(self, s0sq):
+        # mass below lambda(theta0) = integral over (theta0, pi) of rho * lambda * |d log lambda / d theta|,
+        # where rho * lambda = s0sq theta / (pi |s0sq + w|^2); the integrand tends to s0sq/pi at pi
+        for theta0 in (1e-3, 0.5, 1.5, 2.5, 3.0):
+            theta = np.linspace(theta0, math.pi, 400001)[:-1]
+            w = -theta / np.tan(theta) + 1j * theta
+            dlog = 2.0 / np.tan(theta) - 1.0 / theta - theta / np.sin(theta) ** 2
+            f = s0sq * theta / (math.pi * np.abs(s0sq + w) ** 2) * np.abs(dlog)
+            f = np.append(f, s0sq / math.pi)
+            quad = np.trapezoid(f, dx=(math.pi - theta0) / 400000)
+            lam = s0sq * math.exp(bernoulli_log_ratio(theta0))
+            assert _below_grid(bernoulli_density, s0sq, lam) == pytest.approx(quad, abs=1e-6)
+        lam1 = math.e * s0sq
+        assert _below_grid(bernoulli_density, s0sq, lam1) == min(s0sq, 1.0)
+        assert _below_grid(bernoulli_density, s0sq, lam1 * (1 - 1e-12)) == pytest.approx(min(s0sq, 1.0), abs=1e-6)
+
+    @pytest.mark.parametrize("s0sq", [0.25, 1.0, 4.0])
+    def test_smooth_mass_above_runs_from_zero_to_one(self, s0sq):
+        lo, hi = smooth_edges(s0sq)
+        ends = _smooth_mass_above(s0sq, np.array([hi * (1 - 1e-12), lo * (1 + 1e-12)]))
+        assert np.allclose(ends, [0.0, 1.0], rtol=0.0, atol=1e-6)
+        lam = np.geomspace(lo, hi, 20001)[1:-1]
+        above = _smooth_mass_above(s0sq, lam)
+        assert np.all(np.diff(above) < 0.0)
+        rho = smooth_density(s0sq, lam).rho
+        tail = np.concatenate([np.cumsum((0.5 * (rho[1:] + rho[:-1]) * np.diff(lam))[::-1])[::-1], [0.0]])
+        assert np.allclose(above - above[-1], tail, atol=1e-5)
+        for i in (100, 10000):
+            assert _below_grid(smooth_density, s0sq, lam[i]) == pytest.approx(1.0 - above[i], abs=1e-15)
+        assert _below_grid(smooth_density, s0sq, lo) == 0.0 and _below_grid(smooth_density, s0sq, hi) == 1.0
+
+    def test_ledger_in_metadata(self):
+        mass = bernoulli_density(0.25, np.geomspace(1e-100, 2.0, 50)).metadata["mass"]
+        assert mass["continuum_total"] == 0.25 and mass["atoms"] == 0.75
+        assert 0.0 < mass["below_grid"] < 2e-3
+        lo, hi = smooth_edges(0.25)
+        mass = smooth_density(0.25, np.linspace(0.8 * lo, hi, 50)).metadata["mass"]
+        assert mass == {"continuum_total": 1.0, "below_grid": 0.0, "atoms": 0.0}

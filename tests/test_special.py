@@ -186,3 +186,17 @@ class TestQuadrature:
         rule = gauss_normal_rule(401)
         assert np.all(rule.weights > 0)
         assert abs(rule.integrate(lambda h: h**8) - 105.0) <= 1e-9 * 105
+
+    @pytest.mark.parametrize("n", [251, 301, 401])
+    def test_large_rule_matches_tridiagonal_solver(self, n):
+        # reference: the same Golub-Welsch rule from scipy's tridiagonal eigensolver
+        from scipy.linalg import eigh_tridiagonal
+
+        nodes, vecs = eigh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n)))
+        weights = vecs[0] ** 2
+        keep = weights > 0.0
+        nodes, weights = nodes[keep], weights[keep] / weights[keep].sum()
+        rule = gauss_normal_rule(n)
+        assert rule.nodes.shape == nodes.shape
+        assert np.allclose(rule.nodes, nodes, rtol=1e-12, atol=1e-12)
+        assert np.allclose(rule.weights, weights, rtol=1e-9, atol=0.0)
