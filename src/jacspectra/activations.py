@@ -233,54 +233,19 @@ def slope_sq_law(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None
     return t, c
 
 
-def m_d2(
-    spec: ActivationSpec,
-    qstar: float,
-    z,
-    rule: QuadratureRule | None = None,
-    *,
-    use_arctan_closed_form: bool = False,
-):
+def m_d2(spec: ActivationSpec, qstar: float, z, rule: QuadratureRule | None = None):
     """integral Dh t/(z - t) with t = phi'(sqrt(q) h)^2.
 
     Piecewise activations use the exact discrete-slope form (equivalently the
-    kink-split Gaussian-CDF evaluation); smooth ones use quadrature.  The
-    arctan unit additionally has an exact expression in terms of the complex
-    complementary error function, enabled by ``use_arctan_closed_form``
-    (quadrature needs several hundred nodes for its slowly decaying slope at
-    large qstar).  Scalar in, scalar out; array in, array out.
+    kink-split Gaussian-CDF evaluation); smooth ones use quadrature.  Scalar
+    in, scalar out; array in, array out.
     """
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_off_support(spec, zz)
-    if use_arctan_closed_form and spec.closed_form == "ArcTan":
-        out = arctan_m_d2_closed(qstar, zz)
-    else:
-        t, c = slope_sq_law(spec, qstar, rule)
-        out = ((c * t)[None, :] / (zz[:, None] - t[None, :])).sum(axis=1)
+    t, c = slope_sq_law(spec, qstar, rule)
+    out = ((c * t)[None, :] / (zz[:, None] - t[None, :])).sum(axis=1)
     return complex(out[0]) if scalar else out
-
-
-def arctan_m_d2_closed(qstar: float, z):
-    """Exact squared-slope transform of the arctan unit.
-
-    Written with the complex complementary error function (via the Faddeeva
-    function); agrees with converged quadrature to machine precision.
-    """
-    from scipy.special import wofz
-
-    def erfc_c(u):
-        return np.exp(-u * u) * wofz(1j * u)
-
-    z = np.asarray(z, dtype=complex)
-    rz = np.sqrt(z)
-    zp = 4.0 * (rz + 1.0) / (math.pi**2 * qstar * rz)
-    zm = 4.0 * (rz - 1.0) / (math.pi**2 * qstar * rz)
-    pref = -math.sqrt(2.0) / (math.pi**1.5 * qstar * rz)
-    return pref * (
-        np.exp(zp / 2.0) / np.sqrt(zp) * erfc_c(np.sqrt(zp / 2.0))
-        - np.exp(zm / 2.0) / np.sqrt(zm) * erfc_c(np.sqrt(zm / 2.0))
-    )
 
 
 # ---------------------------------------------------------------------------

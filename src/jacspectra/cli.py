@@ -131,13 +131,12 @@ def _network_from(cfg: dict) -> NetworkConfig:
     )
 
 
-def _solver_from(cfg: dict) -> tuple[SolverSettings, bool]:
+def _solver_from(cfg: dict) -> SolverSettings:
     """SolverSettings from config["solver"], every default echoed back into it."""
     defaults = asdict(SolverSettings())
-    merged = {**defaults, "adaptive_epsilon": True, **cfg.get("solver", {})}
+    merged = {**defaults, **cfg.get("solver", {})}
     cfg["solver"] = merged
-    settings = SolverSettings(**{key: type(value)(merged[key]) for key, value in defaults.items()})
-    return settings, bool(merged["adaptive_epsilon"])
+    return SolverSettings(**{key: type(value)(merged[key]) for key, value in defaults.items()})
 
 
 def _grid_from(cfg: dict, lam_max_default: float) -> np.ndarray:
@@ -214,9 +213,9 @@ def cmd_phase_grid(args, extra) -> int:
 def cmd_theory_spectrum(args, extra) -> int:
     cfg = _load_config(args, extra)
     config = _network_from(cfg)
-    settings, adaptive = _solver_from(cfg)
+    settings = _solver_from(cfg)
     grid = _grid_from(cfg, default_lam_max(jacobian_moments(config)))
-    dens = density(config, grid, settings, adaptive_epsilon=adaptive)
+    dens = density(config, grid, settings)
     if cfg.get("singular_domain", True):
         dens_out = to_singular_domain(dens)
     else:

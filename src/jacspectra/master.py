@@ -24,14 +24,17 @@ derivative on to the next iteration, so an undamped step costs one
 evaluation.  A squared slope even in the pre-activation (tanh, erf, arctan)
 folds the symmetric Gauss rule exactly onto its non-negative nodes (201 -> 101).
 
-Point masses are located by residue probing: at a candidate location the
-quantity eps * |Im G| tends to the atom mass as eps -> 0, and its
-convergence over the last rungs of the ladder separates true atoms from
-integrable divergences.
+Point masses are not read from the ladder: they follow in closed form from
+the atom rule for free multiplicative convolution (Belinschi 2003, "The
+atoms of the free multiplicative convolution of two probability
+distributions"), applied to the discrete squared-slope law of a piecewise
+unit; see ``point_masses``.  ``probe_atom`` reads eps * |Im G| at a location
+as a numerical check of that rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -39,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .activations import bernoulli_p, slope_sq_law
+from .activations import slope_distribution, slope_sq_law
 from .density import SQUARED_SINGULAR, SpectralDensity, make_lambda_grid, to_singular_domain
 from .ensembles import ORTHOGONAL
 from .errors import BranchLossError, ConvergenceError, PoleError
@@ -53,8 +56,8 @@ __all__ = [
     "solve_G_at",
     "density",
     "default_lam_max",
+    "point_masses",
     "probe_atom",
-    "atom_candidates",
     "make_lambda_grid",
     "to_singular_domain",
 ]
@@ -212,8 +215,6 @@ class _LadderResult:
     converged: np.ndarray
     fail_step: np.ndarray
     jump_flags: np.ndarray
-    probe_eps: np.ndarray  # (n, 5) last rung heights
-    probe_vals: np.ndarray  # (n, 5) eps * |Im G| there
     residual_evals: int  # point-evaluations of the residual
     newton_iters: int  # Newton iterations summed over points and rungs
 
@@ -237,8 +238,6 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
     failed = np.zeros(n, dtype=bool)
     fail_step = np.full(n, -1, dtype=int)
     jump_flags = np.zeros(n, dtype=bool)
-    hist_eps = np.zeros((n, 5))
-    hist_val = np.zeros((n, 5))
     residual_evals = newton_iters = 0
 
     def counted_res(G, z):
@@ -297,15 +296,10 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
         ok = idx[conv]
         G[ok] = G_new[conv]
         z_prev[ok] = z_k[conv]
-        # roll the residue-probe history
-        hist_eps[ok, :-1] = hist_eps[ok, 1:]
-        hist_val[ok, :-1] = hist_val[ok, 1:]
-        hist_eps[ok, -1] = eff[ok]
-        hist_val[ok, -1] = eff[ok] * np.abs(G[ok].imag)
         done[idx[finishing[idx]]] = True
         if np.all(done | failed):
             break
-    return _LadderResult(G, ~failed, fail_step, jump_flags, hist_eps, hist_val, residual_evals, newton_iters)
+    return _LadderResult(G, ~failed, fail_step, jump_flags, residual_evals, newton_iters)
 
 
 def solve_G_at(config: NetworkConfig, lam: float, settings: SolverSettings | None = None) -> complex:
@@ -327,51 +321,59 @@ def solve_G_at(config: NetworkConfig, lam: float, settings: SolverSettings | Non
 
 
 def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings | None = None):
-    """Residue probe at a candidate atom location.
+    """Residue probe at a location: a numerical check of ``point_masses``.
 
-    Returns (mass, is_atom): eps * |Im G| over the last five rungs must have
-    settled (relative spread below 2%) onto a mass above 1e-3 for the point
-    to count as an atom; drifting values indicate an integrable divergence.
+    eps * |Im G(location + i eps)| tends to the atom mass as eps -> 0.  It is
+    read at the last five heights of the ladder down to eps = max(final_epsilon,
+    1e-6), and returns (mass, is_atom): the values must agree to a relative
+    spread of 2% on a mass above 1e-3 for the point to count as an atom;
+    drifting values indicate an integrable divergence.  Beside a continuum
+    that diverges at the location the reading stays above the mass by
+    eps * integral rho eps / (lambda^2 + eps^2), which can pass the test.
     """
     settings = settings or SolverSettings()
     fp = resolve_qstar(config)
     if not fp.converged:
         raise ConvergenceError("fixed point unresolved", fp.qstar, fp.residual)
     res_fn = _residual_factory(config, fp.qstar, settings.quad_nodes)
-    m1 = _first_moment(config, fp.qstar)
     # below eps ~ 1e-6 the residual noise eps_mach*|M| ~ eps_mach*mass/eps
     # overwhelms the equation at an atom; the probe has converged long before
     eps = max(settings.final_epsilon, _ATOM_PROBE_EPS_FLOOR)
-    out = _run_ladder(res_fn, np.array([location]), np.array([eps]), settings, m1)
-    if not out.converged[0]:
+    b, N = settings.step_base, settings.half_steps
+    k = next(k for k in itertools.count(1) if b ** (N - k) <= eps)  # the rung that finishes at eps
+    heights = np.array([b ** (N - j) for j in range(k - 4, k)] + [eps])
+    out = _run_ladder(res_fn, np.full(5, float(location)), heights, settings, _first_moment(config, fp.qstar))
+    vals = heights * np.abs(out.G.imag)
+    if not out.converged.all() or np.any(vals <= 0.0):
         return 0.0, False
-    vals = out.probe_vals[0]
-    if np.any(vals <= 0.0):
-        return 0.0, False
-    mean = vals.mean()
-    spread = (vals.max() - vals.min()) / mean
+    spread = (vals.max() - vals.min()) / vals.mean()
     mass = min(float(vals[-1]), 1.0)  # finite-eps probe bias can overshoot by O(eps)
     return mass, bool(spread <= _ATOM_SPREAD_TOL and mass >= _ATOM_MASS_MIN)
 
 
-def atom_candidates(config: NetworkConfig, qstar: float) -> list:
-    """Candidate point-mass locations for a config.
+def point_masses(config: NetworkConfig, qstar: float) -> tuple:
+    """Atoms (location, mass) of the J J^T law, ascending in location.
 
-    Zero is always probed.  Orthogonal ensembles with a {0,1}-valued squared
-    slope carry a point mass at (sigma_w^2)^L when the unit-slope fraction p
-    is large enough (free-product atom mass 1 - L(1-p) > 0); that location
-    tends to e^{sigma0^2} in the variance-matched deep limit.
+    That law is the free multiplicative convolution of L squared-slope laws
+    sigma_w^2 phi'^2 (with L atomless Marchenko-Pastur laws for gaussian
+    weights).  By Belinschi's atom rule it has an atom at 0 of mass
+    P(phi' = 0) for either ensemble, and for orthogonal weights each non-zero
+    atom a of mass m of the slope law gives an atom at a^L of mass
+    1 - L(1 - m) where that is positive.  Smooth units have no atoms.
     """
-    cands = [0.0]
-    act = config.activation
-    if config.ensemble.kind == ORTHOGONAL and act.is_bernoulli:
-        p = bernoulli_p(act, qstar)
-        top_mass = 1.0 - config.depth * (1.0 - p)
-        if top_mass > 1e-4:
-            loc = config.sigma_w ** (2.0 * config.depth)
-            if math.isfinite(loc):
-                cands.append(loc)
-    return cands
+    if not config.activation.is_piecewise:
+        return ()
+    L = config.depth
+    orthogonal = config.ensemble.kind == ORTHOGONAL
+    atoms = []
+    for t, m in zip(*slope_distribution(config.activation, qstar)):
+        if t == 0.0:
+            loc, mass = 0.0, m
+        else:
+            loc, mass = (config.sigma_w**2 * t) ** L, (1.0 - L * (1.0 - m) if orthogonal else 0.0)
+        if mass > 0.0 and math.isfinite(loc):
+            atoms.append((float(loc), float(mass)))
+    return tuple(atoms)
 
 
 def _rho_noise(grid, targets, G, settings: SolverSettings) -> np.ndarray:
@@ -387,22 +389,16 @@ def _rho_noise(grid, targets, G, settings: SolverSettings) -> np.ndarray:
     ) / np.maximum(grid, targets)
 
 
-def density(
-    config: NetworkConfig,
-    grid,
-    settings: SolverSettings | None = None,
-    *,
-    adaptive_epsilon: bool = True,
-    detect_atoms: bool = True,
-    extra_atom_candidates=(),
-) -> SpectralDensity:
+def density(config: NetworkConfig, grid, settings: SolverSettings | None = None) -> SpectralDensity:
     """Squared-singular-value density of J J^T on the given lambda grid.
 
-    Per-point readout offset: min(final_epsilon, 1e-3 * lambda) when adaptive
-    (tiny lambdas need a proportionally small offset to resolve heavy bottom
-    tails); the rung count is extended automatically to reach it.  Points
-    whose continuation fails are flagged in the metadata (the call only
-    raises when more than 5% fail).
+    The continuum is read at the per-point offset min(final_epsilon,
+    1e-3 * lambda) (tiny lambdas need a proportionally small offset to
+    resolve heavy bottom tails); the rung count is extended automatically to
+    reach it.  The atoms are ``point_masses`` in closed form, and grid points
+    within 100 offsets of an atom are dropped, since there the readout is the
+    atom's own 1/(z - a) tail.  Points whose continuation fails are flagged
+    in the metadata (the call only raises when more than 5% fail).
     """
     settings = settings or SolverSettings()
     grid = np.asarray(grid, dtype=float)
@@ -412,11 +408,7 @@ def density(
     if not fp.converged:
         raise ConvergenceError("fixed point unresolved", fp.qstar, fp.residual)
     res_fn = _residual_factory(config, fp.qstar, settings.quad_nodes)
-
-    if adaptive_epsilon:
-        targets = np.minimum(settings.final_epsilon, np.maximum(grid * _ADAPTIVE_EPS_REL, 1e-280))
-    else:
-        targets = np.full(grid.shape, settings.final_epsilon)
+    targets = np.minimum(settings.final_epsilon, np.maximum(grid * _ADAPTIVE_EPS_REL, 1e-280))
 
     out = _run_ladder(res_fn, grid, targets, settings, _first_moment(config, fp.qstar))
     failed_frac = float((~out.converged).mean())
@@ -442,16 +434,10 @@ def density(
         )
     rho = np.maximum(rho, 0.0)
 
-    atoms = []
-    if detect_atoms:
-        for loc in list(atom_candidates(config, fp.qstar)) + list(extra_atom_candidates):
-            mass, is_atom = probe_atom(config, loc, settings)
-            if is_atom:
-                atoms.append((float(loc), float(mass)))
-
+    atoms = point_masses(config, fp.qstar)
     keep = np.ones(grid.size, dtype=bool)
     for loc, _ in atoms:
-        keep &= np.abs(grid - loc) > _ATOM_PRUNE_EPS_FACTOR * settings.final_epsilon
+        keep &= np.abs(grid - loc) > _ATOM_PRUNE_EPS_FACTOR * targets
     keep |= ~out.converged  # keep failed points in place (rho zeroed, flagged)
 
     meta = {
@@ -462,7 +448,7 @@ def density(
         "activation": config.activation.name,
         "activation_params": dict(config.activation.params),
         "ensemble": config.ensemble.kind,
-        "settings": {**asdict(settings), "adaptive_epsilon": adaptive_epsilon},
+        "settings": asdict(settings),
         "failed_points": [int(i) for i in np.nonzero(~out.converged)[0]],
         "jump_flagged_points": [int(i) for i in np.nonzero(out.jump_flags)[0]],
         "residual_evals": out.residual_evals,
@@ -472,7 +458,7 @@ def density(
         domain=SQUARED_SINGULAR,
         grid=grid[keep],
         rho=rho[keep],
-        atoms=tuple(atoms),
+        atoms=atoms,
         metadata=meta,
     )
     total = dens.total_mass()
@@ -497,7 +483,6 @@ def theory_density(
     lam_min: float = 1e-4,
     lam_max: float | None = None,
     points: int = 600,
-    adaptive_epsilon: bool = True,
 ) -> SpectralDensity:
     """Convenience wrapper: build a hybrid grid and solve the density.
 
@@ -506,4 +491,4 @@ def theory_density(
     if lam_max is None:
         lam_max = default_lam_max(jacobian_moments(config))
     grid = make_lambda_grid(lam_max, lam_min=lam_min, n=points)
-    return density(config, grid, settings, adaptive_epsilon=adaptive_epsilon)
+    return density(config, grid, settings)

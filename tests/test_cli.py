@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -234,6 +235,37 @@ class TestPipeline:
         assert doc["config"]["solver"]["step_base"] == 1.7
 
 
+class TestZeroAtom:
+    """hard_tanh's flat pieces give J J^T a point mass at 0 of mass P(|x| > 1)."""
+
+    def test_theory_reports_zero_atom_and_it_lowers_ks(self, tmp_path):
+        cfg = {
+            "activation": {"name": "hard_tanh"},
+            "ensemble": {"kind": "orthogonal"},
+            "critical": True,
+            "sigma_b": 0.2,
+            "depth": 4,
+            "width": 100,
+            "trials": 4,
+            "seed": 7,
+            "grid": {"points": 300},
+            "out": {"density_json": "th.json", "density_csv": "th.csv", "spectrum_csv": "sp.csv", "sidecar_json": "sp.json"},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        doc = provenance(run_cli(["theory-spectrum", "--config", "cfg.json"], tmp_path))
+        zero_slope = math.erfc(1.0 / math.sqrt(2.0 * doc["config"]["qstar"]))
+        assert [0.0, pytest.approx(zero_slope, rel=1e-12)] in doc["report"]["atoms"]
+        provenance(run_cli(["simulate", "--config", "cfg.json"], tmp_path))
+        theory = json.loads((tmp_path / "th.json").read_text())
+        theory["atoms"] = [atom for atom in theory["atoms"] if atom[0] != 0.0]
+        (tmp_path / "th_no_zero.json").write_text(json.dumps(theory))
+        ks = {}
+        for path in ("th.json", "th_no_zero.json"):
+            args = ["compare", "--empirical.spectrum_csv", "sp.csv", "--empirical.sidecar_json", "sp.json"]
+            ks[path] = provenance(run_cli(args + ["--theory.density", path], tmp_path))["report"]["ks"]
+        assert ks["th.json"] < ks["th_no_zero.json"]
+
+
 class TestErrors:
     def test_unknown_command(self, tmp_path):
         proc = run_cli(["spectralize"], tmp_path)
@@ -259,6 +291,20 @@ class TestErrors:
 
 
 class TestImports:
+    def test_no_package_module_imports_scipy(self):
+        # scipy is a test-only dependency: every module must run without it
+        offenders = []
+        for path in sorted(Path(jacspectra.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+        assert offenders == []
+
     def test_solver_paths_load_no_scipy(self):
         # importing scipy.special alone adds about 23 MB of resident memory
         code = "\n".join(

@@ -11,15 +11,15 @@ from jacspectra.errors import BranchLossError, PoleError
 from jacspectra import master
 from jacspectra.master import (
     SolverSettings,
-    atom_candidates,
     default_lam_max,
     density,
     master_residual,
+    point_masses,
     probe_atom,
     solve_G_at,
 )
 from jacspectra.moments import jacobian_moments, moments_from_density
-from jacspectra.propagation import NetworkConfig, critical_config, double_scaled_config
+from jacspectra.propagation import NetworkConfig, critical_config, double_scaled_config, resolve_qstar
 
 
 def _linear_orth(depth=8):
@@ -33,6 +33,10 @@ def _linear_gauss(depth=1):
 def _relu_orth(depth=1):
     sw = math.sqrt(2.0)
     return NetworkConfig(get_activation("relu"), orthogonal(sw), sw, 0.0, depth=depth, qstar=1.0)
+
+
+def _leaky_relu(ensemble):
+    return NetworkConfig(get_activation("leaky_relu"), ensemble(1.2), 1.2, 0.0, depth=1, qstar=1.0)
 
 
 def mp_density(lam):
@@ -109,12 +113,79 @@ class TestSolveG:
         assert err.value.last_iterate is not None
 
 
+def _hard_tanh(kind, depth):
+    return critical_config(get_activation("hard_tanh"), kind, 0.2, depth)
+
+
+def _rule(config):
+    return point_masses(config, resolve_qstar(config).qstar)
+
+
 class TestAtoms:
-    def test_candidates(self):
-        assert atom_candidates(_linear_orth(), 1.0) == [0.0, 1.0]
-        assert atom_candidates(_relu_orth(1), 1.0) == pytest.approx([0.0, 2.0])
-        assert atom_candidates(_relu_orth(4), 1.0) == [0.0]  # top mass 1 - L/2 <= 0
-        assert atom_candidates(_linear_gauss(), 1.0) == [0.0]
+    def test_free_convolution_rule(self):
+        assert _rule(_linear_orth()) == ((1.0, 1.0),)
+        assert _rule(_relu_orth(1)) == ((0.0, 0.5), (pytest.approx(2.0, rel=1e-15), 0.5))
+        assert _rule(_relu_orth(4)) == ((0.0, 0.5),)  # top mass 1 - L/2 <= 0
+        assert _rule(_linear_gauss()) == ()
+        assert _rule(_linear_gauss(8)) == ()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
+    def test_hard_tanh_zero_atom(self, kind):
+        cfg = _hard_tanh(kind, 16)
+        zero_slope = math.erfc(1.0 / math.sqrt(2.0 * resolve_qstar(cfg).qstar))  # P(|x| > 1)
+        assert _rule(cfg) == ((0.0, pytest.approx(zero_slope, rel=1e-12)),)
+
+    def test_leaky_relu_has_no_zero_atom(self):
+        assert _rule(_leaky_relu(gaussian)) == ()
+        a2 = (1.2 * get_activation("leaky_relu").param_dict["alpha"]) ** 2
+        expected = ((pytest.approx(a2, rel=1e-12), 0.5), (pytest.approx(1.44, rel=1e-12), 0.5))
+        assert _rule(_leaky_relu(orthogonal)) == expected
+
+    def test_smooth_units_have_no_atoms(self):
+        for name in ("tanh", "erf_sm", "arctan"):
+            assert _rule(critical_config(get_activation(name), "orthogonal", 0.2, 4)) == ()
+
+    def test_deep_bernoulli_rule(self):
+        cfg = double_scaled_config(get_activation("hard_tanh"), 1024, 0.25)
+        p = 1024.0 / 1024.25
+        (zero, zero_mass), (top, top_mass) = _rule(cfg)
+        assert zero == 0.0 and zero_mass == pytest.approx(1.0 - p, rel=1e-9)
+        assert top == pytest.approx(cfg.sigma_w ** (2 * 1024), rel=1e-12)
+        assert top_mass == pytest.approx(1.0 - 1024 * (1.0 - p), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            _linear_orth(),
+            _relu_orth(1),
+            _leaky_relu(orthogonal),
+            _hard_tanh("orthogonal", 4),
+            double_scaled_config(get_activation("hard_tanh"), 16, 0.25),
+            double_scaled_config(get_activation("hard_tanh"), 1024, 0.25),
+        ],
+        ids=["linear-orth", "relu-orth-L1", "leaky_relu-orth-L1", "hard_tanh-orth-L4", "ds-L16", "ds-L1024"],
+    )
+    def test_rule_matches_probe_at_non_zero_atoms(self, config):
+        # the probe accepts every non-zero atom of the rule and reads its mass
+        # to 1e-6; so it does every atom at L = 1, where the law is all atoms
+        for loc, mass in _rule(config):
+            probed, ok = probe_atom(config, loc)
+            if loc > 0.0 or config.depth == 1:
+                assert ok and probed == pytest.approx(mass, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "config",
+        [_relu_orth(4), _hard_tanh("orthogonal", 4), _hard_tanh("orthogonal", 16), _hard_tanh("gaussian", 4)],
+        ids=["relu-orth-L4", "hard_tanh-orth-L4", "hard_tanh-orth-L16", "hard_tanh-gauss-L4"],
+    )
+    def test_probe_tends_to_rule_beside_a_divergence(self, config):
+        # a continuum diverging at 0 adds eps * integral rho eps/(lambda^2 + eps^2)
+        # to the probe's reading there: above the rule's zero atom, shrinking
+        # toward it as eps -> 0, and at eps = 1e-6 still 5e-3 to 8e-2 off even
+        # where the probe accepts (relu-orth-L4, hard_tanh-orth-L4)
+        zero_mass = _rule(config)[0][1]
+        gaps = [probe_atom(config, 0.0, SolverSettings(final_epsilon=eps))[0] - zero_mass for eps in (1e-2, 1e-4, 1e-6)]
+        assert 0.0 < gaps[2] < gaps[1] < gaps[0]
 
     def test_linear_orthogonal_unit_atom(self):
         mass, ok = probe_atom(_linear_orth(), 1.0)
@@ -168,6 +239,16 @@ class TestDensity:
             assert abs(d.total_mass() - 1.0) <= 2e-2
             ms = jacobian_moments(cfg)
             assert moments_from_density(d, 1) == pytest.approx(ms.m1, abs=1e-2)
+
+    def test_zero_atom_prunes_by_own_offset(self):
+        # a grid point within 100 of its own readout offsets min(final_epsilon,
+        # 1e-3 lambda) of an atom is dropped: lambda = 0 goes, 5e-5 stays
+        # (100 final_epsilon = 1e-4 would drop it)
+        cfg = _hard_tanh("orthogonal", 4)
+        grid = np.concatenate([[0.0], make_lambda_grid(3.0, lam_min=5e-5, n=60)])
+        d = density(cfg, grid)
+        assert d.atoms == _rule(cfg) and d.atoms[0][0] == 0.0
+        np.testing.assert_array_equal(d.grid, grid[1:])
 
     def test_failure_budget_raises(self):
         strangled = SolverSettings(newton_max_iter=1)
@@ -257,7 +338,7 @@ def _solve(config, grid, newton):
         mp.setattr(master, "_newton_batch", newton)
         mp.setattr(master, "_run_ladder", spy)
         dens = density(config, grid)
-    lams, targets, settings, G = ladders[0]  # the grid; the rest are atom probes
+    (lams, targets, settings, G), = ladders  # the grid is the only ladder
     return dens, master._rho_noise(lams, targets, G, settings)[np.isin(lams, dens.grid)]
 
 
