@@ -6,9 +6,9 @@ infinite-depth limiting distributions, and cross-validates both against
 Monte Carlo simulation.
 """
 
-from .activations import ActivationSpec, bernoulli_p, d2_moments, get_activation, m_d2, mu_k
+from .activations import ActivationSpec, get_activation, mu_k
 from .density import SpectralDensity, make_lambda_grid, to_singular_domain
-from .ensembles import WeightEnsemble, gaussian, orthogonal, s_transform_weights
+from .ensembles import WeightEnsemble, gaussian, orthogonal
 from .limits import (
     bernoulli_G,
     bernoulli_density,
@@ -41,6 +41,6 @@ from .simulate import (
     sample_gaussian,
     sample_orthogonal,
 )
-from .special import QuadratureRule, erf, erf_inv, gauss_normal_rule, lambert_w0, r_lambert
+from .special import QuadratureRule, gauss_normal_rule, lambert_w0, r_lambert
 
 __version__ = "0.1.0"

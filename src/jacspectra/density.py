@@ -28,6 +28,13 @@ SINGULAR = "singular"
 
 _CLAMP = 1e-8
 
+# a density whose total mass strays from one by more than this is warned about
+MASS_TOL = 1e-2
+
+# default lambda grid: lowest point and number of points
+GRID_LAM_MIN = 1e-4
+GRID_POINTS = 600
+
 
 @dataclass
 class SpectralDensity:
@@ -87,11 +94,6 @@ class SpectralDensity:
             else:
                 out = out + mass * (x > loc)
         return out
-
-    # -- domain change --------------------------------------------------
-
-    def to_singular(self) -> "SpectralDensity":
-        return to_singular_domain(self)
 
     # -- I/O --------------------------------------------------------------
 
@@ -164,7 +166,7 @@ def to_singular_domain(density: SpectralDensity) -> SpectralDensity:
     )
 
 
-def make_lambda_grid(lam_max: float, *, lam_min: float = 1e-4, n: int = 600) -> np.ndarray:
+def make_lambda_grid(lam_max: float, *, lam_min: float = GRID_LAM_MIN, n: int = GRID_POINTS) -> np.ndarray:
     """Hybrid grid: geometric spacing near zero, linear through the bulk.
 
     Resolves both the near-origin divergences of heavy-bottomed spectra and

@@ -8,16 +8,14 @@ S-transform of W^T W:
     gaussian:    S(z) = sigma_w^{-2} / (1 + z)
 
 together with its first series coefficient s1 (0 and -1 respectively), which
-controls the depth growth of the Jacobian spectral variance.
+controls the depth growth of the Jacobian spectral variance.  The master
+residual (``master._residual_factory``) evaluates S itself; an ensemble only
+carries its kind, sigma_w and s1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import PoleError
 
 ORTHOGONAL = "orthogonal"
 GAUSSIAN = "gaussian"
@@ -40,9 +38,6 @@ class WeightEnsemble:
     def s1(self) -> float:
         return _S1[self.kind]
 
-    def scaled(self, sigma_w: float) -> "WeightEnsemble":
-        return WeightEnsemble(self.kind, float(sigma_w))
-
 
 def orthogonal(sigma_w: float = 1.0) -> WeightEnsemble:
     return WeightEnsemble(ORTHOGONAL, float(sigma_w))
@@ -50,17 +45,3 @@ def orthogonal(sigma_w: float = 1.0) -> WeightEnsemble:
 
 def gaussian(sigma_w: float = 1.0) -> WeightEnsemble:
     return WeightEnsemble(GAUSSIAN, float(sigma_w))
-
-
-def s_transform_weights(ensemble: WeightEnsemble, z):
-    """S-transform of W^T W at z (scalar or array)."""
-    inv_sw2 = ensemble.sigma_w**-2
-    if ensemble.kind == ORTHOGONAL:
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return complex(inv_sw2)
-        return np.full(np.shape(z), inv_sw2, dtype=complex)
-    zz = np.asarray(z, dtype=complex)
-    if np.any(zz == -1.0):
-        raise PoleError("gaussian S-transform has a pole at z = -1")
-    out = inv_sw2 / (1.0 + zz)
-    return complex(out) if out.ndim == 0 else out

@@ -30,9 +30,5 @@ class PoleError(JacspectraError):
     """Evaluation requested exactly at a pole of the transform."""
 
 
-class SupportError(JacspectraError):
-    """Evaluation requested on (or numerically too close to) the spectral support."""
-
-
 class ActivationClassError(JacspectraError):
     """Operation requires a property the activation does not have."""

@@ -117,11 +117,6 @@ def smooth_edges(sigma0_sq: float) -> tuple[float, float]:
     return (min(lam_a, lam_b), max(lam_a, lam_b))
 
 
-def smooth_s_edges(sigma0_sq: float) -> tuple[float, float]:
-    lo, hi = smooth_edges(sigma0_sq)
-    return math.sqrt(lo), math.sqrt(hi)
-
-
 def smooth_arch(sigma0_sq: float, n: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """n points w along the smooth support arch, left to right, and lambda = Re z(w)."""
     half = 0.5 * sigma0_sq

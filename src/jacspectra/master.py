@@ -43,12 +43,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .activations import slope_distribution, slope_sq_law
-from .density import SQUARED_SINGULAR, SpectralDensity, make_lambda_grid, to_singular_domain
+from .density import MASS_TOL, SQUARED_SINGULAR, SpectralDensity
 from .ensembles import ORTHOGONAL
 from .errors import BranchLossError, ConvergenceError, PoleError
-from .moments import MomentSummary, jacobian_moments
+from .moments import MomentSummary
 from .propagation import NetworkConfig, resolve_qstar
-from .special import default_rule
+from .special import DEFAULT_QUAD_NODES, default_rule
 
 __all__ = [
     "SolverSettings",
@@ -58,8 +58,6 @@ __all__ = [
     "default_lam_max",
     "point_masses",
     "probe_atom",
-    "make_lambda_grid",
-    "to_singular_domain",
 ]
 
 _NUDGE = 1e-4  # step off a pole or NaN, relative to |M|/|z|
@@ -82,7 +80,7 @@ class SolverSettings:
     newton_tol: float = 1e-11
     newton_max_iter: int = 100
     final_epsilon: float = 1e-6
-    quad_nodes: int = 201
+    quad_nodes: int = DEFAULT_QUAD_NODES
 
     def __post_init__(self):
         if not self.step_base > 1.0:
@@ -120,13 +118,17 @@ def _residual_factory(config: NetworkConfig, qstar: float, n_nodes: int) -> Call
     return res
 
 
-def _first_moment(config: NetworkConfig, qstar: float) -> float:
-    """m1 = chi^L with overflow guards, used only to seed the ladder."""
+def _prepare(config: NetworkConfig, n_nodes: int):
+    """(q*, residual, m1) for one config; m1 = chi^L, with overflow guards, only seeds the ladder."""
     from .activations import mu_k
 
-    chi = config.sigma_w**2 * mu_k(config.activation, qstar, 1)
+    fp = resolve_qstar(config)
+    if not fp.converged:
+        raise ConvergenceError("fixed point unresolved", fp.qstar, fp.residual)
+    chi = config.sigma_w**2 * mu_k(config.activation, fp.qstar, 1)
     log_m1 = config.depth * math.log(max(chi, 1e-300))
-    return math.exp(min(max(log_m1, -300.0), 300.0))
+    m1 = math.exp(min(max(log_m1, -300.0), 300.0))
+    return fp.qstar, _residual_factory(config, fp.qstar, n_nodes), m1
 
 
 def master_residual(config: NetworkConfig, G, z, *, n_nodes: Optional[int] = None):
@@ -135,15 +137,12 @@ def master_residual(config: NetworkConfig, G, z, *, n_nodes: Optional[int] = Non
     Zero exactly when G solves the equation.  Raises PoleError at the
     excluded points zG - 1 in {0, -1}.
     """
-    fp = resolve_qstar(config)
-    if not fp.converged:
-        raise ConvergenceError("fixed point unresolved for master_residual", fp.qstar, fp.residual)
+    res = _prepare(config, n_nodes or DEFAULT_QUAD_NODES)[1]
     G = np.asarray(G, dtype=complex)
     z = np.asarray(z, dtype=complex)
     M = z * G - 1.0
     if np.any(M == 0) or np.any(M == -1.0):
         raise PoleError("master residual evaluated at a pole (zG-1 in {0,-1})")
-    res = _residual_factory(config, fp.qstar, n_nodes or SolverSettings().quad_nodes)
     out = res(G, z)[0]
     return complex(out) if out.ndim == 0 else out
 
@@ -305,11 +304,7 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
 def solve_G_at(config: NetworkConfig, lam: float, settings: SolverSettings | None = None) -> complex:
     """Resolvent at lambda + i final_epsilon by branch-tracked continuation."""
     settings = settings or SolverSettings()
-    fp = resolve_qstar(config)
-    if not fp.converged:
-        raise ConvergenceError("fixed point unresolved", fp.qstar, fp.residual)
-    res_fn = _residual_factory(config, fp.qstar, settings.quad_nodes)
-    m1 = _first_moment(config, fp.qstar)
+    _, res_fn, m1 = _prepare(config, settings.quad_nodes)
     out = _run_ladder(res_fn, np.array([lam]), np.array([settings.final_epsilon]), settings, m1)
     if not out.converged[0]:
         raise BranchLossError(
@@ -332,17 +327,14 @@ def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings 
     eps * integral rho eps / (lambda^2 + eps^2), which can pass the test.
     """
     settings = settings or SolverSettings()
-    fp = resolve_qstar(config)
-    if not fp.converged:
-        raise ConvergenceError("fixed point unresolved", fp.qstar, fp.residual)
-    res_fn = _residual_factory(config, fp.qstar, settings.quad_nodes)
+    _, res_fn, m1 = _prepare(config, settings.quad_nodes)
     # below eps ~ 1e-6 the residual noise eps_mach*|M| ~ eps_mach*mass/eps
     # overwhelms the equation at an atom; the probe has converged long before
     eps = max(settings.final_epsilon, _ATOM_PROBE_EPS_FLOOR)
     b, N = settings.step_base, settings.half_steps
     k = next(k for k in itertools.count(1) if b ** (N - k) <= eps)  # the rung that finishes at eps
     heights = np.array([b ** (N - j) for j in range(k - 4, k)] + [eps])
-    out = _run_ladder(res_fn, np.full(5, float(location)), heights, settings, _first_moment(config, fp.qstar))
+    out = _run_ladder(res_fn, np.full(5, float(location)), heights, settings, m1)
     vals = heights * np.abs(out.G.imag)
     if not out.converged.all() or np.any(vals <= 0.0):
         return 0.0, False
@@ -404,13 +396,10 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid < 0):
         raise ValueError("grid must be a strictly increasing nonnegative 1-D array")
-    fp = resolve_qstar(config)
-    if not fp.converged:
-        raise ConvergenceError("fixed point unresolved", fp.qstar, fp.residual)
-    res_fn = _residual_factory(config, fp.qstar, settings.quad_nodes)
+    qstar, res_fn, m1 = _prepare(config, settings.quad_nodes)
     targets = np.minimum(settings.final_epsilon, np.maximum(grid * _ADAPTIVE_EPS_REL, 1e-280))
 
-    out = _run_ladder(res_fn, grid, targets, settings, _first_moment(config, fp.qstar))
+    out = _run_ladder(res_fn, grid, targets, settings, m1)
     failed_frac = float((~out.converged).mean())
     if failed_frac > _FAILURE_BUDGET:
         worst = int(np.nonzero(~out.converged)[0][0])
@@ -434,14 +423,14 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
         )
     rho = np.maximum(rho, 0.0)
 
-    atoms = point_masses(config, fp.qstar)
+    atoms = point_masses(config, qstar)
     keep = np.ones(grid.size, dtype=bool)
     for loc, _ in atoms:
         keep &= np.abs(grid - loc) > _ATOM_PRUNE_EPS_FACTOR * targets
     keep |= ~out.converged  # keep failed points in place (rho zeroed, flagged)
 
     meta = {
-        "qstar": fp.qstar,
+        "qstar": qstar,
         "depth": config.depth,
         "sigma_w": config.sigma_w,
         "sigma_b": config.sigma_b,
@@ -463,9 +452,9 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
     )
     total = dens.total_mass()
     meta["total_mass"] = total
-    if abs(total - 1.0) > 2e-2:
+    if abs(total - 1.0) > MASS_TOL:
         warnings.warn(
-            f"density mass {total:.4f} off by more than 2e-2; grid may not cover the support",
+            f"density mass {total:.4f} off by more than {MASS_TOL}; grid may not cover the support",
             stacklevel=2,
         )
     return dens
@@ -474,21 +463,3 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
 def default_lam_max(ms: MomentSummary) -> float:
     """Top of the default lambda grid: 1.5x the edge guess max(4 m2/m1, 4 m1, 1)."""
     return 1.5 * max(4.0 * ms.m2 / max(ms.m1, 1e-12), 4.0 * ms.m1, 1.0)
-
-
-def theory_density(
-    config: NetworkConfig,
-    *,
-    settings: SolverSettings | None = None,
-    lam_min: float = 1e-4,
-    lam_max: float | None = None,
-    points: int = 600,
-) -> SpectralDensity:
-    """Convenience wrapper: build a hybrid grid and solve the density.
-
-    When lam_max is omitted it is ``default_lam_max`` of the exact moments.
-    """
-    if lam_max is None:
-        lam_max = default_lam_max(jacobian_moments(config))
-    grid = make_lambda_grid(lam_max, lam_min=lam_min, n=points)
-    return density(config, grid, settings)

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import mu_k
-from .density import SpectralDensity
+from .density import MASS_TOL, SpectralDensity
 from .errors import ConvergenceError
 from .propagation import NetworkConfig, resolve_qstar
-
-_NORMALIZATION_SLACK = 1e-2
 
 
 @dataclass(frozen=True)
@@ -78,15 +76,15 @@ def jacobian_moments(config: NetworkConfig, rule=None) -> MomentSummary:
 def moments_from_density(density: SpectralDensity, k: int) -> float:
     """k-th moment of a density: trapezoid over the grid plus atom terms.
 
-    Warns when the total mass strays from one by more than 1e-2 (the grid
-    probably does not cover the support).
+    Warns when the total mass strays from one by more than ``MASS_TOL`` (the
+    grid probably does not cover the support).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     total = density.total_mass()
-    if abs(total - 1.0) > _NORMALIZATION_SLACK:
+    if abs(total - 1.0) > MASS_TOL:
         warnings.warn(
-            f"density mass {total:.4f} deviates from 1 by more than {_NORMALIZATION_SLACK}",
+            f"density mass {total:.4f} deviates from 1 by more than {MASS_TOL}",
             stacklevel=2,
         )
     cont = float(np.trapezoid(density.rho * density.grid**k, density.grid))

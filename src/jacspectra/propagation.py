@@ -24,7 +24,7 @@ q, so their fixed point and critical point are closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,9 +75,6 @@ class NetworkConfig:
             raise ValueError("width must be >= 2 for simulation")
         if abs(self.ensemble.sigma_w - self.sigma_w) > 1e-12 * (1 + self.sigma_w):
             raise ValueError("ensemble.sigma_w must match config.sigma_w")
-
-    def with_depth(self, depth: int) -> "NetworkConfig":
-        return replace(self, depth=depth)
 
 
 def _variance_map(activation, sigma_w, sigma_b, q, rule):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import SINGULAR, SpectralDensity
+from .density import MASS_TOL, SINGULAR, SpectralDensity
 from .ensembles import GAUSSIAN, ORTHOGONAL
 from .errors import ConvergenceError
 from .propagation import NetworkConfig, resolve_qstar
@@ -221,10 +221,8 @@ def ks_distance(spectrum: EmpiricalSpectrum, theory: SpectralDensity) -> float:
     if theory.domain != SINGULAR:
         raise ValueError("theory density must live over singular values")
     total = theory.total_mass()
-    if abs(total - 1.0) > 1e-2:
-        warnings.warn(
-            f"theory density mass {total:.4f} is off by more than 1e-2", stacklevel=2
-        )
+    if abs(total - 1.0) > MASS_TOL:
+        warnings.warn(f"theory density mass {total:.4f} is off by more than {MASS_TOL}", stacklevel=2)
     sv = np.array(spectrum.singular_values, dtype=float)
     for loc, _ in theory.atoms:
         snap = np.abs(sv - loc) <= 1e-6 * (1.0 + abs(loc))

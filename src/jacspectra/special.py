@@ -11,7 +11,7 @@ exactly.
 The solvers are kept self-contained:
 
   * ``bisect_root`` -- the package's one real scalar root solver, used by
-    ``erf_inv`` and by every solve in ``propagation``.
+    every solve in ``propagation`` and by the arch height in ``limits``.
   * ``lambert_w0`` -- principal branch of W, where W(x) e^{W(x)} = x,
     by Halley iteration from a seed chosen by region (Maclaurin series for
     small argument, branch-point series near -1/e, log asymptotics for large
@@ -34,8 +34,6 @@ from .errors import BracketError, ConvergenceError
 
 _INV_E = math.exp(-1.0)
 _SQRT2 = math.sqrt(2.0)
-
-erf = math.erf  # total on the reals; |error| well below 1e-14
 
 
 def erf_vec(x) -> np.ndarray:
@@ -78,13 +76,6 @@ def bisect_root(f, lo: float, hi: float) -> float:
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
-
-
-def erf_inv(y: float) -> float:
-    """Inverse of ``erf`` on (-1, 1), by ``bisect_root`` on [0, 7]."""
-    if not -1.0 < y < 1.0:
-        raise ValueError(f"erf_inv requires |y| < 1, got {y}")
-    return math.copysign(bisect_root(lambda x: math.erf(x) - abs(y), 0.0, 7.0), y)
 
 
 def _w0_seed(z: complex) -> complex:

@@ -1,10 +1,13 @@
 import ast
+import importlib
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,11 +317,14 @@ class TestImports:
                 "import jacspectra",
                 "from jacspectra.activations import get_activation",
                 "from jacspectra.limits import bernoulli_density, smooth_density",
-                "from jacspectra.master import SolverSettings, theory_density",
+                "from jacspectra.density import make_lambda_grid",
+                "from jacspectra.master import SolverSettings, default_lam_max, density",
+                "from jacspectra.moments import jacobian_moments",
                 "from jacspectra.propagation import critical_config, critical_sigma_w",
-                "theory_density(critical_config(get_activation('tanh'), 'orthogonal', 0.2, 4), points=20)",
-                "theory_density(critical_config(get_activation('tanh'), 'orthogonal', 0.2, 4), points=20,"
-                " settings=SolverSettings(quad_nodes=301))",
+                "cfg = critical_config(get_activation('tanh'), 'orthogonal', 0.2, 4)",
+                "grid = make_lambda_grid(default_lam_max(jacobian_moments(cfg)), n=20)",
+                "density(cfg, grid)",
+                "density(cfg, grid, SolverSettings(quad_nodes=301))",
                 "critical_sigma_w(get_activation('hard_tanh'), 0.2)",
                 "bernoulli_density(0.25, np.linspace(0.1, 2.0, 5))",
                 "smooth_density(0.25, np.linspace(0.5, 2.0, 5))",
@@ -328,3 +334,27 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_benchmark_hooks_resolve(self):
+        # bench/layers.py wraps package functions by name; a renamed or
+        # deleted one must fail here, not only in a benchmark run
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        mods = {}
+        for name in ("tracing", "layers"):
+            spec = importlib.util.spec_from_file_location(f"_bench_{name}", bench / f"{name}.py")
+            mods[name] = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+            try:
+                spec.loader.exec_module(mods[name])
+            finally:
+                del sys.modules[spec.name]
+        # the modules bench/run.py hands to layers.install
+        names = ("cli", "propagation", "activations", "moments", "master", "limits", "simulate", "density",
+                 "ensembles")
+        ns = SimpleNamespace(**{m: importlib.import_module(f"jacspectra.{m}") for m in names})
+        tracer = mods["tracing"].Tracer()
+        try:
+            mods["layers"].install(tracer, ns)
+            assert hasattr(ns.master.probe_atom, "__wrapped__")
+        finally:
+            tracer.uninstall()
+        assert not hasattr(ns.master.probe_atom, "__wrapped__")

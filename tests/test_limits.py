@@ -16,7 +16,6 @@ from jacspectra.limits import (
     smooth_G,
     smooth_density,
     smooth_edges,
-    smooth_s_edges,
     smooth_w,
 )
 from jacspectra.master import solve_G_at
@@ -158,12 +157,12 @@ class TestSmoothG:
 
 class TestSmoothEdges:
     def test_sigma_half_values(self):
-        lo, hi = smooth_s_edges(0.25)
+        lo, hi = np.sqrt(smooth_edges(0.25))
         assert lo == pytest.approx(0.57, abs=5e-3)
         assert hi == pytest.approx(1.56, abs=5e-3)
 
     def test_zero_variance_limit(self):
-        lo, hi = smooth_s_edges(1e-8)
+        lo, hi = np.sqrt(smooth_edges(1e-8))
         assert lo == pytest.approx(1.0, abs=1e-3)
         assert hi == pytest.approx(1.0, abs=1e-3)
 
@@ -175,14 +174,6 @@ class TestSmoothEdges:
         pos = lam[rho > 1e-3]
         assert pos[0] == pytest.approx(lo, abs=1e-2)
         assert pos[-1] == pytest.approx(hi, abs=1e-2)
-
-    def test_two_edge_formulations_agree(self):
-        # sqrt of the endpoint values equals the singular-domain edge formula
-        for s0sq in np.linspace(0.05, 4.0, 25):
-            lo, hi = smooth_edges(float(s0sq))
-            s_lo, s_hi = smooth_s_edges(float(s0sq))
-            assert math.sqrt(lo) == pytest.approx(s_lo, abs=1e-12)
-            assert math.sqrt(hi) == pytest.approx(s_hi, abs=1e-12)
 
 
 class TestLimitDensities:

@@ -137,7 +137,7 @@ class TestAtoms:
 
     def test_leaky_relu_has_no_zero_atom(self):
         assert _rule(_leaky_relu(gaussian)) == ()
-        a2 = (1.2 * get_activation("leaky_relu").param_dict["alpha"]) ** 2
+        a2 = (1.2 * dict(get_activation("leaky_relu").params)["alpha"]) ** 2
         expected = ((pytest.approx(a2, rel=1e-12), 0.5), (pytest.approx(1.44, rel=1e-12), 0.5))
         assert _rule(_leaky_relu(orthogonal)) == expected
 

@@ -6,8 +6,9 @@ import pytest
 
 from jacspectra.activations import get_activation, mu_k
 from jacspectra.density import SQUARED_SINGULAR, SpectralDensity
-from jacspectra.ensembles import WeightEnsemble, gaussian, orthogonal, s_transform_weights
+from jacspectra.ensembles import WeightEnsemble, gaussian, orthogonal
 from jacspectra.errors import PoleError
+from jacspectra.master import master_residual
 from jacspectra.moments import jacobian_moments, moments_from_density
 from jacspectra.propagation import NetworkConfig, critical_sigma_w
 
@@ -21,18 +22,11 @@ def _critical_config(name, ensemble_kind, depth, qstar):
 
 
 class TestSTransform:
-    def test_orthogonal_constant(self):
-        ens = orthogonal(1.0)
-        for z in (0.0, 1.0, -3.0 + 2j):
-            assert s_transform_weights(ens, z) == 1.0
-
-    def test_gaussian_values(self):
-        assert s_transform_weights(gaussian(1.0), 1.0) == pytest.approx(0.5)
-        assert s_transform_weights(gaussian(2.0), 0.0) == pytest.approx(0.25)
-
     def test_gaussian_pole(self):
+        # the master residual, which evaluates S, refuses its pole at zG - 1 = -1
+        cfg = NetworkConfig(get_activation("linear"), gaussian(1.0), 1.0, 0.0, depth=1, qstar=1.0)
         with pytest.raises(PoleError):
-            s_transform_weights(gaussian(1.0), -1.0)
+            master_residual(cfg, 0.0, 2.0)
 
     def test_s1_invariant(self):
         assert orthogonal(1.3).s1 == 0.0
@@ -63,13 +57,11 @@ class TestJacobianMoments:
         assert ms.variance == pytest.approx(0.0, abs=1e-12)
 
     def test_hard_tanh_table_formula(self):
-        from jacspectra.special import erf
-
         q = 0.3
         for L in (1, 8, 64):
             cfg = _critical_config("hard_tanh", "orthogonal", L, q)
             ms = jacobian_moments(cfg)
-            expected = 1.0 / erf(1.0 / math.sqrt(2 * q)) - 1.0
+            expected = 1.0 / math.erf(1.0 / math.sqrt(2 * q)) - 1.0
             assert ms.variance / L == pytest.approx(expected, abs=1e-10)
 
     def test_erf_table_formula(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jacspectra.activations import get_activation
-from jacspectra.density import SINGULAR, SpectralDensity, make_lambda_grid
+from jacspectra.density import SINGULAR, SpectralDensity, make_lambda_grid, to_singular_domain
 from jacspectra.ensembles import gaussian, orthogonal
 from jacspectra.master import density
 from jacspectra.propagation import NetworkConfig
@@ -138,7 +138,7 @@ class TestEmpiricalDensity:
     def test_gaussian_linear_matches_mp_in_s(self):
         cfg = _config("linear", "gaussian", 1.0, 0.0, depth=1, width=1000, qstar=1.0)
         pooled = run_trials(cfg, 50, 404)
-        theory = density(cfg, make_lambda_grid(4.4, lam_min=1e-6, n=500)).to_singular()
+        theory = to_singular_domain(density(cfg, make_lambda_grid(4.4, lam_min=1e-6, n=500)))
         assert ks_distance(pooled, theory) <= 0.03
 
 
