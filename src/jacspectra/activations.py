@@ -15,7 +15,9 @@ which the master solver evaluates as a finite sum over the law returned by
 Piecewise-linear activations have a discrete squared-slope distribution, so
 both quantities are evaluated exactly by splitting the Gaussian at the kink
 locations (Gaussian CDF masses per constant-slope piece); smooth activations
-use Gauss quadrature, with closed-form mu_k for the two erf scalings.
+use the one Gauss rule ``special.default_rule``, with closed-form mu_k for
+the two erf scalings.  ``slope_sq_law`` alone also takes another rule, so
+that its sum can be checked against finer ones.
 """
 
 from __future__ import annotations
@@ -54,11 +56,15 @@ class ActivationSpec:
     params: tuple = ()
     pieces: Optional[tuple] = None
     mu_closed: Optional[Callable[[float, int], float]] = None
-    kinks: tuple = ()
 
     @property
     def is_piecewise(self) -> bool:
         return self.pieces is not None
+
+    @property
+    def kinks(self) -> tuple:
+        """Interior boundaries of the affine pieces, where phi' jumps."""
+        return tuple(p.hi for p in self.pieces[:-1]) if self.pieces else ()
 
     @property
     def is_scale_free(self) -> bool:
@@ -93,7 +99,7 @@ def slope_distribution(spec: ActivationSpec, qstar: float):
     return vals, np.array([acc[v] for v in vals])
 
 
-def phi_sq_mean(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None = None) -> float:
+def phi_sq_mean(spec: ActivationSpec, qstar: float) -> float:
     """integral Dh phi(sqrt(q) h)^2, exact for piecewise-affine phi."""
     if qstar == 0.0:
         v = float(np.asarray(spec.phi(np.array(0.0))))
@@ -112,7 +118,7 @@ def phi_sq_mean(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None 
             c, s = p.intercept, p.slope
             total += c * c * mass + 2.0 * c * s * rq * e1 + s * s * qstar * e2
         return total
-    rule = rule or default_rule()
+    rule = default_rule()
     x = math.sqrt(qstar) * rule.nodes
     vals = np.asarray(spec.phi(x), dtype=float)
     return float(np.dot(rule.weights, vals * vals))
@@ -122,7 +128,7 @@ def phi_sq_mean(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None 
 # squared-slope moments
 
 
-def mu_k(spec: ActivationSpec, qstar: float, k: int, rule: QuadratureRule | None = None) -> float:
+def mu_k(spec: ActivationSpec, qstar: float, k: int) -> float:
     """k-th moment of the squared slope at pre-activation variance qstar."""
     if qstar <= 0.0:
         raise ValueError("qstar must be positive")
@@ -133,7 +139,7 @@ def mu_k(spec: ActivationSpec, qstar: float, k: int, rule: QuadratureRule | None
     if spec.pieces is not None:
         vals, masses = slope_distribution(spec, qstar)
         return float(np.dot(masses, vals**k))
-    rule = rule or default_rule()
+    rule = default_rule()
     d = np.asarray(spec.dphi(math.sqrt(qstar) * rule.nodes), dtype=float)
     return float(np.dot(rule.weights, (d * d) ** k))
 
@@ -189,7 +195,6 @@ def _make_relu() -> ActivationSpec:
         phi=lambda x: np.maximum(x, 0.0),
         dphi=lambda x: (np.asarray(x) > 0).astype(float),
         pieces=(AffinePiece(-_INF, 0.0, 0.0, 0.0), AffinePiece(0.0, _INF, 0.0, 1.0)),
-        kinks=(0.0,),
     )
 
 
@@ -201,7 +206,6 @@ def _make_leaky_relu(alpha: float = 0.3) -> ActivationSpec:
         dphi=lambda x: np.where(np.asarray(x) > 0, 1.0, a),
         params=(("alpha", a),),
         pieces=(AffinePiece(-_INF, 0.0, 0.0, a), AffinePiece(0.0, _INF, 0.0, 1.0)),
-        kinks=(0.0,),
     )
 
 
@@ -215,7 +219,6 @@ def _make_hard_tanh() -> ActivationSpec:
             AffinePiece(-1.0, 1.0, 0.0, 1.0),
             AffinePiece(1.0, _INF, 1.0, 0.0),
         ),
-        kinks=(-1.0, 1.0),
     )
 
 
@@ -225,7 +228,6 @@ def _make_shifted_relu() -> ActivationSpec:
         phi=lambda x: np.maximum(np.asarray(x) + 0.5, 0.0) - 0.5,
         dphi=lambda x: (np.asarray(x) > -0.5).astype(float),
         pieces=(AffinePiece(-_INF, -0.5, -0.5, 0.0), AffinePiece(-0.5, _INF, 0.0, 1.0)),
-        kinks=(-0.5,),
     )
 
 

@@ -21,8 +21,10 @@ Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
 pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
 together, and the accepted line-search candidate hands its residual and
 derivative on to the next iteration, so an undamped step costs one
-evaluation.  A squared slope even in the pre-activation (tanh, erf, arctan)
-folds the symmetric Gauss rule exactly onto its non-negative nodes (201 -> 101).
+evaluation.  M(w) sums over ``slope_sq_law`` at the default Gauss rule, the
+rule behind q* and chi too.  A squared slope even in the pre-activation
+(tanh, erf, arctan) folds that symmetric rule exactly onto its non-negative
+nodes (201 -> 101).
 
 Point masses are not read from the ladder: they follow in closed form from
 the atom rule for free multiplicative convolution (Belinschi 2003, "The
@@ -38,17 +40,16 @@ import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .activations import slope_distribution, slope_sq_law
 from .density import MASS_TOL, SQUARED_SINGULAR, SpectralDensity
 from .ensembles import ORTHOGONAL
-from .errors import BranchLossError, ConvergenceError, PoleError
+from .errors import BranchLossError, PoleError
 from .moments import MomentSummary
 from .propagation import NetworkConfig, resolve_qstar
-from .special import DEFAULT_QUAD_NODES, default_rule
 
 __all__ = [
     "SolverSettings",
@@ -80,7 +81,6 @@ class SolverSettings:
     newton_tol: float = 1e-11
     newton_max_iter: int = 100
     final_epsilon: float = 1e-6
-    quad_nodes: int = DEFAULT_QUAD_NODES
 
     def __post_init__(self):
         if not self.step_base > 1.0:
@@ -93,9 +93,9 @@ class SolverSettings:
             raise ValueError("bad Newton settings")
 
 
-def _residual_factory(config: NetworkConfig, qstar: float, n_nodes: int) -> Callable:
+def _residual_factory(config: NetworkConfig, qstar: float) -> Callable:
     """(G, z) -> (R, dR/dG); with M = zG - 1, dlog w/dM = -p/(M(1+M)), less 1/(1+M) for gaussian S."""
-    t, c = slope_sq_law(config.activation, qstar, default_rule(n_nodes))
+    t, c = slope_sq_law(config.activation, qstar)
     ct = c * t
     inv_sw2 = config.sigma_w**-2.0
     gaussian = config.ensemble.kind != ORTHOGONAL
@@ -118,26 +118,21 @@ def _residual_factory(config: NetworkConfig, qstar: float, n_nodes: int) -> Call
     return res
 
 
-def _prepare(config: NetworkConfig, n_nodes: int):
+def _prepare(config: NetworkConfig):
     """(q*, residual, m1) for one config; m1 = chi^L, with overflow guards, only seeds the ladder."""
-    from .activations import mu_k
-
     fp = resolve_qstar(config)
-    if not fp.converged:
-        raise ConvergenceError("fixed point unresolved", fp.qstar, fp.residual)
-    chi = config.sigma_w**2 * mu_k(config.activation, fp.qstar, 1)
-    log_m1 = config.depth * math.log(max(chi, 1e-300))
+    log_m1 = config.depth * math.log(max(fp.chi, 1e-300))
     m1 = math.exp(min(max(log_m1, -300.0), 300.0))
-    return fp.qstar, _residual_factory(config, fp.qstar, n_nodes), m1
+    return fp.qstar, _residual_factory(config, fp.qstar), m1
 
 
-def master_residual(config: NetworkConfig, G, z, *, n_nodes: Optional[int] = None):
+def master_residual(config: NetworkConfig, G, z):
     """Residual of the implicit resolvent equation at (G, z).
 
     Zero exactly when G solves the equation.  Raises PoleError at the
     excluded points zG - 1 in {0, -1}.
     """
-    res = _prepare(config, n_nodes or DEFAULT_QUAD_NODES)[1]
+    res = _prepare(config)[1]
     G = np.asarray(G, dtype=complex)
     z = np.asarray(z, dtype=complex)
     M = z * G - 1.0
@@ -304,7 +299,7 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
 def solve_G_at(config: NetworkConfig, lam: float, settings: SolverSettings | None = None) -> complex:
     """Resolvent at lambda + i final_epsilon by branch-tracked continuation."""
     settings = settings or SolverSettings()
-    _, res_fn, m1 = _prepare(config, settings.quad_nodes)
+    _, res_fn, m1 = _prepare(config)
     out = _run_ladder(res_fn, np.array([lam]), np.array([settings.final_epsilon]), settings, m1)
     if not out.converged[0]:
         raise BranchLossError(
@@ -327,7 +322,7 @@ def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings 
     eps * integral rho eps / (lambda^2 + eps^2), which can pass the test.
     """
     settings = settings or SolverSettings()
-    _, res_fn, m1 = _prepare(config, settings.quad_nodes)
+    _, res_fn, m1 = _prepare(config)
     # below eps ~ 1e-6 the residual noise eps_mach*|M| ~ eps_mach*mass/eps
     # overwhelms the equation at an atom; the probe has converged long before
     eps = max(settings.final_epsilon, _ATOM_PROBE_EPS_FLOOR)
@@ -396,7 +391,7 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid < 0):
         raise ValueError("grid must be a strictly increasing nonnegative 1-D array")
-    qstar, res_fn, m1 = _prepare(config, settings.quad_nodes)
+    qstar, res_fn, m1 = _prepare(config)
     targets = np.minimum(settings.final_epsilon, np.maximum(grid * _ADAPTIVE_EPS_REL, 1e-280))
 
     out = _run_ladder(res_fn, grid, targets, settings, m1)

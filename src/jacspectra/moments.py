@@ -20,7 +20,7 @@ import numpy as np
 
 from .activations import mu_k
 from .density import MASS_TOL, SpectralDensity
-from .errors import ConvergenceError
+from .errors import JacspectraError
 from .propagation import NetworkConfig, resolve_qstar
 
 
@@ -44,24 +44,22 @@ class MomentSummary:
         }
 
 
-def jacobian_moments(config: NetworkConfig, rule=None) -> MomentSummary:
-    """First two spectral moments of J J^T for the given network."""
-    fp = resolve_qstar(config, rule)
-    if not fp.converged:
-        raise ConvergenceError(
-            f"fixed point did not converge for {config.activation.name} "
-            f"(sigma_w={config.sigma_w}, sigma_b={config.sigma_b})",
-            last_iterate=fp.qstar,
-            residual=fp.residual,
-        )
-    q = fp.qstar
-    mu1 = mu_k(config.activation, q, 1, rule)
-    mu2 = mu_k(config.activation, q, 2, rule)
-    chi = config.sigma_w**2 * mu1
+def jacobian_moments(config: NetworkConfig) -> MomentSummary:
+    """First two spectral moments of J J^T for the given network.
+
+    Raises JacspectraError when chi^{2L} overflows a float.
+    """
+    fp = resolve_qstar(config)
+    q, chi = fp.qstar, fp.chi
+    mu1 = mu_k(config.activation, q, 1)
+    mu2 = mu_k(config.activation, q, 2)
     L = config.depth
     s1 = config.ensemble.s1
-    m1 = chi**L
-    m2 = chi ** (2 * L) * L * (mu2 / mu1**2 + 1.0 / L - 1.0 - s1)
+    try:
+        m1 = chi**L
+        m2 = chi ** (2 * L) * L * (mu2 / mu1**2 + 1.0 / L - 1.0 - s1)
+    except OverflowError:
+        raise JacspectraError(f"chi^(2L) overflows for {config.activation.name}: chi={chi:.6g}, L={L}") from None
     return MomentSummary(
         m1=m1,
         m2=m2,

@@ -18,7 +18,10 @@ variance-matched depth schedule mu_2(q*)/mu_1(q*)^2 = 1 + s0sq/L, which pins
 the Jacobian spectral variance to s0sq at every depth (orthogonal weights)
 and drives q* -> 0, sigma_w -> 1 as L grows.  Scale-free units (every kink
 at 0, zero intercepts) have V(q) = chi q + sigma_b^2 with chi independent of
-q, so their fixed point and critical point are closed forms.
+q, so their fixed point and critical point are closed forms.  Gaussian
+expectations are those of ``activations``, at its one default Gauss rule.
+``resolve_qstar`` hands every spectral computation its q* and is the one
+place that refuses a q* with no spectrum.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 from .activations import ActivationSpec, mu_k, phi_sq_mean
 from .ensembles import WeightEnsemble, orthogonal
-from .errors import ActivationClassError, BracketError
-from .special import QuadratureRule, bisect_root
+from .errors import ActivationClassError, BracketError, ConvergenceError, JacspectraError
+from .special import bisect_root
 
 
 @dataclass(frozen=True)
@@ -77,13 +80,13 @@ class NetworkConfig:
             raise ValueError("ensemble.sigma_w must match config.sigma_w")
 
 
-def _variance_map(activation, sigma_w, sigma_b, q, rule):
-    return sigma_w * sigma_w * phi_sq_mean(activation, q, rule) + sigma_b * sigma_b
+def _variance_map(activation, sigma_w, sigma_b, q):
+    return sigma_w * sigma_w * phi_sq_mean(activation, q) + sigma_b * sigma_b
 
 
-def chi(activation: ActivationSpec, sigma_w: float, qstar: float, rule=None) -> float:
+def chi(activation: ActivationSpec, sigma_w: float, qstar: float) -> float:
     """Mean squared singular value of one D W layer factor at the fixed point."""
-    return sigma_w * sigma_w * mu_k(activation, qstar, 1, rule)
+    return sigma_w * sigma_w * mu_k(activation, qstar, 1)
 
 
 _Q_CEILING = 1e8  # a walk up past this reports divergence
@@ -105,13 +108,7 @@ def _walk(f, f1: float, up: bool):
     return q, None
 
 
-def qstar_fixed_point(
-    activation: ActivationSpec,
-    sigma_w: float,
-    sigma_b: float,
-    *,
-    rule: QuadratureRule | None = None,
-) -> FixedPoint:
+def qstar_fixed_point(activation: ActivationSpec, sigma_w: float, sigma_b: float) -> FixedPoint:
     """Fixed point that the variance recursion started at q = 1 tends to.
 
     Scale-free units with chi < 1 take the closed form sigma_b^2/(1 - chi),
@@ -126,17 +123,17 @@ def qstar_fixed_point(
     def gap(q: float) -> float:
         nonlocal evals
         evals += 1
-        return _variance_map(activation, sigma_w, sigma_b, q, rule) - q
+        return _variance_map(activation, sigma_w, sigma_b, q) - q
 
     def result(q: float, converged: bool = True) -> FixedPoint:
         residual = abs(gap(q))
-        c = chi(activation, sigma_w, max(q, _TINY_Q), rule) if converged else math.nan
+        c = chi(activation, sigma_w, max(q, _TINY_Q)) if converged else math.nan
         return FixedPoint(q, c, evals, converged, residual)
 
     if activation.is_scale_free:
-        if fixed_point_is_degenerate(activation, sigma_w, sigma_b, rule):
+        if fixed_point_is_degenerate(activation, sigma_w, sigma_b):
             return result(1.0)
-        c = chi(activation, sigma_w, 1.0, rule)
+        c = chi(activation, sigma_w, 1.0)
         if sigma_b * sigma_b < (1.0 - c) * _Q_CEILING:  # chi < 1 and q* below the ceiling
             return result(sigma_b * sigma_b / (1.0 - c))
     g1 = gap(1.0)
@@ -149,9 +146,7 @@ def qstar_fixed_point(
     return result(bisect_root(gap, lo, hi))
 
 
-def fixed_point_is_degenerate(
-    activation: ActivationSpec, sigma_w: float, sigma_b: float, rule=None
-) -> bool:
+def fixed_point_is_degenerate(activation: ActivationSpec, sigma_w: float, sigma_b: float) -> bool:
     """True when the variance map is the identity (every q is a fixed point).
 
     That is a scale-free unit at sigma_b = 0 and chi = 1, such as the linear
@@ -159,15 +154,10 @@ def fixed_point_is_degenerate(
     callers should report q* = 0.
     """
     scale_free = activation.is_scale_free and sigma_b == 0.0
-    return scale_free and abs(chi(activation, sigma_w, 1.0, rule) - 1.0) <= 1e-12
+    return scale_free and abs(chi(activation, sigma_w, 1.0) - 1.0) <= 1e-12
 
 
-def critical_sigma_w(
-    activation: ActivationSpec,
-    sigma_b: float,
-    *,
-    rule: QuadratureRule | None = None,
-) -> tuple[float, float]:
+def critical_sigma_w(activation: ActivationSpec, sigma_b: float) -> tuple[float, float]:
     """Point (sigma_w, q*) of the critical line chi = 1 at the given sigma_b.
 
     Solves sigma_b(q) = sigma_b for q* by ``bisect_root`` on a factor-2
@@ -185,34 +175,28 @@ def critical_sigma_w(
     if activation.is_scale_free and sigma_b > 0.0:
         raise BracketError(f"{name} is scale-free: at sigma_b={sigma_b} q* diverges as chi -> 1")
     if activation.is_scale_free:
-        return 1.0 / math.sqrt(mu_k(activation, 1.0, 1, rule)), 1.0
+        return 1.0 / math.sqrt(mu_k(activation, 1.0, 1)), 1.0
     if sigma_b == 0.0:
         raise BracketError(f"{name} at sigma_b=0: the critical point is the limit q* -> 0")
 
     def excess(q: float) -> float:  # sigma_b(q)^2 - sigma_b^2
-        return q - phi_sq_mean(activation, q, rule) / mu_k(activation, q, 1, rule) - sigma_b * sigma_b
+        return q - phi_sq_mean(activation, q) / mu_k(activation, q, 1) - sigma_b * sigma_b
 
     f1 = excess(1.0)
     lo, hi = _walk(excess, f1, f1 < 0.0)
     if hi is None:
         raise BracketError(f"no critical point for {name} at sigma_b={sigma_b} with q* in [1e-300, 1e8]")
     q = bisect_root(excess, lo, hi)
-    sigma_w = 1.0 / math.sqrt(mu_k(activation, q, 1, rule))
+    sigma_w = 1.0 / math.sqrt(mu_k(activation, q, 1))
     # chi = 1 gives V'(q*) = 1 + sigma_w^2 E[phi phi'']; the recursion settles at q* only if V'(q*) < 1
     d = 1e-4 * q
-    rise = [_variance_map(activation, sigma_w, sigma_b, q + s, rule) for s in (-d, d)]
+    rise = [_variance_map(activation, sigma_w, sigma_b, q + s) for s in (-d, d)]
     if rise[1] - rise[0] >= 2.0 * d:
         raise BracketError(f"{name} at sigma_b={sigma_b}: the critical fixed point q*={q:.7g} is unstable")
     return sigma_w, q
 
 
-def double_scaling_qstar(
-    activation: ActivationSpec,
-    depth: int,
-    sigma0_sq: float,
-    *,
-    rule: QuadratureRule | None = None,
-) -> tuple[float, float]:
+def double_scaling_qstar(activation: ActivationSpec, depth: int, sigma0_sq: float) -> tuple[float, float]:
     """q*(L) pinning the Jacobian spectral variance to sigma0_sq (orthogonal).
 
     Solves mu_2(q*)/mu_1(q*)^2 = 1 + sigma0_sq/depth by ``bisect_root`` on
@@ -226,21 +210,33 @@ def double_scaling_qstar(
     target = 1.0 + sigma0_sq / depth
 
     def h(q: float) -> float:
-        return mu_k(activation, q, 2, rule) / mu_k(activation, q, 1, rule) ** 2 - target
+        return mu_k(activation, q, 2) / mu_k(activation, q, 1) ** 2 - target
 
     try:
         q = bisect_root(h, 1e-12, 1e2)
     except BracketError as exc:
         raise BracketError(f"{activation.name}: no q* gives the variance ratio {target}; {exc}") from None
-    return q, 1.0 / math.sqrt(mu_k(activation, q, 1, rule))
+    return q, 1.0 / math.sqrt(mu_k(activation, q, 1))
 
 
-def resolve_qstar(config: NetworkConfig, rule=None) -> FixedPoint:
-    """Fixed point for a config, honoring an explicit qstar override."""
+def resolve_qstar(config: NetworkConfig) -> FixedPoint:
+    """Fixed point for a config, honoring an explicit qstar override.
+
+    Raises ConvergenceError when q* diverges, and JacspectraError when
+    q* = 0 (the ordered phase): neither has a Jacobian spectrum.
+    """
+    act, sigma_w, sigma_b = config.activation, config.sigma_w, config.sigma_b
+    where = f"{act.name} (sigma_w={sigma_w}, sigma_b={sigma_b})"
     if config.qstar is not None:
-        c = chi(config.activation, config.sigma_w, config.qstar, rule)
-        return FixedPoint(qstar=config.qstar, chi=c, iterations=0, converged=True, residual=0.0)
-    return qstar_fixed_point(config.activation, config.sigma_w, config.sigma_b, rule=rule)
+        qstar, fp = config.qstar, None
+    else:
+        fp = qstar_fixed_point(act, sigma_w, sigma_b)
+        if not fp.converged:
+            raise ConvergenceError(f"fixed point did not converge for {where}", fp.qstar, fp.residual)
+        qstar = fp.qstar
+    if not qstar > 0.0:
+        raise JacspectraError(f"q*={qstar} for {where}: the spectrum needs q* > 0 (q* = 0 is the ordered phase)")
+    return fp or FixedPoint(qstar=qstar, chi=chi(act, sigma_w, qstar), iterations=0, converged=True, residual=0.0)
 
 
 @dataclass(frozen=True)
@@ -262,18 +258,12 @@ class PhaseGrid:
             )
 
 
-def phase_grid(
-    activation: ActivationSpec,
-    sigma_w_values,
-    sigma_b_values,
-    *,
-    rule: QuadratureRule | None = None,
-) -> PhaseGrid:
+def phase_grid(activation: ActivationSpec, sigma_w_values, sigma_b_values) -> PhaseGrid:
     """Fixed point and chi on the product grid; non-converged cells flagged."""
     sws, sbs, qs, chis, flags = [], [], [], [], []
     for sb in np.asarray(sigma_b_values, dtype=float):
         for sw in np.asarray(sigma_w_values, dtype=float):
-            fp = qstar_fixed_point(activation, float(sw), float(sb), rule=rule)
+            fp = qstar_fixed_point(activation, float(sw), float(sb))
             sws.append(sw)
             sbs.append(sb)
             qs.append(fp.qstar)
@@ -295,10 +285,9 @@ def critical_config(
     depth: int,
     *,
     width: Optional[int] = None,
-    rule=None,
 ) -> NetworkConfig:
     """Config on the critical line at the given sigma_b."""
-    sigma_w, qstar = critical_sigma_w(activation, sigma_b, rule=rule)
+    sigma_w, qstar = critical_sigma_w(activation, sigma_b)
     return NetworkConfig(
         activation=activation,
         ensemble=WeightEnsemble(ensemble_kind, sigma_w),
@@ -316,10 +305,9 @@ def double_scaled_config(
     sigma0_sq: float,
     *,
     width: Optional[int] = None,
-    rule=None,
 ) -> NetworkConfig:
     """Orthogonal config at depth with variance-matched q*(depth)."""
-    qstar, sigma_w = double_scaling_qstar(activation, depth, sigma0_sq, rule=rule)
+    qstar, sigma_w = double_scaling_qstar(activation, depth, sigma0_sq)
     return NetworkConfig(
         activation=activation,
         ensemble=orthogonal(sigma_w),

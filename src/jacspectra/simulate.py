@@ -21,7 +21,6 @@ import numpy as np
 
 from .density import MASS_TOL, SINGULAR, SpectralDensity
 from .ensembles import GAUSSIAN, ORTHOGONAL
-from .errors import ConvergenceError
 from .propagation import NetworkConfig, resolve_qstar
 
 _PURPOSES = {"input": 0, "weights": 1, "bias": 2}
@@ -118,11 +117,8 @@ def jacobian_singular_values(config: NetworkConfig, streams: TrialStreams) -> np
     """Singular values of the input-output Jacobian of one sampled network."""
     if config.width is None:
         raise ValueError("config.width is required for simulation")
-    fp = resolve_qstar(config)
-    if not fp.converged:
-        raise ConvergenceError("fixed point unresolved for simulation", fp.qstar, fp.residual)
     n = config.width
-    qstar = fp.qstar
+    qstar = resolve_qstar(config).qstar
     radius_sq = n * max(qstar - config.sigma_b**2, 0.0) / config.sigma_w**2
     u = streams.input().standard_normal(n)
     x = u * (math.sqrt(radius_sq) / np.linalg.norm(u)) if radius_sq > 0 else np.zeros(n)

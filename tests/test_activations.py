@@ -177,18 +177,21 @@ class TestMD2:
         ["linear", "relu", "leaky_relu", "hard_tanh", "shifted_relu"],
     )
     def test_quadrature_path_matches_closed(self, name):
-        # the kink-split evaluation must agree with the literal table forms
+        # reference: split N(0, q) at the kinks with math.erf and give each
+        # piece's squared slope its Gaussian mass
         spec = get_activation(name)
-        rng = np.random.default_rng(2)
         q = 0.7
-        vals, masses = slope_distribution(spec, q)
+        cuts = [-math.inf, *spec.kinks, math.inf]
+        cdf = [0.5 * (1.0 + math.erf(x / math.sqrt(2.0 * q))) for x in cuts]
+        pieces = [(p.slope**2, hi - lo) for p, lo, hi in zip(spec.pieces, cdf, cdf[1:])]
+        rng = np.random.default_rng(2)
         count = 0
         while count < 100:
             z = complex(rng.uniform(-3, 4), rng.uniform(-3, 3))
-            if min(abs(z - v) for v in vals) < 0.1:
+            if min(abs(z - t) for t, _ in pieces) < 0.1:
                 continue
-            direct = sum(m * v / (z - v) for v, m in zip(vals, masses))
-            assert abs(m_d2(spec, q, z) - direct) <= 1e-7
+            direct = sum(m * t / (z - t) for t, m in pieces)
+            assert abs(m_d2(spec, q, z) - direct) <= 1e-12
             count += 1
 
     @pytest.mark.parametrize("name", ALL_NAMES)

@@ -292,6 +292,20 @@ class TestErrors:
         assert proc.returncode == 1
         assert "q*=0.6894525 is unstable" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command,args,cause",
+        [
+            ("moments", ["--sigma-w", "0.5"], "ordered phase"),  # q* = 0
+            ("theory-spectrum", ["--sigma-w", "0.5"], "ordered phase"),
+            ("moments", ["--sigma-w", "4", "--sigma-b", "0.2", "--depth", "2000"], "overflows"),  # chi^L
+        ],
+    )
+    def test_refused_without_traceback(self, tmp_path, command, args, cause):
+        proc = run_cli([command, "--activation.name", "tanh", *args], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and cause in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestImports:
     def test_no_package_module_imports_scipy(self):
@@ -308,6 +322,22 @@ class TestImports:
                 offenders += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
         assert offenders == []
 
+    def test_no_unused_imports(self):
+        # the names __init__.py imports are its public re-exports
+        offenders = []
+        for path in sorted(Path(jacspectra.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                    for alias in node.names:
+                        imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            offenders += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        assert offenders == []
+
     def test_solver_paths_load_no_scipy(self):
         # importing scipy.special alone adds about 23 MB of resident memory
         code = "\n".join(
@@ -315,16 +345,17 @@ class TestImports:
                 "import sys",
                 "import numpy as np",
                 "import jacspectra",
-                "from jacspectra.activations import get_activation",
+                "from jacspectra.activations import get_activation, slope_sq_law",
                 "from jacspectra.limits import bernoulli_density, smooth_density",
                 "from jacspectra.density import make_lambda_grid",
-                "from jacspectra.master import SolverSettings, default_lam_max, density",
+                "from jacspectra.master import default_lam_max, density",
                 "from jacspectra.moments import jacobian_moments",
                 "from jacspectra.propagation import critical_config, critical_sigma_w",
+                "from jacspectra.special import default_rule",
                 "cfg = critical_config(get_activation('tanh'), 'orthogonal', 0.2, 4)",
                 "grid = make_lambda_grid(default_lam_max(jacobian_moments(cfg)), n=20)",
                 "density(cfg, grid)",
-                "density(cfg, grid, SolverSettings(quad_nodes=301))",
+                "slope_sq_law(cfg.activation, cfg.qstar, default_rule(301))",
                 "critical_sigma_w(get_activation('hard_tanh'), 0.2)",
                 "bernoulli_density(0.25, np.linspace(0.1, 2.0, 5))",
                 "smooth_density(0.25, np.linspace(0.5, 2.0, 5))",

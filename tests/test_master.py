@@ -389,7 +389,7 @@ class TestAgainstCentralDifferenceNewton:
 def test_analytic_derivative_matches_central_difference(name, ensemble):
     sw = 1.3
     config = NetworkConfig(get_activation(name), ensemble(sw), sw, 0.1, depth=8, qstar=0.9)
-    res = master._residual_factory(config, 0.9, 201)
+    res = master._residual_factory(config, 0.9)
     rng = np.random.default_rng(5)
     z = rng.uniform(0.1, 5.0, 50) + 1j * rng.uniform(0.05, 2.0, 50)
     # M = zG - 1 off the real axis, clear of the (1+M)/M cut on (-1, 0)

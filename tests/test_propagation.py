@@ -5,7 +5,10 @@ import pytest
 
 import jacspectra.propagation as propagation
 from jacspectra.activations import get_activation, mu_k, phi_sq_mean, registry_names
-from jacspectra.errors import ActivationClassError, BracketError
+from jacspectra.ensembles import orthogonal
+from jacspectra.errors import ActivationClassError, BracketError, ConvergenceError, JacspectraError
+from jacspectra.master import density
+from jacspectra.moments import jacobian_moments
 from jacspectra.propagation import (
     NetworkConfig,
     chi,
@@ -14,7 +17,9 @@ from jacspectra.propagation import (
     fixed_point_is_degenerate,
     phase_grid,
     qstar_fixed_point,
+    resolve_qstar,
 )
+from jacspectra.simulate import TrialStreams, jacobian_singular_values
 
 
 class TestFixedPoint:
@@ -239,3 +244,32 @@ class TestNetworkConfig:
             NetworkConfig(act, orthogonal(1.0), 1.0, 0.0, depth=2, width=1)
         with pytest.raises(ValueError):
             NetworkConfig(act, orthogonal(2.0), 1.0, 0.0, depth=2)
+
+
+class TestResolveQstar:
+    """``resolve_qstar`` refuses, for every spectral path, a fixed point with no spectrum."""
+
+    @staticmethod
+    def _config(name, sigma_w, sigma_b, qstar=None):
+        return NetworkConfig(get_activation(name), orthogonal(sigma_w), sigma_w, sigma_b, depth=2, width=8, qstar=qstar)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg: density(cfg, np.array([0.5, 1.0])),
+            jacobian_moments,
+            lambda cfg: jacobian_singular_values(cfg, TrialStreams(0, 0)),
+        ],
+        ids=["density", "jacobian_moments", "jacobian_singular_values"],
+    )
+    def test_diverging_fixed_point_refused(self, run):
+        # relu at sigma_w = 2 has chi = 2 for every q: with a bias, q* diverges
+        with pytest.raises(ConvergenceError, match="did not converge for relu"):
+            run(self._config("relu", 2.0, 0.5))
+
+    @pytest.mark.parametrize("qstar", [None, 0.0])
+    def test_ordered_phase_refused(self, qstar):
+        # tanh at sigma_w = 0.5, sigma_b = 0 settles at q* = 0; an override can ask for it too
+        cfg = self._config("tanh", 0.5, 0.0, qstar)
+        with pytest.raises(JacspectraError, match="tanh .* ordered phase"):
+            resolve_qstar(cfg)
