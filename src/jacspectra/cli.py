@@ -131,11 +131,12 @@ def _network_from(cfg: dict) -> NetworkConfig:
 
 
 def _solver_from(cfg: dict) -> SolverSettings:
-    """SolverSettings from config["solver"], every default echoed back into it."""
+    """SolverSettings from config["solver"]; config["solver"] becomes the settings used, and only those."""
     defaults = asdict(SolverSettings())
     merged = {**defaults, **cfg.get("solver", {})}
-    cfg["solver"] = merged
-    return SolverSettings(**{key: type(value)(merged[key]) for key, value in defaults.items()})
+    settings = SolverSettings(**{key: type(value)(merged[key]) for key, value in defaults.items()})
+    cfg["solver"] = asdict(settings)
+    return settings
 
 
 def _grid_from(cfg: dict, lam_max_default: float) -> np.ndarray:
@@ -237,6 +238,8 @@ def cmd_theory_spectrum(args, extra) -> int:
             "atoms": [list(a) for a in dens_out.atoms],
             "residual_evals": dens.metadata["residual_evals"],
             "newton_iters": dens.metadata["newton_iters"],
+            "continuation_steps": dens.metadata["continuation_steps"],
+            "rejected_steps": dens.metadata["rejected_steps"],
         },
     )
     return 0

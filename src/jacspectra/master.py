@@ -10,12 +10,17 @@ point and S is the weight ensemble's S-transform.  Principal branches are
 used for both fractional powers; the choice is validated against Monte Carlo
 spectra rather than argued analytically.
 
-For each real lambda the root is tracked from the asymptotic regime down to
-the real axis: starting at z0 = lambda + i b^N with G0 = 1/z0, each rung
-z_k = lambda + i b^{N-k} is solved by damped Newton seeded at the previous
-root, ending at lambda + i eps_final where the density is read off as
-rho = -Im G / pi.  Distinct lambdas are independent and are marched in
-lockstep as one vectorized ladder.
+For each real lambda the root is tracked from z = lambda + i b^N (b =
+step_base, N = half_steps) down to lambda + i eps, where the density is read
+off as rho = -Im G / pi.  Each lambda has its own height and step ratio
+(Allgower & Georg, "Numerical Continuation Methods"): a step divides the
+height by the ratio, predicts M = zG - 1 by extrapolating 1/M linearly in z,
+and corrects by damped Newton.  It is accepted when Newton converges within
+8 iterations, within 25% of the predicted M, with Im M < 0 up to Newton's
+noise.  An easy step (at most 3 iterations) squares the ratio, up to 100; a
+rejected one retries at its square root; one rejected at the smallest ratio
+b is re-walked in 8 sub-steps (a "jump" point) or fails.  All lambdas march
+as one vectorized batch.
 
 Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
 pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
@@ -63,8 +68,10 @@ __all__ = [
 
 _NUDGE = 1e-4  # step off a pole or NaN, relative to |M|/|z|
 _DAMPING_HALVINGS = 8
-_JUMP_FACTOR = 10.0
-_JUMP_G_CAP = 10.0  # heuristic only meaningful away from atoms/divergences
+_STEP_GROW_ITERS = 3  # a step solved in this many Newton iterations squares its ratio
+_STEP_MAX_ITERS = 8  # a step needing more is rejected
+_STEP_DRIFT = 0.25  # a step is rejected when |M - M_pred| > 0.25 |M_pred|
+_STEP_RATIO_MAX = 100.0
 _JUMP_REFINE_STEPS = 8
 _ADAPTIVE_EPS_REL = 1e-3
 _ATOM_SPREAD_TOL = 0.02
@@ -146,6 +153,11 @@ def master_residual(config: NetworkConfig, G, z):
 # vectorized Newton continuation
 
 
+def _newton_tol(absM, tol):
+    """Residual at which Newton stops: tol relative to |M|, plus the cancellation floor near atoms."""
+    return tol * absM + 64.0 * np.finfo(float).eps * (1.0 + absM) ** 2
+
+
 def _newton_batch(res_fn, z, G, tol, max_iter):
     """Damped Newton on a batch of (z, G); res_fn gives (R, dR/dG).  Returns (G, converged, niter)."""
     n = G.shape[0]
@@ -166,7 +178,7 @@ def _newton_batch(res_fn, z, G, tol, max_iter):
         # The (1+|M|)^2 term is the cancellation floor near atoms, where
         # both sides of the equation blow up together.
         absM = np.abs(zi * Gi - 1.0)
-        tol_eff = tol * absM + 64.0 * np.finfo(float).eps * (1.0 + absM) ** 2
+        tol_eff = _newton_tol(absM, tol)
         ok = np.abs(Ri) <= tol_eff
         converged[idx[ok]] = True
         idx = idx[~ok]
@@ -210,7 +222,9 @@ class _LadderResult:
     fail_step: np.ndarray
     jump_flags: np.ndarray
     residual_evals: int  # point-evaluations of the residual
-    newton_iters: int  # Newton iterations summed over points and rungs
+    newton_iters: int  # Newton iterations summed over points and steps
+    continuation_steps: int  # accepted steps summed over points
+    rejected_steps: int  # steps retried at a smaller ratio or re-walked in sub-steps
 
 
 def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float = 1.0) -> _LadderResult:
@@ -218,82 +232,81 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
     eps_targets = np.asarray(eps_targets, dtype=float)
     n = lams.size
     b = settings.step_base
-    N = settings.half_steps
-    min_target = float(eps_targets.min())
-    # rungs b^{N-1}, b^{N-2}, ... extended far enough to reach every target
-    k_max = N + int(math.ceil(math.log(1.0 / min_target, b))) + 1
-    z0 = lams + 1j * b**N
+    z = lams + 1j * b**settings.half_steps
     # seed on the physical branch: G ~ (1 + m1/z)/z.  M = zG - 1 = 0 solves
     # the equation identically (w -> infinity), so seeding at exactly 1/z
     # would hand Newton the spurious branch
-    G = (1.0 + m1 / z0) / z0
-    z_prev = z0
-    done = np.zeros(n, dtype=bool)
+    G = (1.0 + m1 / z) / z
+    slope = 1.0 / (z * (z * G - 1.0))  # d(1/M)/dz, 1/m1 as z -> infinity
+    ratio = np.full(n, b)
+    steps = np.zeros(n, dtype=int)
     failed = np.zeros(n, dtype=bool)
     fail_step = np.full(n, -1, dtype=int)
     jump_flags = np.zeros(n, dtype=bool)
-    residual_evals = newton_iters = 0
+    residual_evals = newton_iters = rejected = 0
 
     def counted_res(G, z):
         nonlocal residual_evals
         residual_evals += G.size
         return res_fn(G, z)
 
-    def newton(z, seed):
+    def step(z_from, G_from, slope, z_to):
+        """Predict, correct and check one step: (G, accepted, Newton iterations, new slope)."""
         nonlocal newton_iters
-        G, conv, iters = _newton_batch(counted_res, z, seed, settings.newton_tol, settings.newton_max_iter)
+        # predictor: 1/M extrapolated linearly in z along the secant of the
+        # last step, exact for a single atom (M = m a/(z - a)), ~z/m1 as
+        # z -> infinity, ~constant near the real axis.  Seeding M, not G,
+        # keeps the seed off the (1+M)/M branch cut
+        M_from = z_from * G_from - 1.0
+        M_pred = 1.0 / (1.0 / M_from + (z_to - z_from) * slope)
+        G_to, conv, iters = _newton_batch(
+            counted_res, z_to, (1.0 + M_pred) / z_to, settings.newton_tol, settings.newton_max_iter
+        )
         newton_iters += int(iters.sum())
-        return G, conv
+        # a hard solve, or a root far from the predictor, has hopped: to a
+        # spurious root (M -> 0 or -1), or to a mirror root near a hard edge.
+        # The physical M = integral x/(z - x) dmu(x) has Im M < 0, up to
+        # Newton's noise: below the support M -> -1 merges with the spurious
+        # root there, and a residual tol leaves M uncertain by sqrt(tol)
+        M = z_to * G_to - 1.0
+        near = np.abs(M - M_pred) <= _STEP_DRIFT * np.abs(M_pred)
+        lower = M.imag < np.sqrt(_newton_tol(np.abs(M), settings.newton_tol))
+        ok = conv & (iters <= _STEP_MAX_ITERS) & near & lower
+        return G_to, ok, iters, (1.0 / M - 1.0 / M_from) / (z_to - z_from)
 
-    for k in range(1, k_max + 1):
-        rung = b ** (N - k)
-        eff = np.maximum(rung, eps_targets)
-        finishing = rung <= eps_targets
-        active = ~done & ~failed
-        idx = np.nonzero(active)[0]
+    while True:
+        idx = np.nonzero((z.imag > eps_targets) & ~failed)[0]
         if idx.size == 0:
             break
-        z_k = lams[idx] + 1j * eff[idx]
-        G_prev = G[idx]
-        # seed preserving M = zG - 1 across the rung: the root scales like
-        # 1/z in the asymptotic regime, so carrying G directly would throw
-        # the seed across the (1+M)/M branch cut
-        seed = ((z_prev[idx] * G_prev - 1.0) + 1.0) / z_k
-        G_new, conv = newton(z_k, seed)
-        # heuristic: successive roots should move no faster than ~10x the z
-        # step; a violation near moderate |G| signals a root hop (physical
-        # and mirror roots nearly collide close to hard spectral edges), so
-        # re-walk the rung in sub-steps to track the root through the pinch
-        dz = np.abs(z_k - z_prev[idx])
-        dG = np.abs(G_new - G_prev)
-        jumped = conv & (dG > _JUMP_FACTOR * dz) & (np.abs(G_prev) <= _JUMP_G_CAP)
-        if np.any(jumped):
-            sub = np.nonzero(jumped)[0]
-            G_sub = G_prev[sub]
-            z_sub_prev = z_prev[idx][sub]
-            ok_sub = np.ones(sub.size, dtype=bool)
+        z_to = lams[idx] + 1j * np.maximum(z.imag[idx] / ratio[idx], eps_targets[idx])
+        G_to, ok, iters, slope_to = step(z[idx], G[idx], slope[idx], z_to)
+        easy = ok & (iters <= _STEP_GROW_ITERS)
+        rejected += int((~ok).sum())
+        retry = ~ok & (ratio[idx] > b)
+        ratio[idx[retry]] = np.maximum(np.sqrt(ratio[idx[retry]]), b)
+        walk = np.nonzero(~ok & ~retry)[0]
+        if walk.size:
+            # rejected at the smallest ratio: re-walk the step in sub-steps to
+            # track the root through the pinch where it nearly meets another
+            at = idx[walk]
+            z_w, G_w, slope_w = z[at], G[at], slope[at]
+            top, bottom = z_w.imag, z_to[walk].imag
+            ok_w = np.ones(walk.size, dtype=bool)
             for t in range(1, _JUMP_REFINE_STEPS + 1):
-                frac = t / _JUMP_REFINE_STEPS
-                eps_t = eff[idx][sub] * (np.imag(z_sub_prev) / eff[idx][sub]) ** (1.0 - frac)
-                z_t = lams[idx][sub] + 1j * eps_t
-                seed_t = (z_sub_prev * G_sub) / z_t
-                G_t, conv_t = newton(z_t, seed_t)
-                ok_sub &= conv_t
-                G_sub = np.where(conv_t, G_t, G_sub)
-                z_sub_prev = z_t
-            G_new[sub] = G_sub
-            conv[sub] &= ok_sub
-            jump_flags[idx[sub]] = True
-        newly_failed = ~conv
-        failed[idx[newly_failed]] = True
-        fail_step[idx[newly_failed]] = k
-        ok = idx[conv]
-        G[ok] = G_new[conv]
-        z_prev[ok] = z_k[conv]
-        done[idx[finishing[idx]]] = True
-        if np.all(done | failed):
-            break
-    return _LadderResult(G, ~failed, fail_step, jump_flags, residual_evals, newton_iters)
+                z_t = lams[at] + 1j * top * (bottom / top) ** (t / _JUMP_REFINE_STEPS)
+                G_t, ok_t, _, slope_t = step(z_w, G_w, slope_w, z_t)
+                ok_w &= ok_t
+                G_w, slope_w, z_w = np.where(ok_t, G_t, G_w), np.where(ok_t, slope_t, slope_w), z_t
+            G_to[walk], slope_to[walk], ok[walk] = G_w, slope_w, ok_w
+            jump_flags[at] = True
+            failed[at[~ok_w]] = True
+            fail_step[at[~ok_w]] = steps[at[~ok_w]] + 1
+        done = idx[ok]
+        G[done], z[done], slope[done] = G_to[ok], z_to[ok], slope_to[ok]
+        steps[done] += 1
+        grow = idx[easy]
+        ratio[grow] = np.minimum(ratio[grow] ** 2, _STEP_RATIO_MAX)
+    return _LadderResult(G, ~failed, fail_step, jump_flags, residual_evals, newton_iters, int(steps.sum()), rejected)
 
 
 def solve_G_at(config: NetworkConfig, lam: float, settings: SolverSettings | None = None) -> complex:
@@ -314,9 +327,9 @@ def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings 
     """Residue probe at a location: a numerical check of ``point_masses``.
 
     eps * |Im G(location + i eps)| tends to the atom mass as eps -> 0.  It is
-    read at the last five heights of the ladder down to eps = max(final_epsilon,
-    1e-6), and returns (mass, is_atom): the values must agree to a relative
-    spread of 2% on a mass above 1e-3 for the point to count as an atom;
+    read at eps = max(final_epsilon, 1e-6) and at the four heights b^{N-j}
+    just above it, and returns (mass, is_atom): the values must agree to a
+    relative spread of 2% on a mass above 1e-3 for the point to count as an atom;
     drifting values indicate an integrable divergence.  Beside a continuum
     that diverges at the location the reading stays above the mass by
     eps * integral rho eps / (lambda^2 + eps^2), which can pass the test.
@@ -327,7 +340,7 @@ def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings 
     # overwhelms the equation at an atom; the probe has converged long before
     eps = max(settings.final_epsilon, _ATOM_PROBE_EPS_FLOOR)
     b, N = settings.step_base, settings.half_steps
-    k = next(k for k in itertools.count(1) if b ** (N - k) <= eps)  # the rung that finishes at eps
+    k = next(k for k in itertools.count(1) if b ** (N - k) <= eps)  # b^{N-k} is the first at or below eps
     heights = np.array([b ** (N - j) for j in range(k - 4, k)] + [eps])
     out = _run_ladder(res_fn, np.full(5, float(location)), heights, settings, m1)
     vals = heights * np.abs(out.G.imag)
@@ -381,11 +394,14 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
 
     The continuum is read at the per-point offset min(final_epsilon,
     1e-3 * lambda) (tiny lambdas need a proportionally small offset to
-    resolve heavy bottom tails); the rung count is extended automatically to
-    reach it.  The atoms are ``point_masses`` in closed form, and grid points
+    resolve heavy bottom tails); each point's continuation ends exactly
+    there.  The atoms are ``point_masses`` in closed form, and grid points
     within 100 offsets of an atom are dropped, since there the readout is the
     atom's own 1/(z - a) tail.  Points whose continuation fails are flagged
-    in the metadata (the call only raises when more than 5% fail).
+    in the metadata (the call only raises when more than 5% fail), beside
+    the solver's work summed over points: ``residual_evals``,
+    ``newton_iters``, ``continuation_steps`` (accepted steps) and
+    ``rejected_steps``.
     """
     settings = settings or SolverSettings()
     grid = np.asarray(grid, dtype=float)
@@ -437,6 +453,8 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
         "jump_flagged_points": [int(i) for i in np.nonzero(out.jump_flags)[0]],
         "residual_evals": out.residual_evals,
         "newton_iters": out.newton_iters,
+        "continuation_steps": out.continuation_steps,
+        "rejected_steps": out.rejected_steps,
     }
     dens = SpectralDensity(
         domain=SQUARED_SINGULAR,

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ import pytest
 
 import jacspectra
 from jacspectra.density import SINGULAR, SpectralDensity, read_csv
+from jacspectra.master import SolverSettings
 
 PY = [sys.executable, "-m", "jacspectra"]
 
@@ -221,6 +223,11 @@ class TestPipeline:
     def test_report_counts_solver_work(self, theory_doc):
         report = theory_doc["report"]
         assert 0 < report["newton_iters"] < report["residual_evals"]
+        # every point takes at least one step, and every attempted step,
+        # accepted or rejected, evaluates the residual at least once
+        assert report["grid_points"] <= report["continuation_steps"]
+        assert report["rejected_steps"] >= 0
+        assert report["continuation_steps"] + report["rejected_steps"] <= report["residual_evals"]
 
     def test_density_csv_byte_stable(self, workdir, theory_doc):
         first = (workdir / "th.csv").read_bytes()
@@ -236,6 +243,36 @@ class TestPipeline:
             )
         )
         assert doc["config"]["solver"]["step_base"] == 1.7
+
+    def test_provenance_lists_only_settings_used(self, workdir):
+        # quad_nodes is no setting any more: it is ignored, and not echoed
+        doc = provenance(
+            run_cli(
+                ["theory-spectrum", "--config", "cfg.json", "--solver.quad-nodes", "301",
+                 "--out.density_csv", "th3.csv", "--out.density_json", "th3.json"],
+                workdir,
+            )
+        )
+        assert doc["config"]["solver"] == asdict(SolverSettings())
+
+
+class TestCoarseLadder:
+    def test_coarse_ladder_keeps_the_branch(self, tmp_path):
+        # a fixed ladder with b = 3 from 3^15 lost the branch on most of this
+        # grid without failing a point (total mass 0.00105 against 0.371);
+        # with step control, b is only the smallest ratio
+        args = ["theory-spectrum", "--activation.name", "tanh", "--ensemble.kind", "gaussian",
+                "--critical", "true", "--sigma-b", "0.2", "--depth", "16"]
+        default = provenance(run_cli([*args, "--out.density_csv", "default.csv"], tmp_path))["report"]
+        coarse = provenance(
+            run_cli([*args, "--solver.step-base", "3", "--solver.half-steps", "15",
+                     "--out.density_csv", "coarse.csv"], tmp_path)
+        )["report"]
+        assert coarse["failed_points"] == 0
+        assert coarse["total_mass"] == pytest.approx(default["total_mass"], rel=1e-6)
+        np.testing.assert_allclose(
+            read_csv(str(tmp_path / "coarse.csv")).rho, read_csv(str(tmp_path / "default.csv")).rho, rtol=0, atol=1e-6
+        )
 
 
 class TestZeroAtom:

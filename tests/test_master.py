@@ -121,6 +121,18 @@ def _rule(config):
     return point_masses(config, resolve_qstar(config).qstar)
 
 
+# configs whose non-zero atoms the probe reads
+_PROBE_CONFIGS = [
+    _linear_orth(),
+    _relu_orth(1),
+    _leaky_relu(orthogonal),
+    _hard_tanh("orthogonal", 4),
+    double_scaled_config(get_activation("hard_tanh"), 16, 0.25),
+    double_scaled_config(get_activation("hard_tanh"), 1024, 0.25),
+]
+_PROBE_IDS = ["linear-orth", "relu-orth-L1", "leaky_relu-orth-L1", "hard_tanh-orth-L4", "ds-L16", "ds-L1024"]
+
+
 class TestAtoms:
     def test_free_convolution_rule(self):
         assert _rule(_linear_orth()) == ((1.0, 1.0),)
@@ -153,18 +165,7 @@ class TestAtoms:
         assert top == pytest.approx(cfg.sigma_w ** (2 * 1024), rel=1e-12)
         assert top_mass == pytest.approx(1.0 - 1024 * (1.0 - p), rel=1e-9)
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            _linear_orth(),
-            _relu_orth(1),
-            _leaky_relu(orthogonal),
-            _hard_tanh("orthogonal", 4),
-            double_scaled_config(get_activation("hard_tanh"), 16, 0.25),
-            double_scaled_config(get_activation("hard_tanh"), 1024, 0.25),
-        ],
-        ids=["linear-orth", "relu-orth-L1", "leaky_relu-orth-L1", "hard_tanh-orth-L4", "ds-L16", "ds-L1024"],
-    )
+    @pytest.mark.parametrize("config", _PROBE_CONFIGS, ids=_PROBE_IDS)
     def test_rule_matches_probe_at_non_zero_atoms(self, config):
         # the probe accepts every non-zero atom of the rule and reads its mass
         # to 1e-6; so it does every atom at L = 1, where the law is all atoms
@@ -324,20 +325,19 @@ def _central_difference_newton(res_fn, z, G, tol, max_iter):
     return G, converged, iters
 
 
-def _solve(config, grid, newton):
-    """density() with the given Newton, and the noise envelope at its grid points."""
+def _solve(config, grid, newton=master._newton_batch, ladder=master._run_ladder, settings=None):
+    """density() with the given Newton and ladder, and the noise envelope at its grid points."""
     ladders = []
-    run_ladder = master._run_ladder
 
     def spy(res_fn, lams, targets, settings, m1):
-        out = run_ladder(res_fn, lams, targets, settings, m1)
+        out = ladder(res_fn, lams, targets, settings, m1)
         ladders.append((lams, targets, settings, out.G))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(master, "_newton_batch", newton)
         mp.setattr(master, "_run_ladder", spy)
-        dens = density(config, grid)
+        dens = density(config, grid, settings)
     (lams, targets, settings, G), = ladders  # the grid is the only ladder
     return dens, master._rho_noise(lams, targets, G, settings)[np.isin(lams, dens.grid)]
 
@@ -356,7 +356,7 @@ def both_solves(request):
     grid = make_lambda_grid(default_lam_max(jacobian_moments(config)), n=60)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # mass lost below the grid: not what is compared here
-        return _solve(config, grid, master._newton_batch), _solve(config, grid, _central_difference_newton)
+        return _solve(config, grid), _solve(config, grid, _central_difference_newton)
 
 
 class TestAgainstCentralDifferenceNewton:
@@ -399,3 +399,187 @@ def test_analytic_derivative_matches_central_difference(name, ensemble):
     h = 1e-5 * np.abs(G)
     dR_cd = (res(G + h, z)[0] - res(G - h, z)[0]) / (2.0 * h)
     assert np.all(np.abs(dR - dR_cd) <= 1e-6 * np.abs(dR))
+
+
+# ---------------------------------------------------------------------------
+# step control against the fixed geometric ladder it replaced
+
+_JUMP_FACTOR = 10.0
+_JUMP_G_CAP = 10.0
+
+
+def _fixed_ladder(res_fn, lams, eps_targets, settings, m1=1.0):
+    """Test-only reference: the fixed ladder that per-point step control replaced.
+
+    Every point walks the rungs z_k = lambda + i b^{N-k} down to its target,
+    Newton seeded with the previous rung's M = zG - 1.  A root that moves more
+    than 10x the z step (from |G| <= 10) re-walks the rung in 8 sub-steps.
+    """
+    lams = np.asarray(lams, dtype=float)
+    eps_targets = np.asarray(eps_targets, dtype=float)
+    n = lams.size
+    b = settings.step_base
+    N = settings.half_steps
+    k_max = N + int(math.ceil(math.log(1.0 / float(eps_targets.min()), b))) + 1
+    z0 = lams + 1j * b**N
+    G = (1.0 + m1 / z0) / z0
+    z_prev = z0
+    done = np.zeros(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)
+    fail_step = np.full(n, -1, dtype=int)
+    jump_flags = np.zeros(n, dtype=bool)
+    work = {"evals": 0, "iters": 0, "steps": 0}
+
+    def counted_res(G, z):
+        work["evals"] += G.size
+        return res_fn(G, z)
+
+    def newton(z, seed):
+        G, conv, iters = master._newton_batch(counted_res, z, seed, settings.newton_tol, settings.newton_max_iter)
+        work["iters"] += int(iters.sum())
+        return G, conv
+
+    for k in range(1, k_max + 1):
+        rung = b ** (N - k)
+        eff = np.maximum(rung, eps_targets)
+        finishing = rung <= eps_targets
+        idx = np.nonzero(~done & ~failed)[0]
+        if idx.size == 0:
+            break
+        z_k = lams[idx] + 1j * eff[idx]
+        G_prev = G[idx]
+        G_new, conv = newton(z_k, ((z_prev[idx] * G_prev - 1.0) + 1.0) / z_k)
+        dz = np.abs(z_k - z_prev[idx])
+        jumped = conv & (np.abs(G_new - G_prev) > _JUMP_FACTOR * dz) & (np.abs(G_prev) <= _JUMP_G_CAP)
+        if np.any(jumped):
+            sub = np.nonzero(jumped)[0]
+            G_sub, z_sub = G_prev[sub], z_prev[idx][sub]
+            ok_sub = np.ones(sub.size, dtype=bool)
+            for t in range(1, master._JUMP_REFINE_STEPS + 1):
+                frac = t / master._JUMP_REFINE_STEPS
+                eps_t = eff[idx][sub] * (np.imag(z_sub) / eff[idx][sub]) ** (1.0 - frac)
+                z_t = lams[idx][sub] + 1j * eps_t
+                G_t, conv_t = newton(z_t, (z_sub * G_sub) / z_t)
+                ok_sub &= conv_t
+                G_sub = np.where(conv_t, G_t, G_sub)
+                z_sub = z_t
+            G_new[sub] = G_sub
+            conv[sub] &= ok_sub
+            jump_flags[idx[sub]] = True
+        failed[idx[~conv]] = True
+        fail_step[idx[~conv]] = k
+        ok = idx[conv]
+        G[ok] = G_new[conv]
+        z_prev[ok] = z_k[conv]
+        work["steps"] += ok.size
+        done[idx[finishing[idx]]] = True
+    return master._LadderResult(G, ~failed, fail_step, jump_flags, work["evals"], work["iters"], work["steps"], 0)
+
+
+_THEORY_CONFIGS = {
+    "hard_tanh-orth-L16": lambda: critical_config(get_activation("hard_tanh"), "orthogonal", 0.2, 16),
+    "tanh-gauss-L16": lambda: critical_config(get_activation("tanh"), "gaussian", 0.2, 16),
+    "tanh-orth-L4": lambda: critical_config(get_activation("tanh"), "orthogonal", 0.2, 4),
+    "erf_sm-orth-L64": lambda: critical_config(get_activation("erf_sm"), "orthogonal", 0.2, 64),
+    "ds-erf_sm-L256": lambda: double_scaled_config(get_activation("erf_sm"), 256, 0.25),
+    "ds-hard_tanh-L256": lambda: double_scaled_config(get_activation("hard_tanh"), 256, 0.25),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_THEORY_CONFIGS))
+def against_fixed(request):
+    config = _THEORY_CONFIGS[request.param]()
+    grid = make_lambda_grid(default_lam_max(jacobian_moments(config)), n=120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mass lost below the grid: not what is compared here
+        return request.param, _solve(config, grid), _solve(config, grid, ladder=_fixed_ladder)
+
+
+class TestAgainstFixedLadder:
+    def test_no_point_fails(self, against_fixed):
+        _, (new, _), (ref, _) = against_fixed
+        assert new.metadata["failed_points"] == [] and ref.metadata["failed_points"] == []
+
+    def test_density_within_noise_envelope(self, against_fixed):
+        name, (new, new_noise), (ref, ref_noise) = against_fixed
+        np.testing.assert_array_equal(new.grid, ref.grid)
+        diff = np.abs(new.rho - ref.rho)
+        assert np.all(diff <= np.minimum(new_noise, ref_noise))
+        if name != "ds-erf_sm-L256":  # its readout there is noise on both ladders
+            resolved = ref.rho > 1e-6 * ref.rho.max()
+            assert np.all(diff[resolved] <= 1e-7 * ref.rho[resolved])
+
+    def test_same_atoms(self, against_fixed):
+        _, (new, _), (ref, _) = against_fixed
+        assert new.atoms == ref.atoms
+
+    def test_fewer_residual_evaluations(self, against_fixed):
+        _, (new, _), (ref, _) = against_fixed
+        assert new.metadata["residual_evals"] < ref.metadata["residual_evals"]
+        assert new.metadata["continuation_steps"] < ref.metadata["continuation_steps"]
+
+
+def _probe_readings(config, location, ladder):
+    """probe_atom through the given ladder: its verdict, its readings eps |Im G| and their noise."""
+    ladders = []
+
+    def spy(res_fn, lams, heights, settings, m1):
+        out = ladder(res_fn, lams, heights, settings, m1)
+        ladders.append((lams, heights, settings, out.G))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(master, "_run_ladder", spy)
+        verdict = probe_atom(config, location)
+    (lams, heights, settings, G), = ladders
+    return verdict, heights * np.abs(G.imag), math.pi * heights * master._rho_noise(lams, heights, G, settings)
+
+
+@pytest.mark.parametrize("config", _PROBE_CONFIGS, ids=_PROBE_IDS)
+def test_probe_matches_fixed_ladder(config):
+    # every reading agrees to 1e-9, or within the Newton noise of both ladders
+    # where |M| ~ mass/eps is large: at the atom of linear-orth (4e-9 at one
+    # height; the masses are equal) and at the top atoms of ds-L16 (4e-8) and
+    # ds-L1024 (7e-7), against a noise of 6e-6 at eps = 1e-6
+    for loc, _ in _rule(config):
+        (mass, ok), vals, noise = _probe_readings(config, loc, master._run_ladder)
+        (ref_mass, ref_ok), ref_vals, ref_noise = _probe_readings(config, loc, _fixed_ladder)
+        assert ok == ref_ok
+        assert np.all(np.abs(vals - ref_vals) <= np.maximum(1e-9, np.minimum(noise, ref_noise)))
+        assert abs(mass - ref_mass) <= max(1e-9, min(noise[-1], ref_noise[-1]))
+
+
+def test_coarse_ladder_agrees_with_default():
+    # b = 3 from 3^15: the fixed ladder lost the branch here on 414 of 600
+    # points without failing one; step control keeps every point within noise
+    config = _THEORY_CONFIGS["tanh-gauss-L16"]()
+    grid = make_lambda_grid(default_lam_max(jacobian_moments(config)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mass lost below the grid: not what is compared here
+        dens, noise = _solve(config, grid)
+        coarse, coarse_noise = _solve(config, grid, settings=SolverSettings(step_base=3.0, half_steps=15))
+    assert coarse.metadata["failed_points"] == []
+    assert np.all(np.abs(coarse.rho - dens.rho) <= np.minimum(noise, coarse_noise))
+
+
+@pytest.mark.parametrize(
+    "config,lam_min",
+    [
+        (critical_config(get_activation("erf_sm"), "orthogonal", 0.2, 2), 1e-4),
+        (double_scaled_config(get_activation("erf_sm"), 4, 0.25), 1e-4),
+        (_THEORY_CONFIGS["tanh-orth-L4"](), 1e-30),
+        (double_scaled_config(get_activation("erf_sm"), 1024, 4.0), 1e-30),
+    ],
+    ids=["erf_sm-orth-L2", "ds-erf_sm-L4", "tanh-orth-L4-deep", "ds-erf_sm-L1024-s4-deep"],
+)
+def test_step_sign_check(config, lam_min):
+    # without the Im M < 0 check a step lands on a root off the physical
+    # branch on the first two (the density then reads negative); far below
+    # the support M -> -1, where the spurious root sits, and Im M ~ -eps
+    # E[1/x] sinks under Newton's noise, so the check must allow for it
+    grid = make_lambda_grid(default_lam_max(jacobian_moments(config)), lam_min=lam_min, n=150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (new, new_noise), (ref, ref_noise) = _solve(config, grid), _solve(config, grid, ladder=_fixed_ladder)
+    assert new.metadata["failed_points"] == []
+    assert np.all(np.abs(new.rho - ref.rho) <= np.minimum(new_noise, ref_noise))
