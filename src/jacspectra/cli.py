@@ -1,8 +1,8 @@
 """Command-line driver: reproducible runs from JSON configs.
 
 Every command reads a single JSON config (``--config``), applies dotted
-flag overrides (``--solver.step-base 2.0`` targets config["solver"]
-["step_base"]), materializes all defaults, runs, writes its CSV/JSON
+flag overrides (``--solver.final-epsilon 1e-7`` targets config["solver"]
+["final_epsilon"]), materializes all defaults, runs, writes its CSV/JSON
 outputs, and prints the fully resolved provenance document to stdout.
 
 Subcommands: fixed-point, phase-grid, theory-spectrum, simulate, compare,
@@ -131,10 +131,16 @@ def _network_from(cfg: dict) -> NetworkConfig:
 
 
 def _solver_from(cfg: dict) -> SolverSettings:
-    """SolverSettings from config["solver"]; config["solver"] becomes the settings used, and only those."""
+    """SolverSettings from config["solver"], which becomes the settings used; an unknown key is an error."""
     defaults = asdict(SolverSettings())
-    merged = {**defaults, **cfg.get("solver", {})}
-    settings = SolverSettings(**{key: type(value)(merged[key]) for key, value in defaults.items()})
+    given = cfg.get("solver", {})
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise JacspectraError(f"unknown solver setting {unknown[0]!r}; settings are {', '.join(sorted(defaults))}")
+    try:
+        settings = SolverSettings(**{key: type(value)(given.get(key, value)) for key, value in defaults.items()})
+    except ValueError as exc:
+        raise JacspectraError(f"bad solver setting: {exc}") from None
     cfg["solver"] = asdict(settings)
     return settings
 
@@ -226,13 +232,11 @@ def cmd_theory_spectrum(args, extra) -> int:
     dens_out.write_csv(csv_path)
     if json_path:
         dens_out.write_json(json_path)
-    n_failed = len(dens.metadata["failed_points"])
     _emit(
         "theory-spectrum",
         cfg,
         {"density_csv": csv_path, "density_json": json_path},
         {
-            "failed_points": n_failed,
             "grid_points": int(np.size(grid)),
             "total_mass": dens.metadata["total_mass"],
             "atoms": [list(a) for a in dens_out.atoms],
@@ -276,29 +280,10 @@ def cmd_simulate(args, extra) -> int:
     return 0
 
 
-def _load_spectrum(csv_path: str, sidecar_path: str) -> EmpiricalSpectrum:
-    values = []
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if header != "s":
-            raise SystemExit(f"unexpected spectrum CSV header {header!r}")
-        values = [float(line) for line in fh if line.strip()]
-    with open(sidecar_path) as fh:
-        side = json.load(fh)
-    return EmpiricalSpectrum(
-        singular_values=np.array(values),
-        width=side["width"],
-        depth=side["depth"],
-        trials=side["trials"],
-        seed=side["seed"],
-        config=side["config"],
-    )
-
-
 def cmd_compare(args, extra) -> int:
     cfg = _load_config(args, extra)
     emp = cfg["empirical"]
-    spectrum = _load_spectrum(emp["spectrum_csv"], emp["sidecar_json"])
+    spectrum = EmpiricalSpectrum.read_csv(emp["spectrum_csv"], emp["sidecar_json"])
     theory_path = cfg["theory"]["density"]
     if theory_path.endswith(".json"):
         theory = read_json(theory_path)
@@ -365,7 +350,7 @@ def cmd_moments(args, extra) -> int:
     cfg = _load_config(args, extra)
     config = _network_from(cfg)
     summary = jacobian_moments(config)
-    report = summary.as_dict()
+    report = asdict(summary)
     out = cfg.get("out", {}).get("report_json")
     if out:
         with open(out, "w") as fh:

@@ -10,17 +10,17 @@ point and S is the weight ensemble's S-transform.  Principal branches are
 used for both fractional powers; the choice is validated against Monte Carlo
 spectra rather than argued analytically.
 
-For each real lambda the root is tracked from z = lambda + i b^N (b =
-step_base, N = half_steps) down to lambda + i eps, where the density is read
-off as rho = -Im G / pi.  Each lambda has its own height and step ratio
-(Allgower & Georg, "Numerical Continuation Methods"): a step divides the
-height by the ratio, predicts M = zG - 1 by extrapolating 1/M linearly in z,
-and corrects by damped Newton.  It is accepted when Newton converges within
-8 iterations, within 25% of the predicted M, with Im M < 0 up to Newton's
-noise.  An easy step (at most 3 iterations) squares the ratio, up to 100; a
-rejected one retries at its square root; one rejected at the smallest ratio
-b is re-walked in 8 sub-steps (a "jump" point) or fails.  All lambdas march
-as one vectorized batch.
+For each real lambda the root is tracked from z = lambda + i 1.5^40 down to
+lambda + i eps, where the density is read off as rho = -Im G / pi.  Each
+lambda has its own height and step ratio (Allgower & Georg, "Numerical
+Continuation Methods"): a step divides the height by the ratio, predicts
+M = zG - 1 by extrapolating 1/M linearly in z, and corrects by damped Newton.
+It is accepted when Newton converges within 8 iterations, within 25% of the
+predicted M, with Im M < 0 up to Newton's noise.  An easy step (at most 3
+iterations) squares the ratio, up to 100; a rejected one retries at its
+square root, down to 1.5; a step rejected at 1.5 loses its point, and
+``density`` and ``solve_G_at`` raise BranchLossError on a lost point.  All
+lambdas march as one vectorized batch.
 
 Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
 pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
@@ -68,36 +68,29 @@ __all__ = [
 
 _NUDGE = 1e-4  # step off a pole or NaN, relative to |M|/|z|
 _DAMPING_HALVINGS = 8
+_RATIO_MIN = 1.5  # smallest step ratio: a step rejected at it loses its point
+_START_RUNGS = 40  # every continuation starts at height _RATIO_MIN ** _START_RUNGS
 _STEP_GROW_ITERS = 3  # a step solved in this many Newton iterations squares its ratio
-_STEP_MAX_ITERS = 8  # a step needing more is rejected
+_STEP_MAX_ITERS = 8  # a step needing more is rejected, so Newton stops one iteration later
 _STEP_DRIFT = 0.25  # a step is rejected when |M - M_pred| > 0.25 |M_pred|
 _STEP_RATIO_MAX = 100.0
-_JUMP_REFINE_STEPS = 8
 _ADAPTIVE_EPS_REL = 1e-3
 _ATOM_SPREAD_TOL = 0.02
 _ATOM_MASS_MIN = 1e-3
 _ATOM_PRUNE_EPS_FACTOR = 100.0
 _ATOM_PROBE_EPS_FLOOR = 1e-6
-_FAILURE_BUDGET = 0.05
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    step_base: float = 1.5
-    half_steps: int = 40
     newton_tol: float = 1e-11
-    newton_max_iter: int = 100
     final_epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not self.step_base > 1.0:
-            raise ValueError("step_base must exceed 1")
-        if self.half_steps < 1:
-            raise ValueError("half_steps must be positive")
-        if not (self.step_base**-self.half_steps <= self.final_epsilon <= self.step_base**self.half_steps):
-            raise ValueError("final_epsilon must lie within [b^-N, b^N]")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise ValueError("bad Newton settings")
+        if not 0.0 < self.final_epsilon < _RATIO_MIN**_START_RUNGS:
+            raise ValueError("final_epsilon must lie in (0, 1.5^40)")
+        if not self.newton_tol > 0.0:
+            raise ValueError("newton_tol must be positive")
 
 
 def _residual_factory(config: NetworkConfig, qstar: float) -> Callable:
@@ -220,29 +213,26 @@ class _LadderResult:
     G: np.ndarray
     converged: np.ndarray
     fail_step: np.ndarray
-    jump_flags: np.ndarray
     residual_evals: int  # point-evaluations of the residual
     newton_iters: int  # Newton iterations summed over points and steps
     continuation_steps: int  # accepted steps summed over points
-    rejected_steps: int  # steps retried at a smaller ratio or re-walked in sub-steps
+    rejected_steps: int  # steps retried at a smaller ratio, or that lost their point
 
 
 def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float = 1.0) -> _LadderResult:
     lams = np.asarray(lams, dtype=float)
     eps_targets = np.asarray(eps_targets, dtype=float)
     n = lams.size
-    b = settings.step_base
-    z = lams + 1j * b**settings.half_steps
+    z = lams + 1j * _RATIO_MIN**_START_RUNGS
     # seed on the physical branch: G ~ (1 + m1/z)/z.  M = zG - 1 = 0 solves
     # the equation identically (w -> infinity), so seeding at exactly 1/z
     # would hand Newton the spurious branch
     G = (1.0 + m1 / z) / z
     slope = 1.0 / (z * (z * G - 1.0))  # d(1/M)/dz, 1/m1 as z -> infinity
-    ratio = np.full(n, b)
+    ratio = np.full(n, _RATIO_MIN)
     steps = np.zeros(n, dtype=int)
     failed = np.zeros(n, dtype=bool)
     fail_step = np.full(n, -1, dtype=int)
-    jump_flags = np.zeros(n, dtype=bool)
     residual_evals = newton_iters = rejected = 0
 
     def counted_res(G, z):
@@ -250,17 +240,19 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
         residual_evals += G.size
         return res_fn(G, z)
 
-    def step(z_from, G_from, slope, z_to):
-        """Predict, correct and check one step: (G, accepted, Newton iterations, new slope)."""
-        nonlocal newton_iters
+    while True:
+        idx = np.nonzero((z.imag > eps_targets) & ~failed)[0]
+        if idx.size == 0:
+            break
+        z_from, z_to = z[idx], lams[idx] + 1j * np.maximum(z.imag[idx] / ratio[idx], eps_targets[idx])
         # predictor: 1/M extrapolated linearly in z along the secant of the
         # last step, exact for a single atom (M = m a/(z - a)), ~z/m1 as
         # z -> infinity, ~constant near the real axis.  Seeding M, not G,
         # keeps the seed off the (1+M)/M branch cut
-        M_from = z_from * G_from - 1.0
-        M_pred = 1.0 / (1.0 / M_from + (z_to - z_from) * slope)
+        M_from = z_from * G[idx] - 1.0
+        M_pred = 1.0 / (1.0 / M_from + (z_to - z_from) * slope[idx])
         G_to, conv, iters = _newton_batch(
-            counted_res, z_to, (1.0 + M_pred) / z_to, settings.newton_tol, settings.newton_max_iter
+            counted_res, z_to, (1.0 + M_pred) / z_to, settings.newton_tol, _STEP_MAX_ITERS + 1
         )
         newton_iters += int(iters.sum())
         # a hard solve, or a root far from the predictor, has hopped: to a
@@ -272,54 +264,41 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
         near = np.abs(M - M_pred) <= _STEP_DRIFT * np.abs(M_pred)
         lower = M.imag < np.sqrt(_newton_tol(np.abs(M), settings.newton_tol))
         ok = conv & (iters <= _STEP_MAX_ITERS) & near & lower
-        return G_to, ok, iters, (1.0 / M - 1.0 / M_from) / (z_to - z_from)
-
-    while True:
-        idx = np.nonzero((z.imag > eps_targets) & ~failed)[0]
-        if idx.size == 0:
-            break
-        z_to = lams[idx] + 1j * np.maximum(z.imag[idx] / ratio[idx], eps_targets[idx])
-        G_to, ok, iters, slope_to = step(z[idx], G[idx], slope[idx], z_to)
-        easy = ok & (iters <= _STEP_GROW_ITERS)
         rejected += int((~ok).sum())
-        retry = ~ok & (ratio[idx] > b)
-        ratio[idx[retry]] = np.maximum(np.sqrt(ratio[idx[retry]]), b)
-        walk = np.nonzero(~ok & ~retry)[0]
-        if walk.size:
-            # rejected at the smallest ratio: re-walk the step in sub-steps to
-            # track the root through the pinch where it nearly meets another
-            at = idx[walk]
-            z_w, G_w, slope_w = z[at], G[at], slope[at]
-            top, bottom = z_w.imag, z_to[walk].imag
-            ok_w = np.ones(walk.size, dtype=bool)
-            for t in range(1, _JUMP_REFINE_STEPS + 1):
-                z_t = lams[at] + 1j * top * (bottom / top) ** (t / _JUMP_REFINE_STEPS)
-                G_t, ok_t, _, slope_t = step(z_w, G_w, slope_w, z_t)
-                ok_w &= ok_t
-                G_w, slope_w, z_w = np.where(ok_t, G_t, G_w), np.where(ok_t, slope_t, slope_w), z_t
-            G_to[walk], slope_to[walk], ok[walk] = G_w, slope_w, ok_w
-            jump_flags[at] = True
-            failed[at[~ok_w]] = True
-            fail_step[at[~ok_w]] = steps[at[~ok_w]] + 1
+        retry = ~ok & (ratio[idx] > _RATIO_MIN)
+        ratio[idx[retry]] = np.maximum(np.sqrt(ratio[idx[retry]]), _RATIO_MIN)
+        lost = idx[~ok & ~retry]
+        failed[lost] = True
+        fail_step[lost] = steps[lost] + 1
         done = idx[ok]
-        G[done], z[done], slope[done] = G_to[ok], z_to[ok], slope_to[ok]
+        G[done], z[done] = G_to[ok], z_to[ok]
+        slope[done] = ((1.0 / M - 1.0 / M_from) / (z_to - z_from))[ok]
         steps[done] += 1
-        grow = idx[easy]
+        grow = idx[ok & (iters <= _STEP_GROW_ITERS)]
         ratio[grow] = np.minimum(ratio[grow] ** 2, _STEP_RATIO_MAX)
-    return _LadderResult(G, ~failed, fail_step, jump_flags, residual_evals, newton_iters, int(steps.sum()), rejected)
+    return _LadderResult(G, ~failed, fail_step, residual_evals, newton_iters, int(steps.sum()), rejected)
+
+
+def _require_branch(out: _LadderResult, lams) -> None:
+    """Raise BranchLossError naming the first lambda whose continuation lost the branch."""
+    lost = np.nonzero(~out.converged)[0]
+    if lost.size:
+        i = lost[0]
+        raise BranchLossError(
+            f"continuation lost the branch at lambda={lams[i]:.6g} (step {out.fail_step[i]}; "
+            f"{lost.size} of {out.converged.size} points lost)",
+            step_index=int(out.fail_step[i]),
+            last_iterate=complex(out.G[i]),
+        )
 
 
 def solve_G_at(config: NetworkConfig, lam: float, settings: SolverSettings | None = None) -> complex:
     """Resolvent at lambda + i final_epsilon by branch-tracked continuation."""
     settings = settings or SolverSettings()
     _, res_fn, m1 = _prepare(config)
-    out = _run_ladder(res_fn, np.array([lam]), np.array([settings.final_epsilon]), settings, m1)
-    if not out.converged[0]:
-        raise BranchLossError(
-            f"continuation lost the branch at lambda={lam} (step {out.fail_step[0]})",
-            step_index=int(out.fail_step[0]),
-            last_iterate=complex(out.G[0]),
-        )
+    lams = np.array([lam], dtype=float)
+    out = _run_ladder(res_fn, lams, np.array([settings.final_epsilon]), settings, m1)
+    _require_branch(out, lams)
     return complex(out.G[0])
 
 
@@ -327,7 +306,7 @@ def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings 
     """Residue probe at a location: a numerical check of ``point_masses``.
 
     eps * |Im G(location + i eps)| tends to the atom mass as eps -> 0.  It is
-    read at eps = max(final_epsilon, 1e-6) and at the four heights b^{N-j}
+    read at eps = max(final_epsilon, 1e-6) and at the four heights 1.5^{40-j}
     just above it, and returns (mass, is_atom): the values must agree to a
     relative spread of 2% on a mass above 1e-3 for the point to count as an atom;
     drifting values indicate an integrable divergence.  Beside a continuum
@@ -339,7 +318,7 @@ def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings 
     # below eps ~ 1e-6 the residual noise eps_mach*|M| ~ eps_mach*mass/eps
     # overwhelms the equation at an atom; the probe has converged long before
     eps = max(settings.final_epsilon, _ATOM_PROBE_EPS_FLOOR)
-    b, N = settings.step_base, settings.half_steps
+    b, N = _RATIO_MIN, _START_RUNGS
     k = next(k for k in itertools.count(1) if b ** (N - k) <= eps)  # b^{N-k} is the first at or below eps
     heights = np.array([b ** (N - j) for j in range(k - 4, k)] + [eps])
     out = _run_ladder(res_fn, np.full(5, float(location)), heights, settings, m1)
@@ -397,11 +376,10 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
     resolve heavy bottom tails); each point's continuation ends exactly
     there.  The atoms are ``point_masses`` in closed form, and grid points
     within 100 offsets of an atom are dropped, since there the readout is the
-    atom's own 1/(z - a) tail.  Points whose continuation fails are flagged
-    in the metadata (the call only raises when more than 5% fail), beside
-    the solver's work summed over points: ``residual_evals``,
-    ``newton_iters``, ``continuation_steps`` (accepted steps) and
-    ``rejected_steps``.
+    atom's own 1/(z - a) tail.  A point whose continuation loses the branch
+    raises BranchLossError naming its lambda.  The metadata holds the
+    solver's work summed over points: ``residual_evals``, ``newton_iters``,
+    ``continuation_steps`` (accepted steps) and ``rejected_steps``.
     """
     settings = settings or SolverSettings()
     grid = np.asarray(grid, dtype=float)
@@ -411,16 +389,8 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
     targets = np.minimum(settings.final_epsilon, np.maximum(grid * _ADAPTIVE_EPS_REL, 1e-280))
 
     out = _run_ladder(res_fn, grid, targets, settings, m1)
-    failed_frac = float((~out.converged).mean())
-    if failed_frac > _FAILURE_BUDGET:
-        worst = int(np.nonzero(~out.converged)[0][0])
-        raise BranchLossError(
-            f"{failed_frac:.1%} of grid points lost the branch (budget {_FAILURE_BUDGET:.0%})",
-            step_index=int(out.fail_step[worst]),
-            last_iterate=complex(out.G[worst]),
-        )
+    _require_branch(out, grid)
     rho = -out.G.imag / math.pi
-    rho[~out.converged] = 0.0
     # Where the true Im G is ~0 (off support, next to atoms) the readout can
     # come out slightly negative within the noise envelope; clamp it, and fail
     # on anything larger, which would mean a lost branch rather than noise.
@@ -438,7 +408,6 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
     keep = np.ones(grid.size, dtype=bool)
     for loc, _ in atoms:
         keep &= np.abs(grid - loc) > _ATOM_PRUNE_EPS_FACTOR * targets
-    keep |= ~out.converged  # keep failed points in place (rho zeroed, flagged)
 
     meta = {
         "qstar": qstar,
@@ -449,8 +418,6 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
         "activation_params": dict(config.activation.params),
         "ensemble": config.ensemble.kind,
         "settings": asdict(settings),
-        "failed_points": [int(i) for i in np.nonzero(~out.converged)[0]],
-        "jump_flagged_points": [int(i) for i in np.nonzero(out.jump_flags)[0]],
         "residual_evals": out.residual_evals,
         "newton_iters": out.newton_iters,
         "continuation_steps": out.continuation_steps,

@@ -29,19 +29,8 @@ class MomentSummary:
     m1: float
     m2: float
     variance: float
-    mu1: float
-    mu2: float
     chi: float
     qstar: float
-
-    def as_dict(self) -> dict:
-        return {
-            "m1": self.m1,
-            "m2": self.m2,
-            "variance": self.variance,
-            "chi": self.chi,
-            "qstar": self.qstar,
-        }
 
 
 def jacobian_moments(config: NetworkConfig) -> MomentSummary:
@@ -51,7 +40,7 @@ def jacobian_moments(config: NetworkConfig) -> MomentSummary:
     """
     fp = resolve_qstar(config)
     q, chi = fp.qstar, fp.chi
-    mu1 = mu_k(config.activation, q, 1)
+    mu1 = chi / config.sigma_w**2
     mu2 = mu_k(config.activation, q, 2)
     L = config.depth
     s1 = config.ensemble.s1
@@ -60,15 +49,7 @@ def jacobian_moments(config: NetworkConfig) -> MomentSummary:
         m2 = chi ** (2 * L) * L * (mu2 / mu1**2 + 1.0 / L - 1.0 - s1)
     except OverflowError:
         raise JacspectraError(f"chi^(2L) overflows for {config.activation.name}: chi={chi:.6g}, L={L}") from None
-    return MomentSummary(
-        m1=m1,
-        m2=m2,
-        variance=m2 - m1 * m1,
-        mu1=mu1,
-        mu2=mu2,
-        chi=chi,
-        qstar=q,
-    )
+    return MomentSummary(m1=m1, m2=m2, variance=m2 - m1 * m1, chi=chi, qstar=q)
 
 
 def moments_from_density(density: SpectralDensity, k: int) -> float:

@@ -12,6 +12,7 @@ of execution order and identical under any parallel schedule.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ import numpy as np
 
 from .density import MASS_TOL, SINGULAR, SpectralDensity
 from .ensembles import GAUSSIAN, ORTHOGONAL
+from .errors import JacspectraError
 from .propagation import NetworkConfig, resolve_qstar
 
 _PURPOSES = {"input": 0, "weights": 1, "bias": 2}
@@ -86,6 +88,18 @@ class EmpiricalSpectrum:
             "seed": self.seed,
             "config": self.config,
         }
+
+    @classmethod
+    def read_csv(cls, csv_path, sidecar_path) -> "EmpiricalSpectrum":
+        """The spectrum that ``write_csv`` and ``sidecar`` wrote; raises JacspectraError on a bad header."""
+        with open(csv_path) as fh:
+            header = fh.readline().strip()
+            if header != "s":
+                raise JacspectraError(f"unexpected spectrum CSV header {header!r} in {csv_path}")
+            values = [float(line) for line in fh if line.strip()]
+        with open(sidecar_path) as fh:
+            side = json.load(fh)
+        return cls(singular_values=np.array(values), **side)
 
 
 def sample_orthogonal(n: int, sigma_w: float, rng: np.random.Generator) -> np.ndarray:

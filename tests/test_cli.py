@@ -202,8 +202,7 @@ class TestPipeline:
 
     def test_theory_then_simulate_then_compare(self, workdir, theory_doc):
         doc = theory_doc
-        assert doc["report"]["failed_points"] <= 0.05 * doc["report"]["grid_points"]
-        assert doc["config"]["solver"]["step_base"] == 1.5  # defaults echoed
+        assert doc["config"]["solver"] == asdict(SolverSettings())  # defaults echoed
         doc = provenance(run_cli(["simulate", "--config", "cfg.json"], workdir))
         assert doc["report"]["n_values"] == 6 * 200
         doc = provenance(
@@ -237,42 +236,23 @@ class TestPipeline:
     def test_flag_overrides_echoed(self, workdir):
         doc = provenance(
             run_cli(
-                ["theory-spectrum", "--config", "cfg.json", "--solver.step-base", "1.7",
+                ["theory-spectrum", "--config", "cfg.json", "--solver.final-epsilon", "1e-7",
                  "--out.density_csv", "th2.csv", "--out.density_json", "th2.json"],
                 workdir,
             )
         )
-        assert doc["config"]["solver"]["step_base"] == 1.7
+        assert doc["config"]["solver"] == {**asdict(SolverSettings()), "final_epsilon": 1e-7}
 
     def test_provenance_lists_only_settings_used(self, workdir):
-        # quad_nodes is no setting any more: it is ignored, and not echoed
-        doc = provenance(
-            run_cli(
-                ["theory-spectrum", "--config", "cfg.json", "--solver.quad-nodes", "301",
-                 "--out.density_csv", "th3.csv", "--out.density_json", "th3.json"],
-                workdir,
+        # a key that is no solver setting is refused: a config that sets one
+        # would otherwise run on the defaults without a word
+        for flag, key in (("--solver.quad-nodes", "quad_nodes"), ("--solver.step-base", "step_base")):
+            proc = run_cli(
+                ["theory-spectrum", "--config", "cfg.json", flag, "3", "--out.density_csv", "th3.csv"], workdir
             )
-        )
-        assert doc["config"]["solver"] == asdict(SolverSettings())
-
-
-class TestCoarseLadder:
-    def test_coarse_ladder_keeps_the_branch(self, tmp_path):
-        # a fixed ladder with b = 3 from 3^15 lost the branch on most of this
-        # grid without failing a point (total mass 0.00105 against 0.371);
-        # with step control, b is only the smallest ratio
-        args = ["theory-spectrum", "--activation.name", "tanh", "--ensemble.kind", "gaussian",
-                "--critical", "true", "--sigma-b", "0.2", "--depth", "16"]
-        default = provenance(run_cli([*args, "--out.density_csv", "default.csv"], tmp_path))["report"]
-        coarse = provenance(
-            run_cli([*args, "--solver.step-base", "3", "--solver.half-steps", "15",
-                     "--out.density_csv", "coarse.csv"], tmp_path)
-        )["report"]
-        assert coarse["failed_points"] == 0
-        assert coarse["total_mass"] == pytest.approx(default["total_mass"], rel=1e-6)
-        np.testing.assert_allclose(
-            read_csv(str(tmp_path / "coarse.csv")).rho, read_csv(str(tmp_path / "default.csv")).rho, rtol=0, atol=1e-6
-        )
+            assert proc.returncode == 1
+            assert proc.stderr == f"error: unknown solver setting {key!r}; settings are final_epsilon, newton_tol\n"
+            assert not (workdir / "th3.csv").exists()
 
 
 class TestZeroAtom:
@@ -335,6 +315,7 @@ class TestErrors:
             ("moments", ["--sigma-w", "0.5"], "ordered phase"),  # q* = 0
             ("theory-spectrum", ["--sigma-w", "0.5"], "ordered phase"),
             ("moments", ["--sigma-w", "4", "--sigma-b", "0.2", "--depth", "2000"], "overflows"),  # chi^L
+            ("theory-spectrum", ["--critical", "true", "--sigma-b", "0.2", "--solver.final-epsilon", "0"], "final_epsilon"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):
@@ -342,6 +323,16 @@ class TestErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and cause in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_compare_refuses_bad_spectrum_header(self, tmp_path):
+        SpectralDensity(SINGULAR, np.linspace(0.0, 2.0, 5), np.full(5, 0.5)).write_json(tmp_path / "th.json")
+        (tmp_path / "sp.csv").write_text("sigma\n0.5\n")
+        (tmp_path / "sp.json").write_text(json.dumps({"width": 1, "depth": 1, "trials": 1, "seed": 0, "config": {}}))
+        args = ["compare", "--empirical.spectrum_csv", "sp.csv", "--empirical.sidecar_json", "sp.json",
+                "--theory.density", "th.json"]
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: unexpected spectrum CSV header 'sigma'")
 
 
 class TestImports:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from jacspectra.activations import get_activation
 from jacspectra.density import SINGULAR, SpectralDensity, make_lambda_grid, to_singular_domain
 from jacspectra.ensembles import gaussian, orthogonal
+from jacspectra.errors import JacspectraError
 from jacspectra.master import density
 from jacspectra.propagation import NetworkConfig
 from jacspectra.simulate import (
@@ -119,6 +121,23 @@ class TestJacobian:
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
             EmpiricalSpectrum(np.array([1.0, 0.5]), width=2, depth=1, trials=1, seed=0, config={})
+
+
+class TestSpectrumFile:
+    def test_round_trip(self, tmp_path):
+        cfg = _config("hard_tanh", "orthogonal", 1.05, 0.1, depth=3, width=16)
+        spec = run_trials(cfg, 2, 7)
+        spec.write_csv(tmp_path / "sp.csv")
+        (tmp_path / "sp.json").write_text(json.dumps(spec.sidecar()))
+        back = EmpiricalSpectrum.read_csv(tmp_path / "sp.csv", tmp_path / "sp.json")
+        np.testing.assert_array_equal(back.singular_values, spec.singular_values)
+        assert back.sidecar() == json.loads(json.dumps(spec.sidecar()))
+
+    def test_bad_header(self, tmp_path):
+        (tmp_path / "sp.csv").write_text("sigma\n0.5\n")
+        (tmp_path / "sp.json").write_text(json.dumps({"width": 1, "depth": 1, "trials": 1, "seed": 0, "config": {}}))
+        with pytest.raises(JacspectraError, match="header 'sigma'"):
+            EmpiricalSpectrum.read_csv(tmp_path / "sp.csv", tmp_path / "sp.json")
 
 
 class TestEmpiricalDensity:
