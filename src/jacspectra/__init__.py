@@ -6,6 +6,14 @@ infinite-depth limiting distributions, and cross-validates both against
 Monte Carlo simulation.
 """
 
+import os
+
+# simulate runs one trial per CPU, and numpy's BLAS starts a thread per CPU when it loads: the CLI ran 2.2-2.5x
+# slower at N = 400 on 2 CPUs. Hence one BLAS thread, unless the caller set one (or imported numpy first).
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .activations import ActivationSpec, get_activation, mu_k
 from .density import SpectralDensity, make_lambda_grid, to_singular_domain
 from .ensembles import WeightEnsemble, gaussian, orthogonal

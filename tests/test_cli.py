@@ -394,6 +394,26 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_blas_threads_pinned_unless_set(self, preset):
+        # importing the package pins every BLAS pool the benchmark pins, and
+        # keeps a value the caller chose
+        run_py = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+        assign = next(
+            node for node in ast.parse(run_py.read_text()).body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "THREAD_VARS"
+        )
+        names = ast.literal_eval(assign.value)
+        env = child_env()
+        for name in names:
+            env.pop(name, None)
+            if preset is not None:
+                env[name] = preset
+        code = f"import json, os, jacspectra; print(json.dumps([os.environ.get(v) for v in {list(names)!r}]))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [preset or "1"] * len(names)
+
     def test_benchmark_hooks_resolve(self):
         # bench/layers.py wraps package functions by name; a renamed or
         # deleted one must fail here, not only in a benchmark run

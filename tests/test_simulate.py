@@ -13,6 +13,8 @@ from jacspectra.propagation import NetworkConfig
 from jacspectra.simulate import (
     EmpiricalSpectrum,
     TrialStreams,
+    _apply_householder,
+    _householder_haar,
     empirical_density,
     jacobian_singular_values,
     ks_distance,
@@ -43,23 +45,55 @@ class TestSampleOrthogonal:
             w = sample_orthogonal(32, 1.3, stream(3, trial, 1, "weights"))
             assert np.max(np.abs(w.T @ w - 1.69 * np.eye(32))) <= 1e-10
 
+    def test_orthogonality_at_simulation_width(self):
+        w = sample_orthogonal(400, 1.3, stream(8, 0, 1, "weights"))
+        assert np.max(np.abs(w.T @ w - 1.69 * np.eye(400))) <= 1e-12
+
     def test_haar_first_coordinate_marginal(self, oracles):
         # columns of a Haar matrix are uniform on the sphere; compare the
-        # first coordinate's second moment against the direct sphere-sampling
-        # oracle over 10^4 draws at N=200
+        # first coordinate's second moment of Q e_0 against the direct
+        # sphere-sampling oracle over 10^4 draws at N=200
         n, draws = 200, 10_000
         rng = stream(99, 0, 0, "weights")
         vals = np.empty(draws)
         for i in range(draws):
-            g = rng.standard_normal((n, n))
-            q, r = np.linalg.qr(g)
-            w = q[:, 0] * np.sign(r[0, 0])
-            vals[i] = w[0] ** 2
+            e0 = np.zeros((n, 1))
+            e0[0] = 1.0
+            w = _apply_householder(*_householder_haar(n, rng), e0)
+            vals[i] = w[0, 0] ** 2
         mean = vals.mean()
         oracle_mean = oracles["sphere_first_coord_sq_mean_N200"]
         oracle_std = oracles["sphere_first_coord_sq_std_N200"]
         se = oracle_std * math.sqrt(2.0 / draws)  # both sides fluctuate
         assert abs(mean - oracle_mean) <= 5 * se
+
+    @pytest.mark.parametrize("n", [1, 7, 48, 64, 65, 130])
+    def test_blocked_product_matches_reflectors(self, n):
+        # 48-reflector blocks: one partial block (1, 7), exactly one (48), a
+        # full and a partial one (64, 65), and three blocks (130)
+        u, d = _householder_haar(n, stream(12, 0, 1, "weights"))
+        assert np.allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert np.all(np.tril(u, -1) == 0.0)
+        m = np.random.default_rng(n).standard_normal((n, n + 1))
+        ref = d[:, None] * m
+        for k in reversed(range(n)):
+            ref = (np.eye(n) - 2.0 * np.outer(u[k], u[k])) @ ref
+        got = _apply_householder(u, d, m.copy())
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_haar_determinant_and_trace_moments(self):
+        # Haar on O(n): det = +-1 with probability 1/2 each, and tr Q has the
+        # N(0, 1) moments up to order n (Diaconis & Shahshahani 1994), so
+        # E tr Q = 0, E (tr Q)^2 = 1 and var (tr Q)^2 = 2 at n = 6. Without the
+        # sign correction d, det Q would always be (-1)^n = +1.
+        n, draws = 6, 4000
+        rng = stream(13, 0, 1, "weights")
+        qs = np.array([sample_orthogonal(n, 1.0, rng) for _ in range(draws)])
+        positive = np.mean(np.linalg.det(qs) > 0)
+        tr = np.trace(qs, axis1=1, axis2=2)
+        assert abs(positive - 0.5) <= 4 * 0.5 / math.sqrt(draws)
+        assert abs(tr.mean()) <= 4 * 1.0 / math.sqrt(draws)
+        assert abs(np.mean(tr**2) - 1.0) <= 4 * math.sqrt(2.0 / draws)
 
 
 class TestSampleGaussian:
@@ -104,6 +138,21 @@ class TestJacobian:
         sv = jacobian_singular_values(cfg, TrialStreams(9, 0))
         frac = np.mean(sv < 1e-10)
         assert abs(frac - 0.5) <= 0.05
+
+    def test_orthogonal_layers_match_explicit_weights(self):
+        # reference: the explicit product with W = sample_orthogonal from the same streams
+        cfg = _config("tanh", "orthogonal", 1.2, 0.3, depth=4, width=70, qstar=0.5)
+        streams, n = TrialStreams(5, 0), cfg.width
+        u = streams.input().standard_normal(n)
+        x = u * math.sqrt(n * (cfg.qstar - cfg.sigma_b**2) / cfg.sigma_w**2) / np.linalg.norm(u)
+        jac = np.eye(n)
+        for layer in range(1, cfg.depth + 1):
+            w = sample_orthogonal(n, cfg.sigma_w, streams.layer(layer, "weights"))
+            h = w @ x + streams.layer(layer, "bias").standard_normal(n) * cfg.sigma_b
+            jac = (cfg.activation.dphi(h)[:, None] * w) @ jac
+            x = cfg.activation.phi(h)
+        ref = np.sort(np.linalg.svd(jac, compute_uv=False))
+        np.testing.assert_allclose(jacobian_singular_values(cfg, streams), ref, rtol=1e-10)
 
     def test_requires_width(self):
         cfg = _config("relu", "orthogonal", math.sqrt(2), 0.0, depth=1, width=None, qstar=1.0)
