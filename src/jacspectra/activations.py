@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,6 +67,13 @@ class ActivationSpec:
         """Interior boundaries of the affine pieces, where phi' jumps."""
         return tuple(p.hi for p in self.pieces[:-1]) if self.pieces else ()
 
+    @cached_property
+    def piece_table(self):
+        """Piece ends as a column, the same with infinite ends at 0, and c^2, 2cs, s^2 per piece (c + s x)."""
+        edges = np.array([self.pieces[0].lo] + [p.hi for p in self.pieces])[:, None]
+        coef = np.array([(c * c, 2.0 * c * s, s * s) for c, s in ((p.intercept, p.slope) for p in self.pieces)])
+        return edges, np.where(np.isfinite(edges), edges, 0.0), *(coef[:, k : k + 1] for k in range(3))
+
     @property
     def is_scale_free(self) -> bool:
         """phi(c x) = c phi(x) for c > 0 (kinks at 0, no intercepts): mu_k is q-free."""
@@ -78,19 +86,12 @@ class ActivationSpec:
 # piecewise machinery
 
 
-def _piece_masses(pieces, qstar):
-    """Gaussian mass of each piece when x = sqrt(q) h with h ~ N(0,1)."""
-    rq = math.sqrt(qstar)
-    lo = np.array([p.lo for p in pieces]) / rq
-    hi = np.array([p.hi for p in pieces]) / rq
-    return norm_cdf(hi) - norm_cdf(lo)
-
-
 def slope_distribution(spec: ActivationSpec, qstar: float):
     """Discrete squared-slope law: (values, masses), merged over pieces."""
     if spec.pieces is None:
         raise ActivationClassError(f"{spec.name} has no piecewise representation")
-    masses = _piece_masses(spec.pieces, qstar)
+    cdf = norm_cdf(spec.piece_table[0][:, 0] / math.sqrt(qstar))
+    masses = cdf[1:] - cdf[:-1]  # of each piece, for x = sqrt(q) h with h ~ N(0, 1)
     acc: dict[float, float] = {}
     for p, m in zip(spec.pieces, masses):
         s2 = p.slope * p.slope
@@ -99,29 +100,31 @@ def slope_distribution(spec: ActivationSpec, qstar: float):
     return vals, np.array([acc[v] for v in vals])
 
 
-def phi_sq_mean(spec: ActivationSpec, qstar: float) -> float:
-    """integral Dh phi(sqrt(q) h)^2, exact for piecewise-affine phi."""
-    if qstar == 0.0:
-        v = float(np.asarray(spec.phi(np.array(0.0))))
-        return v * v
+def phi_sq_mean(spec: ActivationSpec, qstar):
+    """integral Dh phi(sqrt(q) h)^2, exact for piecewise-affine phi; elementwise, a float for a scalar q."""
+    q = np.asarray(qstar, dtype=float)
+    pos = q != 0.0
+    x = q[pos]
+    rq = np.sqrt(x)
     if spec.pieces is not None:
-        rq = math.sqrt(qstar)
-        total = 0.0
-        for p in spec.pieces:
-            a, b = p.lo / rq, p.hi / rq
-            mass = float(norm_cdf(b) - norm_cdf(a))
-            na, nb = float(norm_pdf(a)), float(norm_pdf(b))
-            e1 = na - nb  # integral h dN over (a,b)
-            lo_term = a * na if np.isfinite(a) else 0.0
-            hi_term = b * nb if np.isfinite(b) else 0.0
-            e2 = mass + lo_term - hi_term  # integral h^2 dN over (a,b)
-            c, s = p.intercept, p.slope
-            total += c * c * mass + 2.0 * c * s * rq * e1 + s * s * qstar * e2
-        return total
-    rule = default_rule()
-    x = math.sqrt(qstar) * rule.nodes
-    vals = np.asarray(spec.phi(x), dtype=float)
-    return float(np.dot(rule.weights, vals * vals))
+        edges, finite_edges, cc, cs2, ss = spec.piece_table
+        z = edges / rq  # piece ends in units of sqrt(q): one row per end, one column per q
+        cdf, pdf = norm_cdf(z), norm_pdf(z)
+        zpdf = finite_edges / rq * pdf  # z phi(z), and 0 at an infinite end
+        mass = cdf[1:] - cdf[:-1]
+        e1 = pdf[:-1] - pdf[1:]  # integral h dN over each piece
+        e2 = mass + zpdf[:-1] - zpdf[1:]  # integral h^2 dN over each piece
+        total = sum(cc * mass + cs2 * rq * e1 + ss * x * e2, 0.0)  # pieces added in order
+    else:
+        rule = default_rule()
+        vals = np.asarray(spec.phi(rq[:, None] * rule.nodes), dtype=float)
+        total = np.matmul((vals * vals)[:, None, :], rule.weights)[:, 0]  # a dot per q: a scalar call's sum order
+    out = np.empty(q.shape)
+    out[pos] = total
+    if x.size < q.size:
+        phi0 = float(np.asarray(spec.phi(np.array(0.0))))
+        out[~pos] = phi0 * phi0
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

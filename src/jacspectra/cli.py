@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -173,40 +174,51 @@ def _emit(command: str, cfg: dict, outputs: dict, report=None) -> None:
 # commands
 
 
+def _written_qstar(activation, sigma_w, sigma_b, qstar):
+    """q* as the commands write it: 0 where every q is a fixed point (``fixed_point_is_degenerate``)."""
+    return np.where(fixed_point_is_degenerate(activation, sigma_w, sigma_b), 0.0, qstar)
+
+
 def cmd_fixed_point(args, extra) -> int:
     cfg = _load_config(args, extra)
     activation = _activation_from(cfg)
     sigma_w = float(cfg.get("sigma_w", 1.0))
     sigma_b = float(cfg.get("sigma_b", 0.0))
-    degenerate = fixed_point_is_degenerate(activation, sigma_w, sigma_b)
     fp = qstar_fixed_point(activation, sigma_w, sigma_b)
     report = {
-        "qstar": 0.0 if degenerate else fp.qstar,
+        "qstar": float(_written_qstar(activation, sigma_w, sigma_b, fp.qstar)),
         "chi": fp.chi,
         "iterations": fp.iterations,
         "converged": fp.converged,
         "residual": fp.residual,
-        "critical_degenerate": degenerate,
+        "critical_degenerate": bool(fixed_point_is_degenerate(activation, sigma_w, sigma_b)),
     }
     out = cfg.get("out", {}).get("report_json")
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, sort_keys=True)
     _emit("fixed-point", cfg, {"report_json": out}, report)
-    return 0 if (fp.converged or degenerate) else 1
+    return 0 if fp.converged else 1
+
+
+def _grid_axis(cfg: dict, key: str, default: list, positive: bool) -> np.ndarray:
+    """np.linspace over config[key] = [start, stop, count]; the ends must be > 0 if ``positive``, else >= 0."""
+    spec = cfg.setdefault(key, default)
+    numbers = isinstance(spec, list) and len(spec) == 3 and all(type(v) in (int, float) for v in spec)
+    ends_ok = numbers and all(math.isfinite(v) and (v > 0.0 if positive else v >= 0.0) for v in spec[:2])
+    if not (ends_ok and type(spec[2]) is int and spec[2] >= 1):
+        rule = f"finite ends {'> 0' if positive else '>= 0'} and an integer count >= 1"
+        raise JacspectraError(f"{key} must be [start, stop, count] with {rule}, got {spec!r}")
+    return np.linspace(float(spec[0]), float(spec[1]), spec[2])
 
 
 def cmd_phase_grid(args, extra) -> int:
     cfg = _load_config(args, extra)
     activation = _activation_from(cfg)
-    sw = cfg.get("sigma_w_range", [0.5, 3.0, 26])
-    sb = cfg.get("sigma_b_range", [0.0, 1.0, 11])
-    cfg["sigma_w_range"], cfg["sigma_b_range"] = sw, sb
-    grid = phase_grid(
-        activation,
-        np.linspace(float(sw[0]), float(sw[1]), int(sw[2])),
-        np.linspace(float(sb[0]), float(sb[1]), int(sb[2])),
-    )
+    sigma_w = _grid_axis(cfg, "sigma_w_range", [0.5, 3.0, 26], positive=True)
+    sigma_b = _grid_axis(cfg, "sigma_b_range", [0.0, 1.0, 11], positive=False)
+    grid = phase_grid(activation, sigma_w, sigma_b)
+    grid = replace(grid, qstar=_written_qstar(activation, grid.sigma_w, grid.sigma_b, grid.qstar))
     path = cfg.get("out", {}).get("grid_csv", "phase_grid.csv")
     with open(path, "w") as fh:
         fh.write("sigma_w,sigma_b,qstar,chi,converged\n")

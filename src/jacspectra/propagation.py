@@ -10,9 +10,10 @@ evaluated.  Criticality is the curve chi = sigma_w^2 * mu_1(q*) = 1 in the
 (sigma_w, sigma_b) plane; on it the mean squared singular value of the
 depth-L Jacobian stays at one for every L.
 
-Each question here is one root solve by ``special.bisect_root``: the fixed
-point V(q) = q; the critical line, parametrised by q* (Poole et al. 2016,
-arXiv 1606.05340) as sigma_w(q)^2 = 1/mu_1(q) and
+Each question here is one root solve by ``special.bisect_root``, which
+bisects every element of an array at once: the fixed point V(q) = q, for a
+whole (sigma_w, sigma_b) grid in one solve; the critical line, parametrised
+by q* (Poole et al. 2016, arXiv 1606.05340) as sigma_w(q)^2 = 1/mu_1(q) and
 sigma_b(q)^2 = q - integral Dh phi(sqrt(q) h)^2 / mu_1(q); and the
 variance-matched depth schedule mu_2(q*)/mu_1(q*)^2 = 1 + s0sq/L, which pins
 the Jacobian spectral variance to s0sq at every depth (orthogonal weights)
@@ -35,7 +36,7 @@ import numpy as np
 from .activations import ActivationSpec, mu_k, phi_sq_mean
 from .ensembles import WeightEnsemble, orthogonal
 from .errors import ActivationClassError, BracketError, ConvergenceError, JacspectraError
-from .special import bisect_root
+from .special import bisect_root, eval_where
 
 
 @dataclass(frozen=True)
@@ -93,19 +94,62 @@ _Q_CEILING = 1e8  # a walk up past this reports divergence
 _TINY_Q = 1e-300
 
 
-def _walk(f, f1: float, up: bool):
-    """Factor-2 steps out of q = 1, where f = f1, until f changes sign.
+def _walk(f, f1, up, live=True, args=()):
+    """Factor-2 steps out of q = 1, where f = f1, until f changes sign; elementwise over ``live``.
 
-    Returns the bracket (lo, hi), or (last q, None) once the walk leaves
-    [1e-300, 1e8].
+    Returns brackets (lo, hi); where a walk leaves [1e-300, 1e8], hi is nan and lo its last q.
     """
-    q = 1.0
-    while _TINY_Q <= q <= _Q_CEILING:
-        nxt = 2.0 * q if up else 0.5 * q
-        if math.copysign(1.0, f1) * f(nxt) <= 0.0:
-            return (q, nxt) if up else (nxt, q)
-        q = nxt
-    return q, None
+    q = np.ones(np.shape(f1))
+    step, sign = np.where(up, 2.0, 0.5), np.copysign(1.0, f1)
+    lo, hi = q, np.full(q.shape, math.nan)
+    while True:
+        live = live & (_TINY_Q <= q) & (q <= _Q_CEILING)
+        if not live.any():
+            return np.where(np.isnan(hi), q, lo), hi
+        nxt = step * q
+        hit = live & (sign * eval_where(f, nxt, live, args) <= 0.0)
+        lo, hi = np.where(hit, np.minimum(q, nxt), lo), np.where(hit, np.maximum(q, nxt), hi)
+        live = live & ~hit
+        q = np.where(live, nxt, q)
+
+
+def _fixed_points(activation: ActivationSpec, sigma_w, sigma_b):
+    """``qstar_fixed_point`` on every cell of (sigma_w, sigma_b) at once, as arrays of the cells' shape.
+
+    Each stage makes one call of the variance map on the cells it concerns.
+    """
+    sw, sb = np.broadcast_arrays(np.asarray(sigma_w, dtype=float), np.asarray(sigma_b, dtype=float))
+    cells = np.arange(sw.size).reshape(sw.shape)
+    evals = np.zeros(sw.size, dtype=int)
+
+    def gap(q, cell):
+        evals[cell] += 1
+        return _variance_map(activation, sw.flat[cell], sb.flat[cell], q) - q
+
+    q = np.zeros(sw.shape)
+    walk = np.ones(sw.shape, dtype=bool)
+    if activation.is_scale_free:
+        c = chi(activation, sw, 1.0)
+        degenerate = fixed_point_is_degenerate(activation, sw, sb)
+        closed = ~degenerate & (sb * sb < (1.0 - c) * _Q_CEILING)  # chi < 1 and q* below the ceiling
+        q[degenerate] = 1.0
+        np.divide(sb * sb, 1.0 - c, out=q, where=closed)
+        walk = ~(degenerate | closed)
+    g1 = eval_where(gap, np.ones(sw.shape), walk, (cells,))
+    up = g1 > 0.0
+    down = walk & ~up
+    slope0 = float(activation.dphi(np.array(0.0)))
+    ordered = down & (eval_where(gap, np.zeros(sw.shape), down, (cells,)) == 0.0) & ((sw * slope0) ** 2 <= 1.0)
+    walk = walk & ~ordered
+    lo, hi = _walk(gap, g1, up, walk, (cells,))
+    left = walk & np.isnan(hi)  # past the ceiling, or below 1e-300: the ordered phase
+    converged = ~(left & up)
+    inside = walk & ~left
+    q = np.where(inside, bisect_root(gap, lo, hi, (cells,), inside), np.where(left & up, lo, q))
+    residual = np.abs(gap(q, cells))
+    by_cell = zip(sw.flat, q.flat, converged.flat)
+    chis = [chi(activation, w, max(x, _TINY_Q)) if ok else math.nan for w, x, ok in by_cell]
+    return q, np.reshape(chis, sw.shape), evals.reshape(sw.shape), converged, residual
 
 
 def qstar_fixed_point(activation: ActivationSpec, sigma_w: float, sigma_b: float) -> FixedPoint:
@@ -117,44 +161,23 @@ def qstar_fixed_point(activation: ActivationSpec, sigma_w: float, sigma_b: float
     sign(V(1) - 1) and V(q) - q is bisected in it.  A walk down with V(0) = 0
     and sigma_w^2 phi'(0)^2 <= 1 ends at the ordered phase q* = 0; a walk up
     past 1e8 returns converged=False, chi = nan and the last q of the walk.
+    This is the one-cell case of the array solver behind ``phase_grid``.
     """
-    evals = 0
-
-    def gap(q: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _variance_map(activation, sigma_w, sigma_b, q) - q
-
-    def result(q: float, converged: bool = True) -> FixedPoint:
-        residual = abs(gap(q))
-        c = chi(activation, sigma_w, max(q, _TINY_Q)) if converged else math.nan
-        return FixedPoint(q, c, evals, converged, residual)
-
-    if activation.is_scale_free:
-        if fixed_point_is_degenerate(activation, sigma_w, sigma_b):
-            return result(1.0)
-        c = chi(activation, sigma_w, 1.0)
-        if sigma_b * sigma_b < (1.0 - c) * _Q_CEILING:  # chi < 1 and q* below the ceiling
-            return result(sigma_b * sigma_b / (1.0 - c))
-    g1 = gap(1.0)
-    up = g1 > 0.0
-    if not up and gap(0.0) == 0.0 and (sigma_w * float(activation.dphi(np.array(0.0)))) ** 2 <= 1.0:
-        return result(0.0)
-    lo, hi = _walk(gap, g1, up)
-    if hi is None:  # past the ceiling, or below 1e-300: the ordered phase
-        return result(lo, converged=False) if up else result(0.0)
-    return result(bisect_root(gap, lo, hi))
+    q, c, evals, converged, residual = _fixed_points(activation, sigma_w, sigma_b)
+    return FixedPoint(float(q), float(c), int(evals), bool(converged), float(residual))
 
 
-def fixed_point_is_degenerate(activation: ActivationSpec, sigma_w: float, sigma_b: float) -> bool:
-    """True when the variance map is the identity (every q is a fixed point).
+def fixed_point_is_degenerate(activation: ActivationSpec, sigma_w, sigma_b):
+    """True where the variance map is the identity (every q is a fixed point); elementwise.
 
     That is a scale-free unit at sigma_b = 0 and chi = 1, such as the linear
-    network at (1, 0); the fixed point then carries no information and
-    callers should report q* = 0.
+    network at (1, 0); the fixed point then carries no information and the
+    commands report q* = 0.
     """
-    scale_free = activation.is_scale_free and sigma_b == 0.0
-    return scale_free and abs(chi(activation, sigma_w, 1.0) - 1.0) <= 1e-12
+    if not activation.is_scale_free:
+        return np.zeros(np.broadcast(sigma_w, sigma_b).shape, dtype=bool)
+    c = chi(activation, np.asarray(sigma_w, dtype=float), 1.0)
+    return (np.asarray(sigma_b) == 0.0) & (np.abs(c - 1.0) <= 1e-12)
 
 
 def critical_sigma_w(activation: ActivationSpec, sigma_b: float) -> tuple[float, float]:
@@ -184,7 +207,7 @@ def critical_sigma_w(activation: ActivationSpec, sigma_b: float) -> tuple[float,
 
     f1 = excess(1.0)
     lo, hi = _walk(excess, f1, f1 < 0.0)
-    if hi is None:
+    if np.isnan(hi):
         raise BracketError(f"no critical point for {name} at sigma_b={sigma_b} with q* in [1e-300, 1e8]")
     q = bisect_root(excess, lo, hi)
     sigma_w = 1.0 / math.sqrt(mu_k(activation, q, 1))
@@ -259,23 +282,11 @@ class PhaseGrid:
 
 
 def phase_grid(activation: ActivationSpec, sigma_w_values, sigma_b_values) -> PhaseGrid:
-    """Fixed point and chi on the product grid; non-converged cells flagged."""
-    sws, sbs, qs, chis, flags = [], [], [], [], []
-    for sb in np.asarray(sigma_b_values, dtype=float):
-        for sw in np.asarray(sigma_w_values, dtype=float):
-            fp = qstar_fixed_point(activation, float(sw), float(sb))
-            sws.append(sw)
-            sbs.append(sb)
-            qs.append(fp.qstar)
-            chis.append(fp.chi)
-            flags.append(fp.converged)
-    return PhaseGrid(
-        sigma_w=np.array(sws),
-        sigma_b=np.array(sbs),
-        qstar=np.array(qs),
-        chi=np.array(chis),
-        converged=np.array(flags, dtype=bool),
-    )
+    """Fixed point and chi on the product grid (sigma_w fastest) in one array solve; non-converged cells flagged."""
+    grid = np.meshgrid(np.asarray(sigma_w_values, dtype=float), np.asarray(sigma_b_values, dtype=float))
+    sw, sb = (a.ravel() for a in grid)
+    qstar, chis, _, converged, _ = _fixed_points(activation, sw, sb)
+    return PhaseGrid(sigma_w=sw, sigma_b=sb, qstar=qstar, chi=chis, converged=converged)
 
 
 def critical_config(

@@ -10,8 +10,8 @@ exactly.
 
 The solvers are kept self-contained:
 
-  * ``bisect_root`` -- the package's one real scalar root solver, used by
-    every solve in ``propagation`` and by the arch height in ``limits``.
+  * ``bisect_root`` -- the package's one real root solver, elementwise over
+    arrays, used by every solve in ``propagation`` and by ``limits``.
   * ``lambert_w0`` -- principal branch of W, where W(x) e^{W(x)} = x,
     by Halley iteration from a seed chosen by region (Maclaurin series for
     small argument, branch-point series near -1/e, log asymptotics for large
@@ -54,28 +54,51 @@ def norm_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def bisect_root(f, lo: float, hi: float) -> float:
+def _pick(cond, a, b):
+    """np.where(cond, a, b); a plain choice for a scalar cond, where np.where costs microseconds."""
+    return np.where(cond, a, b) if getattr(cond, "ndim", 0) else (a if cond else b)
+
+
+def eval_where(f, x, where, args=()):
+    """f(x, *args) at the elements ``where`` (``args`` cut to match), nan elsewhere; a scalar call stays scalar."""
+    if not getattr(where, "ndim", 0):
+        return np.float64(f(x, *args) if where else math.nan)
+    out = np.full(x.shape, math.nan)
+    if where.any():
+        out[where] = f(x[where], *(a[where] for a in args))
+    return out
+
+
+def bisect_root(f, lo, hi, args=(), where=True):
     """Root of f on [lo, hi] by bisection until no float lies between the ends.
 
-    Returns the end with the smaller |f|.  Raises BracketError when f has the
-    same strict sign at both ends.
+    Elementwise over ``lo``, ``hi``, ``where`` and ``args`` broadcast together,
+    with one call f(x, *args) per step on the elements still open.  Each
+    returns a midpoint where f is 0, or else the end with the smaller |f|
+    (nan outside ``where``); a scalar call is the 0-d case and returns a
+    float.  Raises BracketError when f has one strict sign at both ends.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0 or fhi == 0.0:
-        return lo if flo == 0.0 else hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f = {flo!r}, {fhi!r}")
+    arrays = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), where, *args)
+    lo, hi, where, *args = (a if a.ndim else a.item() for a in arrays)  # Python scalars for a scalar call
+    flo, fhi = eval_where(f, lo, where, args), eval_where(f, hi, where, args)
+    bad = where & ((flo > 0.0) == (fhi > 0.0)) & (flo != 0.0) & (fhi != 0.0)
+    if bad.any() if getattr(bad, "ndim", 0) else bad:
+        ends = (float(np.ravel(a)[np.argmax(bad)]) for a in (lo, hi, flo, fhi))
+        raise BracketError("no sign change on [{!r}, {!r}]: f = {!r}, {!r}".format(*ends))
+    open_ = where & (flo != 0.0) & (fhi != 0.0)
     while True:
         mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:
-            return lo if abs(flo) <= abs(fhi) else hi
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
+        open_ = open_ & (lo < mid) & (mid < hi)
+        if not (open_.any() if getattr(open_, "ndim", 0) else open_):
+            break
+        fmid = eval_where(f, mid, open_, args)
+        lower = open_ & ((fmid > 0.0) == (flo > 0.0))  # the root lies above mid
+        upper = open_ ^ lower
+        lo, flo = _pick(lower, mid, lo), _pick(lower, fmid, flo)
+        hi, fhi = _pick(upper, mid, hi), _pick(upper, fmid, fhi)
+        open_ = open_ & (fmid != 0.0)  # mid is now an end with f = 0, the one returned
+    root = _pick(where, _pick(abs(flo) <= abs(fhi), lo, hi), math.nan)
+    return float(root) if not np.ndim(root) else root
 
 
 def _w0_seed(z: complex) -> complex:

@@ -279,6 +279,15 @@ class TestPhiSqMean:
     def test_linear(self):
         assert phi_sq_mean(get_activation("linear"), 1.7) == pytest.approx(1.7, abs=1e-12)
 
+    @pytest.mark.parametrize("name", registry_names())
+    def test_array_is_scalar_calls_elementwise(self, name):
+        spec = get_activation(name)
+        qs = np.array([0.0, 1e-300, 1e-6, 1.0, 1e8])
+        scalar = [phi_sq_mean(spec, float(q)) for q in qs]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(phi_sq_mean(spec, qs), scalar)
+        assert np.array_equal(phi_sq_mean(spec, qs[::-1].reshape(5, 1)), np.reshape(scalar[::-1], (5, 1)))
+
     def test_hard_tanh_exact_vs_riemann(self):
         spec = get_activation("hard_tanh")
         h = np.linspace(-14, 14, 2_000_001)

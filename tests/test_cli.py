@@ -91,6 +91,22 @@ class TestPhaseGrid:
         provenance(run_cli(args, tmp_path))
         assert (tmp_path / "grid.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("name,sigma_w", [("linear", 1.0), ("relu", math.sqrt(2))])
+    def test_degenerate_cell_written_as_zero_by_both_commands(self, tmp_path, name, sigma_w):
+        from jacspectra.activations import get_activation
+        from jacspectra.propagation import qstar_fixed_point
+
+        grid_args = ["--sigma-w-range", f"[{sigma_w!r},3.0,2]", "--sigma-b-range", "[0.0,0.5,2]", "--out.grid_csv", "g.csv"]
+        provenance(run_cli(["phase-grid", "--activation.name", name, *grid_args], tmp_path))
+        rows = [r.split(",") for r in (tmp_path / "g.csv").read_text().splitlines()[1:]]
+        doc = provenance(run_cli(["fixed-point", "--activation.name", name, "--sigma-w", repr(sigma_w)], tmp_path))
+        fp = qstar_fixed_point(get_activation(name), sigma_w, 0.0)
+        assert rows[0][:2] == [repr(sigma_w), "0.0"]
+        assert float(rows[0][2]) == doc["report"]["qstar"] == 0.0
+        assert float(rows[0][3]) == doc["report"]["chi"] == fp.chi  # chi as the solver gives it
+        assert doc["report"]["critical_degenerate"] is True
+        assert all(float(r[2]) > 0.0 for r in rows[1:] if r[4] == "true")  # only that cell is degenerate
+
 
 class TestMoments:
     def test_report_keys_and_values(self, tmp_path):
@@ -323,6 +339,25 @@ class TestErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and cause in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("sigma-w-range", "[3.0]"),
+            ("sigma-w-range", "[0.5,3.0,-2]"),
+            ("sigma-w-range", "[0.5,3.0,0]"),
+            ("sigma-w-range", "[0.5,3.0,2.5]"),
+            ("sigma-w-range", "[0.0,3.0,4]"),
+            ("sigma-w-range", "3.0"),
+            ("sigma-b-range", "[-0.1,1.0,3]"),
+        ],
+    )
+    def test_phase_grid_range_refused(self, tmp_path, key, value):
+        proc = run_cli(["phase-grid", f"--{key}", value, "--out.grid_csv", "g.csv"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {key.replace('-', '_')} must be [start, stop, count]")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "g.csv").exists()
 
     def test_compare_refuses_bad_spectrum_header(self, tmp_path):
         SpectralDensity(SINGULAR, np.linspace(0.0, 2.0, 5), np.full(5, 0.5)).write_json(tmp_path / "th.json")

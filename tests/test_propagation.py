@@ -219,6 +219,51 @@ class TestPhaseGrid:
         assert grid.converged.shape == (4,)
         assert grid.converged.all()
 
+    @pytest.mark.parametrize("name", registry_names())
+    def test_grid_is_its_cells_bit_for_bit(self, name):
+        act = get_activation(name)
+        sigma_w = [0.5, 1.0, 1.2, math.sqrt(2), 2.0, 3.0]
+        if act.is_scale_free:
+            sigma_w.append(1.0 / math.sqrt(mu_k(act, 1.0, 1)))  # chi = 1: degenerate at sigma_b = 0
+        sigma_b = [0.0, 0.2, 0.5, 1.0]
+        grid = phase_grid(act, sigma_w, sigma_b)
+        cells = [qstar_fixed_point(act, sw, sb) for sb in sigma_b for sw in sigma_w]
+        assert np.array_equal(grid.sigma_w, np.tile(sigma_w, len(sigma_b)))
+        assert np.array_equal(grid.sigma_b, np.repeat(sigma_b, len(sigma_w)))
+        assert np.array_equal(grid.qstar, [fp.qstar for fp in cells])
+        assert np.array_equal(grid.chi, [fp.chi for fp in cells], equal_nan=True)
+        assert np.array_equal(grid.converged, [fp.converged for fp in cells])
+        # the grid reaches every branch the unit has
+        degenerate = fixed_point_is_degenerate(act, grid.sigma_w, grid.sigma_b)
+        iterations = np.array([fp.iterations for fp in cells])
+        reached = {
+            "ordered": (grid.qstar == 0.0) & ~degenerate,
+            "degenerate": degenerate,
+            "diverged": ~grid.converged,
+            "closed form": (iterations == 1) & (grid.qstar > 0.0) & ~degenerate,
+            "bisection": iterations > 50,
+        }
+        expected = {"ordered", "degenerate", "diverged", "closed form"} if act.is_scale_free else {"ordered", "bisection"}
+        assert expected <= {branch for branch, cell in reached.items() if cell.any()}
+        if name == "relu":  # relu at (2, 0.5) has chi = 2: q* runs past 1e8
+            assert not grid.converged[(grid.sigma_w == 2.0) & (grid.sigma_b == 0.5)].any()
+
+    def test_work_guard(self, monkeypatch):
+        act = get_activation("hard_tanh")
+        calls = []
+
+        def counted_phi_sq_mean(*args):
+            calls.append(args)
+            return phi_sq_mean(*args)
+
+        monkeypatch.setattr(propagation, "phi_sq_mean", counted_phi_sq_mean)
+        grid = phase_grid(act, np.linspace(0.5, 3.0, 26), np.linspace(0.0, 1.0, 11))
+        assert grid.qstar.size == 286 and grid.converged.all()
+        assert len(calls) <= 100  # one array call per solver stage, not one per cell and step
+        calls.clear()
+        fp = qstar_fixed_point(act, 1.3, 0.2)
+        assert fp.iterations == len(calls) > 50
+
 
 class TestDegeneracy:
     def test_linear_at_unit_point(self):

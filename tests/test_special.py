@@ -86,6 +86,52 @@ class TestErfInv:
             assert abs(erf(erf_inv(float(y))) - y) <= 1e-10
 
 
+class TestElementwiseBisection:
+    @staticmethod
+    def counted(g):
+        """g with a count of the elements it was called on."""
+        calls = []
+
+        def f(x, *args):
+            calls.append(np.size(x))
+            return g(x, *args)
+
+        return f, calls
+
+    def test_each_element_is_its_scalar_solve(self):
+        # 0.75 is a midpoint of [0, 1], where the scalar solve stops on f = 0
+        targets = np.array([0.75, 0.3, -0.2, 1.0, 0.0])
+        lo, hi = np.array([0.0, 0.0, -1.0, 0.0, -3.0]), np.array([1.0, 2.0, 1.0, 1.0, 0.5])
+        def g(x, t):
+            return np.tanh(4.0 * x) - np.tanh(4.0 * t)
+
+        f, calls = self.counted(g)
+        roots = bisect_root(f, lo, hi, (targets,))
+        steps = []
+        for k in range(targets.size):
+            fk, ck = self.counted(lambda x, t=targets[k]: g(x, t))
+            assert roots[k] == bisect_root(fk, lo[k], hi[k])
+            steps.append(len(ck))
+        assert roots[0] == 0.75 and roots[3] == 1.0
+        # every element keeps its own stopping rule: it leaves the calls when it stops
+        assert len(calls) == max(steps)
+        assert sum(calls) == sum(steps)
+
+    def test_scalar_call_returns_float(self):
+        root = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0)
+        assert type(root) is float and abs(root - math.sqrt(2.0)) <= 2.3e-16  # a float next to sqrt(2)
+
+    def test_where_leaves_elements_unsolved(self):
+        f, calls = self.counted(lambda x: x - 0.3)
+        roots = bisect_root(f, [0.0, 0.0], [1.0, 1.0], where=np.array([True, False]))
+        assert roots[0] == bisect_root(lambda x: x - 0.3, 0.0, 1.0) and math.isnan(roots[1])
+        assert set(calls) == {1}
+
+    def test_one_bad_bracket_refuses_the_call(self):
+        with pytest.raises(BracketError, match=r"no sign change on \[2\.0, 3\.0\]"):
+            bisect_root(lambda x: x - 0.5, [0.0, 2.0], [1.0, 3.0])
+
+
 class TestLambertW:
     def test_fixed_points(self):
         assert lambert_w0(0) == 0
