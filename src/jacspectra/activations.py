@@ -23,7 +23,7 @@ that its sum can be checked against finer ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -56,7 +56,9 @@ class ActivationSpec:
     dphi: Callable[[np.ndarray], np.ndarray]
     params: tuple = ()
     pieces: Optional[tuple] = None
-    mu_closed: Optional[Callable[[float, int], float]] = None
+    mu_closed: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    # (q.tobytes(), CDF) of the last _piece_cdf: phi_sq_mean and mu_k at one q evaluate it once
+    _last_cdf: list = field(default_factory=lambda: [(None, None)], init=False, repr=False, compare=False)
 
     @property
     def is_piecewise(self) -> bool:
@@ -86,18 +88,26 @@ class ActivationSpec:
 # piecewise machinery
 
 
-def slope_distribution(spec: ActivationSpec, qstar: float):
-    """Discrete squared-slope law: (values, masses), merged over pieces."""
+def _piece_cdf(spec: ActivationSpec, q: np.ndarray) -> np.ndarray:
+    """Gaussian CDF at the piece ends over sqrt(q): a row per end, a column per q > 0 of a 1-D array."""
+    key, last = q.tobytes(), spec._last_cdf[0]
+    if last[0] != key:
+        last = spec._last_cdf[0] = (key, norm_cdf(spec.piece_table[0] / np.sqrt(q)))
+    return last[1]
+
+
+def slope_distribution(spec: ActivationSpec, qstar):
+    """Discrete squared-slope law: (values, masses), merged over pieces; masses[i] has the shape of qstar."""
     if spec.pieces is None:
         raise ActivationClassError(f"{spec.name} has no piecewise representation")
-    cdf = norm_cdf(spec.piece_table[0][:, 0] / math.sqrt(qstar))
-    masses = cdf[1:] - cdf[:-1]  # of each piece, for x = sqrt(q) h with h ~ N(0, 1)
-    acc: dict[float, float] = {}
-    for p, m in zip(spec.pieces, masses):
-        s2 = p.slope * p.slope
-        acc[s2] = acc.get(s2, 0.0) + float(m)
-    vals = np.array(sorted(acc))
-    return vals, np.array([acc[v] for v in vals])
+    q = np.asarray(qstar, dtype=float)
+    cdf = _piece_cdf(spec, q.ravel())
+    s2 = [p.slope * p.slope for p in spec.pieces]
+    values = sorted(set(s2))
+    masses = np.zeros((len(values),) + q.shape)
+    for v, m in zip(s2, cdf[1:] - cdf[:-1]):  # the mass of each piece in order, for x = sqrt(q) h, h ~ N(0, 1)
+        masses[values.index(v)] += m.reshape(q.shape)
+    return np.array(values), masses
 
 
 def phi_sq_mean(spec: ActivationSpec, qstar):
@@ -109,7 +119,7 @@ def phi_sq_mean(spec: ActivationSpec, qstar):
     if spec.pieces is not None:
         edges, finite_edges, cc, cs2, ss = spec.piece_table
         z = edges / rq  # piece ends in units of sqrt(q): one row per end, one column per q
-        cdf, pdf = norm_cdf(z), norm_pdf(z)
+        cdf, pdf = _piece_cdf(spec, x), norm_pdf(z)
         zpdf = finite_edges / rq * pdf  # z phi(z), and 0 at an infinite end
         mass = cdf[1:] - cdf[:-1]
         e1 = pdf[:-1] - pdf[1:]  # integral h dN over each piece
@@ -131,20 +141,24 @@ def phi_sq_mean(spec: ActivationSpec, qstar):
 # squared-slope moments
 
 
-def mu_k(spec: ActivationSpec, qstar: float, k: int) -> float:
-    """k-th moment of the squared slope at pre-activation variance qstar."""
-    if qstar <= 0.0:
+def mu_k(spec: ActivationSpec, qstar, k: int):
+    """k-th moment of the squared slope at pre-activation variance qstar; elementwise, a float for a scalar q."""
+    q = np.asarray(qstar, dtype=float)
+    x = q.ravel()
+    if x.min(initial=math.inf) <= 0.0:
         raise ValueError("qstar must be positive")
     if k < 1:
         raise ValueError("k must be a positive integer")
     if spec.mu_closed is not None:
-        return spec.mu_closed(qstar, k)
-    if spec.pieces is not None:
-        vals, masses = slope_distribution(spec, qstar)
-        return float(np.dot(masses, vals**k))
-    rule = default_rule()
-    d = np.asarray(spec.dphi(math.sqrt(qstar) * rule.nodes), dtype=float)
-    return float(np.dot(rule.weights, (d * d) ** k))
+        out = spec.mu_closed(x, k)
+    elif spec.pieces is not None:
+        values, masses = slope_distribution(spec, x)
+        out = np.matmul(np.ascontiguousarray(masses.T)[:, None, :], values**k)[:, 0]  # a dot per q, as np.dot
+    else:
+        rule = default_rule()
+        d = np.asarray(spec.dphi(np.sqrt(x)[:, None] * rule.nodes), dtype=float)
+        out = np.matmul(((d * d) ** k)[:, None, :], rule.weights)[:, 0]  # a dot per q, as np.dot
+    return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +254,7 @@ def _make_erf_main() -> ActivationSpec:
         name="erf_main",
         phi=lambda x: erf_vec(c * np.asarray(x, dtype=float)),
         dphi=lambda x: np.exp(-math.pi * np.asarray(x, dtype=float) ** 2 / 4.0),
-        mu_closed=lambda q, k: 1.0 / math.sqrt(1.0 + math.pi * k * q),
+        mu_closed=lambda q, k: 1.0 / np.sqrt(1.0 + math.pi * k * q),
     )
 
 
@@ -250,7 +264,7 @@ def _make_erf_sm() -> ActivationSpec:
         name="erf_sm",
         phi=lambda x: amp * erf_vec(np.asarray(x, dtype=float) / _SQRT2),
         dphi=lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
-        mu_closed=lambda q, k: 1.0 / math.sqrt(1.0 + 2.0 * k * q),
+        mu_closed=lambda q, k: 1.0 / np.sqrt(1.0 + 2.0 * k * q),
     )
 
 

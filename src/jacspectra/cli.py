@@ -174,24 +174,20 @@ def _emit(command: str, cfg: dict, outputs: dict, report=None) -> None:
 # commands
 
 
-def _written_qstar(activation, sigma_w, sigma_b, qstar):
-    """q* as the commands write it: 0 where every q is a fixed point (``fixed_point_is_degenerate``)."""
-    return np.where(fixed_point_is_degenerate(activation, sigma_w, sigma_b), 0.0, qstar)
-
-
 def cmd_fixed_point(args, extra) -> int:
     cfg = _load_config(args, extra)
     activation = _activation_from(cfg)
     sigma_w = float(cfg.get("sigma_w", 1.0))
     sigma_b = float(cfg.get("sigma_b", 0.0))
     fp = qstar_fixed_point(activation, sigma_w, sigma_b)
+    degenerate = bool(fixed_point_is_degenerate(activation, sigma_w, sigma_b))
     report = {
-        "qstar": float(_written_qstar(activation, sigma_w, sigma_b, fp.qstar)),
+        "qstar": 0.0 if degenerate else fp.qstar,  # every q is a fixed point: the commands write 0
         "chi": fp.chi,
         "iterations": fp.iterations,
         "converged": fp.converged,
         "residual": fp.residual,
-        "critical_degenerate": bool(fixed_point_is_degenerate(activation, sigma_w, sigma_b)),
+        "critical_degenerate": degenerate,
     }
     out = cfg.get("out", {}).get("report_json")
     if out:
@@ -218,7 +214,8 @@ def cmd_phase_grid(args, extra) -> int:
     sigma_w = _grid_axis(cfg, "sigma_w_range", [0.5, 3.0, 26], positive=True)
     sigma_b = _grid_axis(cfg, "sigma_b_range", [0.0, 1.0, 11], positive=False)
     grid = phase_grid(activation, sigma_w, sigma_b)
-    grid = replace(grid, qstar=_written_qstar(activation, grid.sigma_w, grid.sigma_b, grid.qstar))
+    degenerate = fixed_point_is_degenerate(activation, grid.sigma_w, grid.sigma_b)
+    grid = replace(grid, qstar=np.where(degenerate, 0.0, grid.qstar))  # as the fixed-point command writes it
     path = cfg.get("out", {}).get("grid_csv", "phase_grid.csv")
     with open(path, "w") as fh:
         fh.write("sigma_w,sigma_b,qstar,chi,converged\n")

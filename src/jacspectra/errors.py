@@ -23,7 +23,7 @@ class BranchLossError(ConvergenceError):
 
 
 class BracketError(JacspectraError):
-    """A bisection could not bracket a sign change."""
+    """A root solve found no sign change on its bracket."""
 
 
 class PoleError(JacspectraError):

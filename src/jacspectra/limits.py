@@ -33,7 +33,7 @@ import numpy as np
 
 from .density import SQUARED_SINGULAR, SpectralDensity
 from .errors import ConvergenceError, PoleError
-from .special import _newton_rlambert, bisect_root, lambert_w0, r_lambert
+from .special import _newton_rlambert, bracket_root, lambert_w0, r_lambert
 
 BERNOULLI = "bernoulli"
 SMOOTH = "smooth"
@@ -125,7 +125,7 @@ def smooth_arch(sigma0_sq: float, n: int = 256) -> tuple[np.ndarray, np.ndarray]
         return half * half + sigma0_sq * y / np.tan(y) - y * y  # falls to -inf at pi
 
     t = np.linspace(0.0, math.pi, n + 2)[1:-1]
-    y = bisect_root(r2, 1e-12, math.pi) * np.sin(t)
+    y = bracket_root(r2, 1e-12, math.pi) * np.sin(t)
     w = half - np.sign(np.cos(t)) * np.sqrt(np.maximum(r2(y), 0.0)) + 1j * y
     return w, (w * np.exp(w - sigma0_sq) / (w - sigma0_sq)).real
 

@@ -10,8 +10,8 @@ evaluated.  Criticality is the curve chi = sigma_w^2 * mu_1(q*) = 1 in the
 (sigma_w, sigma_b) plane; on it the mean squared singular value of the
 depth-L Jacobian stays at one for every L.
 
-Each question here is one root solve by ``special.bisect_root``, which
-bisects every element of an array at once: the fixed point V(q) = q, for a
+Each question here is one root solve by ``special.bracket_root``, which
+solves every element of an array at once: the fixed point V(q) = q, for a
 whole (sigma_w, sigma_b) grid in one solve; the critical line, parametrised
 by q* (Poole et al. 2016, arXiv 1606.05340) as sigma_w(q)^2 = 1/mu_1(q) and
 sigma_b(q)^2 = q - integral Dh phi(sqrt(q) h)^2 / mu_1(q); and the
@@ -36,7 +36,7 @@ import numpy as np
 from .activations import ActivationSpec, mu_k, phi_sq_mean
 from .ensembles import WeightEnsemble, orthogonal
 from .errors import ActivationClassError, BracketError, ConvergenceError, JacspectraError
-from .special import bisect_root, eval_where
+from .special import bracket_root, eval_where
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ def _fixed_points(activation: ActivationSpec, sigma_w, sigma_b):
     q = np.zeros(sw.shape)
     walk = np.ones(sw.shape, dtype=bool)
     if activation.is_scale_free:
-        c = chi(activation, sw, 1.0)
-        degenerate = fixed_point_is_degenerate(activation, sw, sb)
+        c = chi(activation, sw, 1.0)  # the same at every q
+        degenerate = _is_degenerate(c, sb)
         closed = ~degenerate & (sb * sb < (1.0 - c) * _Q_CEILING)  # chi < 1 and q* below the ceiling
         q[degenerate] = 1.0
         np.divide(sb * sb, 1.0 - c, out=q, where=closed)
@@ -145,11 +145,13 @@ def _fixed_points(activation: ActivationSpec, sigma_w, sigma_b):
     left = walk & np.isnan(hi)  # past the ceiling, or below 1e-300: the ordered phase
     converged = ~(left & up)
     inside = walk & ~left
-    q = np.where(inside, bisect_root(gap, lo, hi, (cells,), inside), np.where(left & up, lo, q))
+    solved = bracket_root(gap, lo, hi, (cells,), inside) if inside.any() else q
+    q = np.where(inside, solved, np.where(left & up, lo, q))
     residual = np.abs(gap(q, cells))
-    by_cell = zip(sw.flat, q.flat, converged.flat)
-    chis = [chi(activation, w, max(x, _TINY_Q)) if ok else math.nan for w, x, ok in by_cell]
-    return q, np.reshape(chis, sw.shape), evals.reshape(sw.shape), converged, residual
+    if not activation.is_scale_free:  # chi at q*, one call for every converged cell
+        c = np.full(sw.shape, math.nan)
+        c[converged] = chi(activation, sw[converged], np.maximum(q[converged], _TINY_Q))
+    return q, np.where(converged, c, math.nan), evals.reshape(sw.shape), converged, residual
 
 
 def qstar_fixed_point(activation: ActivationSpec, sigma_w: float, sigma_b: float) -> FixedPoint:
@@ -158,7 +160,7 @@ def qstar_fixed_point(activation: ActivationSpec, sigma_w: float, sigma_b: float
     Scale-free units with chi < 1 take the closed form sigma_b^2/(1 - chi),
     and q* = 1 where every q is a fixed point (``fixed_point_is_degenerate``).
     Otherwise a factor-2 bracket walks out of q = 1 in the direction of
-    sign(V(1) - 1) and V(q) - q is bisected in it.  A walk down with V(0) = 0
+    sign(V(1) - 1) and V(q) - q is solved in it.  A walk down with V(0) = 0
     and sigma_w^2 phi'(0)^2 <= 1 ends at the ordered phase q* = 0; a walk up
     past 1e8 returns converged=False, chi = nan and the last q of the walk.
     This is the one-cell case of the array solver behind ``phase_grid``.
@@ -176,14 +178,17 @@ def fixed_point_is_degenerate(activation: ActivationSpec, sigma_w, sigma_b):
     """
     if not activation.is_scale_free:
         return np.zeros(np.broadcast(sigma_w, sigma_b).shape, dtype=bool)
-    c = chi(activation, np.asarray(sigma_w, dtype=float), 1.0)
-    return (np.asarray(sigma_b) == 0.0) & (np.abs(c - 1.0) <= 1e-12)
+    return _is_degenerate(chi(activation, np.asarray(sigma_w, dtype=float), 1.0), sigma_b)
+
+
+def _is_degenerate(chi_scale_free, sigma_b):
+    return (np.asarray(sigma_b) == 0.0) & (np.abs(chi_scale_free - 1.0) <= 1e-12)
 
 
 def critical_sigma_w(activation: ActivationSpec, sigma_b: float) -> tuple[float, float]:
     """Point (sigma_w, q*) of the critical line chi = 1 at the given sigma_b.
 
-    Solves sigma_b(q) = sigma_b for q* by ``bisect_root`` on a factor-2
+    Solves sigma_b(q) = sigma_b for q* by ``bracket_root`` on a factor-2
     bracket walked out of q = 1, then sigma_w = mu_1(q*)^{-1/2}.  For
     scale-free units sigma_b(q) = 0 for every q, so at sigma_b = 0 the point
     is sigma_w = mu_1^{-1/2} with the degenerate q* = 1.
@@ -202,14 +207,14 @@ def critical_sigma_w(activation: ActivationSpec, sigma_b: float) -> tuple[float,
     if sigma_b == 0.0:
         raise BracketError(f"{name} at sigma_b=0: the critical point is the limit q* -> 0")
 
-    def excess(q: float) -> float:  # sigma_b(q)^2 - sigma_b^2
+    def excess(q: float) -> float:  # sigma_b(q)^2 - sigma_b^2; piecewise units evaluate their piece CDFs once
         return q - phi_sq_mean(activation, q) / mu_k(activation, q, 1) - sigma_b * sigma_b
 
     f1 = excess(1.0)
     lo, hi = _walk(excess, f1, f1 < 0.0)
     if np.isnan(hi):
         raise BracketError(f"no critical point for {name} at sigma_b={sigma_b} with q* in [1e-300, 1e8]")
-    q = bisect_root(excess, lo, hi)
+    q = bracket_root(excess, lo, hi)
     sigma_w = 1.0 / math.sqrt(mu_k(activation, q, 1))
     # chi = 1 gives V'(q*) = 1 + sigma_w^2 E[phi phi'']; the recursion settles at q* only if V'(q*) < 1
     d = 1e-4 * q
@@ -222,8 +227,10 @@ def critical_sigma_w(activation: ActivationSpec, sigma_b: float) -> tuple[float,
 def double_scaling_qstar(activation: ActivationSpec, depth: int, sigma0_sq: float) -> tuple[float, float]:
     """q*(L) pinning the Jacobian spectral variance to sigma0_sq (orthogonal).
 
-    Solves mu_2(q*)/mu_1(q*)^2 = 1 + sigma0_sq/depth by ``bisect_root`` on
+    Solves mu_2(q*)/mu_1(q*)^2 = 1 + sigma0_sq/depth by ``bracket_root`` on
     q* in [1e-12, 1e2]; returns (q*, critical sigma_w = mu_1(q*)^{-1/2}).
+    The ratio is flat near its root at large depth, so q* is defined only to
+    about eps/|d ratio/dq| (some thousand floats at depth 1024).
     """
     if activation.is_scale_free:
         raise ActivationClassError(
@@ -236,7 +243,7 @@ def double_scaling_qstar(activation: ActivationSpec, depth: int, sigma0_sq: floa
         return mu_k(activation, q, 2) / mu_k(activation, q, 1) ** 2 - target
 
     try:
-        q = bisect_root(h, 1e-12, 1e2)
+        q = bracket_root(h, 1e-12, 1e2)
     except BracketError as exc:
         raise BracketError(f"{activation.name}: no q* gives the variance ratio {target}; {exc}") from None
     return q, 1.0 / math.sqrt(mu_k(activation, q, 1))

@@ -10,8 +10,11 @@ exactly.
 
 The solvers are kept self-contained:
 
-  * ``bisect_root`` -- the package's one real root solver, elementwise over
-    arrays, used by every solve in ``propagation`` and by ``limits``.
+  * ``bracket_root`` -- regula falsi, elementwise over arrays, behind every
+    solve in ``propagation`` and ``limits.smooth_arch``.  ``limits.bernoulli_w``
+    keeps its own theta bisection: its f is so cheap that on 1,200 points
+    this solver's steps cost more than the ones they save (4.4 ms in 27
+    steps against 3.4 ms in 60).
   * ``lambert_w0`` -- principal branch of W, where W(x) e^{W(x)} = x,
     by Halley iteration from a seed chosen by region (Maclaurin series for
     small argument, branch-point series near -1/e, log asymptotics for large
@@ -24,6 +27,7 @@ The solvers are kept self-contained:
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -69,36 +73,57 @@ def eval_where(f, x, where, args=()):
     return out
 
 
-def bisect_root(f, lo, hi, args=(), where=True):
-    """Root of f on [lo, hi] by bisection until no float lies between the ends.
+def bracket_root(f, lo, hi, args=(), where=True):
+    """Root of f on [lo, hi] by regula falsi until no float lies between the ends.
+
+    A step takes the secant point through weighted f at the ends and scales
+    the weight of the end it keeps by m = 1 - f(x)/f(replaced end), or 1/2
+    where m <= 0 (Anderson & Bjorck 1973, who scale only an end kept twice
+    in a row).  The point is clamped one float inside the bracket, and it is
+    the midpoint after two steps in a row that did not halve the bracket, so
+    no solve takes more than about three times the steps of bisection.
 
     Elementwise over ``lo``, ``hi``, ``where`` and ``args`` broadcast together,
-    with one call f(x, *args) per step on the elements still open.  Each
-    returns a midpoint where f is 0, or else the end with the smaller |f|
-    (nan outside ``where``); a scalar call is the 0-d case and returns a
-    float.  Raises BracketError when f has one strict sign at both ends.
+    with one call f(x, *args) per step on the elements still open; each
+    element takes the steps of its own scalar solve and returns an iterate
+    where f is 0, or else the end with the smaller |f| (nan outside
+    ``where``).  A scalar call is the 0-d case and returns a float.  Raises
+    BracketError when f has one strict sign at both ends.
     """
     arrays = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), where, *args)
     lo, hi, where, *args = (a if a.ndim else a.item() for a in arrays)  # Python scalars for a scalar call
+    array = np.ndim(lo) > 0
     flo, fhi = eval_where(f, lo, where, args), eval_where(f, hi, where, args)
     bad = where & ((flo > 0.0) == (fhi > 0.0)) & (flo != 0.0) & (fhi != 0.0)
-    if bad.any() if getattr(bad, "ndim", 0) else bad:
+    if bad.any() if array else bad:
         ends = (float(np.ravel(a)[np.argmax(bad)]) for a in (lo, hi, flo, fhi))
         raise BracketError("no sign change on [{!r}, {!r}]: f = {!r}, {!r}".format(*ends))
     open_ = where & (flo != 0.0) & (fhi != 0.0)
+    nextafter = np.nextafter if array else math.nextafter
+    glo, ghi, slow = flo, fhi, 0  # weighted f at the ends, steps in a row that did not halve the bracket
     while True:
         mid = lo + 0.5 * (hi - lo)
         open_ = open_ & (lo < mid) & (mid < hi)
-        if not (open_.any() if getattr(open_, "ndim", 0) else open_):
+        if not (open_.any() if array else open_):
             break
-        fmid = eval_where(f, mid, open_, args)
-        lower = open_ & ((fmid > 0.0) == (flo > 0.0))  # the root lies above mid
+        with np.errstate(all="ignore") if array else contextlib.nullcontext():  # closed elements may hold 0 or nan
+            x = lo - (hi - lo) * (glo / (ghi - glo))  # glo / (ghi - glo) lies in [-1, 0]
+        inner_lo, inner_hi = nextafter(lo, hi), nextafter(hi, lo)
+        x = _pick(x > inner_lo, x, inner_lo)  # also where x is nan
+        x = _pick(slow >= 2, mid, _pick(x < inner_hi, x, inner_hi))
+        fx = eval_where(f, x, open_, args)
+        lower = open_ & ((fx > 0.0) == (flo > 0.0))  # the root lies above x
         upper = open_ ^ lower
-        lo, flo = _pick(lower, mid, lo), _pick(lower, fmid, flo)
-        hi, fhi = _pick(upper, mid, hi), _pick(upper, fmid, fhi)
-        open_ = open_ & (fmid != 0.0)  # mid is now an end with f = 0, the one returned
+        m = 1.0 - fx / _pick(lower, flo, fhi)  # nan where closed: fx is
+        m = _pick(m > 0.0, m, 0.5)
+        glo, ghi = _pick(lower, fx, m * glo), _pick(upper, fx, m * ghi)
+        width = hi - lo
+        lo, flo = _pick(lower, x, lo), _pick(lower, fx, flo)
+        hi, fhi = _pick(upper, x, hi), _pick(upper, fx, fhi)
+        slow = _pick((slow < 2) & (hi - lo > 0.5 * width), slow + 1, 0)
+        open_ = open_ & (fx != 0.0)  # x is now an end with f = 0, the one returned
     root = _pick(where, _pick(abs(flo) <= abs(fhi), lo, hi), math.nan)
-    return float(root) if not np.ndim(root) else root
+    return root if array else float(root)
 
 
 def _w0_seed(z: complex) -> complex:

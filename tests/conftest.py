@@ -1,7 +1,12 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from jacspectra.errors import BracketError
+from jacspectra.special import eval_where
 
 DATA = Path(__file__).parent / "data"
 
@@ -18,3 +23,44 @@ def mp_oracle():
     """Pooled 2000x2000 Wishart sample statistics (gen_mp_oracle.py)."""
     with open(DATA / "mp_oracle.json") as fh:
         return json.load(fh)
+
+
+def _pick(cond, a, b):
+    return np.where(cond, a, b) if getattr(cond, "ndim", 0) else (a if cond else b)
+
+
+def _bisect_reference(f, lo, hi, args=(), where=True):
+    """Bisection until no float lies between the ends: the package's root solver before regula falsi.
+
+    Same contract as ``special.bracket_root``: ``lo``, ``hi``, ``where`` and
+    ``args`` broadcast, one call f(x, *args) per step on the open elements,
+    and each returns a midpoint where f is 0, or else the end with the
+    smaller |f|.
+    """
+    arrays = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), where, *args)
+    lo, hi, where, *args = (a if a.ndim else a.item() for a in arrays)
+    flo, fhi = eval_where(f, lo, where, args), eval_where(f, hi, where, args)
+    bad = where & ((flo > 0.0) == (fhi > 0.0)) & (flo != 0.0) & (fhi != 0.0)
+    if bad.any() if getattr(bad, "ndim", 0) else bad:
+        ends = (float(np.ravel(a)[np.argmax(bad)]) for a in (lo, hi, flo, fhi))
+        raise BracketError("no sign change on [{!r}, {!r}]: f = {!r}, {!r}".format(*ends))
+    open_ = where & (flo != 0.0) & (fhi != 0.0)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        open_ = open_ & (lo < mid) & (mid < hi)
+        if not (open_.any() if getattr(open_, "ndim", 0) else open_):
+            break
+        fmid = eval_where(f, mid, open_, args)
+        lower = open_ & ((fmid > 0.0) == (flo > 0.0))
+        upper = open_ ^ lower
+        lo, flo = _pick(lower, mid, lo), _pick(lower, fmid, flo)
+        hi, fhi = _pick(upper, mid, hi), _pick(upper, fmid, fhi)
+        open_ = open_ & (fmid != 0.0)
+    root = _pick(where, _pick(abs(flo) <= abs(fhi), lo, hi), math.nan)
+    return float(root) if not np.ndim(root) else root
+
+
+@pytest.fixture(scope="session")
+def bisection():
+    """Reference root solver for ``special.bracket_root`` (same signature)."""
+    return _bisect_reference

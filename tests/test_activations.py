@@ -147,10 +147,31 @@ class TestMuK:
             if slope_sq_law(spec, q)[0].max() <= 1.0:
                 assert np.all(np.diff(values) <= 1e-12)
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_array_is_scalar_calls_elementwise(self, name):
+        spec = get_activation(name)
+        qs = np.array([1e-300, 1e-6, 0.3, 1.0, 7.0, 100.0])  # tanh's cosh overflows at the outer nodes past q ~ 600
+        rule = default_rule()
+        for k in (1, 2, 3):
+            scalar = [mu_k(spec, float(q), k) for q in qs]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(mu_k(spec, qs, k), scalar)
+            assert np.array_equal(mu_k(spec, qs[::-1].reshape(2, 3), k), np.reshape(scalar[::-1], (2, 3)))
+            if spec.mu_closed is None:  # one dot per q, as a sum over the law or the rule
+                for q, v in zip(qs, scalar):
+                    if spec.is_piecewise:
+                        vals, masses = slope_distribution(spec, q)
+                        assert v == float(np.dot(masses, vals**k))
+                    else:
+                        d = spec.dphi(math.sqrt(q) * rule.nodes)
+                        assert v == float(np.dot(rule.weights, (d * d) ** k))
+
     def test_bad_args(self):
         spec = get_activation("tanh")
         with pytest.raises(ValueError):
             mu_k(spec, -1.0, 1)
+        with pytest.raises(ValueError):
+            mu_k(spec, np.array([1.0, 0.0]), 1)
         with pytest.raises(ValueError):
             mu_k(spec, 1.0, 0)
 

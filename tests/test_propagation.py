@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import jacspectra.activations as activations
 import jacspectra.propagation as propagation
 from jacspectra.activations import get_activation, mu_k, phi_sq_mean, registry_names
 from jacspectra.ensembles import orthogonal
@@ -20,6 +21,7 @@ from jacspectra.propagation import (
     resolve_qstar,
 )
 from jacspectra.simulate import TrialStreams, jacobian_singular_values
+from jacspectra.special import bracket_root
 
 
 class TestFixedPoint:
@@ -101,6 +103,84 @@ class TestAgainstDampedIteration:
                     assert not fp.converged
 
 
+def outcome(solve, *args):
+    """solve(*args), or the type and message of the JacspectraError it raises."""
+    try:
+        return solve(*args)
+    except JacspectraError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_root(root, ref, f, scale):
+    """root and ref are one root of f: within 4 floats, or within the band where f has no sign.
+
+    f is known to a few eps of the size ``scale`` of its terms, so near a
+    root with slope f' its sign is noise over about eps * scale / |f'| (a
+    thousand floats for the double-scaled q* at L = 1024); any float there
+    is a root at float resolution.
+    """
+    step = 1e-6 * ref
+    slope = (f(ref + step) - f(ref - step)) / (2.0 * step)
+    band = 16.0 * np.finfo(float).eps * scale / abs(slope)
+    assert abs(root - ref) <= 4.0 * np.spacing(ref) + band, (root, ref, band)
+
+
+class TestAgainstBisection:
+    """The regula falsi solves find the roots that bisection found."""
+
+    @pytest.mark.parametrize("name", registry_names())
+    def test_critical_points(self, name, bisection, monkeypatch):
+        act = get_activation(name)
+        for sb in (0.1, 0.2, 0.5, 1.0):
+            new = outcome(critical_sigma_w, act, sb)
+            with monkeypatch.context() as m:
+                m.setattr(propagation, "bracket_root", bisection)
+                ref = outcome(critical_sigma_w, act, sb)
+            if isinstance(ref[0], type):
+                assert new == ref
+                continue
+
+            def excess(q):
+                return q - phi_sq_mean(act, q) / mu_k(act, q, 1) - sb * sb
+
+            assert_same_root(new[1], ref[1], excess, ref[1])
+            assert new[0] == 1.0 / math.sqrt(mu_k(act, new[1], 1))
+
+    @pytest.mark.parametrize("name", registry_names())
+    def test_double_scaling(self, name, bisection, monkeypatch):
+        act = get_activation(name)
+        for depth in (16, 256, 1024):
+            new = outcome(double_scaling_qstar, act, depth, 0.25)
+            with monkeypatch.context() as m:
+                m.setattr(propagation, "bracket_root", bisection)
+                ref = outcome(double_scaling_qstar, act, depth, 0.25)
+            if isinstance(ref[0], type):
+                assert new == ref
+                continue
+
+            def ratio(q):
+                return mu_k(act, q, 2) / mu_k(act, q, 1) ** 2 - (1.0 + 0.25 / depth)
+
+            assert_same_root(new[0], ref[0], ratio, 1.0)
+
+    @pytest.mark.parametrize("name", registry_names())
+    def test_phase_grid(self, name, bisection, monkeypatch):
+        act = get_activation(name)
+        axes = np.linspace(0.5, 3.0, 26), np.linspace(0.0, 1.0, 11)
+        new = phase_grid(act, *axes)
+        with monkeypatch.context() as m:
+            m.setattr(propagation, "bracket_root", bisection)
+            ref = phase_grid(act, *axes)
+        assert np.array_equal(new.converged, ref.converged)
+        assert np.array_equal(new.qstar == 0.0, ref.qstar == 0.0)
+        for sw, sb, q, q_ref, c, c_ref in zip(new.sigma_w, new.sigma_b, new.qstar, ref.qstar, new.chi, ref.chi):
+            if q == q_ref:
+                assert c == c_ref or math.isnan(c) and math.isnan(c_ref)
+            else:
+                assert_same_root(q, q_ref, lambda x: sw * sw * phi_sq_mean(act, x) + sb * sb - x, q_ref)
+                assert c == chi(act, sw, q)
+
+
 class TestChi:
     def test_linear(self):
         assert chi(get_activation("linear"), 1.0, 3.3) == pytest.approx(1.0, abs=1e-14)
@@ -115,6 +195,16 @@ class TestChi:
 
 
 class TestCriticalLine:
+    @pytest.mark.parametrize("name", ["hard_tanh", "shifted_relu"])
+    def test_piece_cdfs_once_per_step(self, name, monkeypatch):
+        # each step evaluates phi_sq_mean and mu_1 at one q; they share the Gaussian CDF at the piece ends
+        cdf_calls, steps = [], []
+        norm_cdf, phi = activations.norm_cdf, propagation.phi_sq_mean
+        monkeypatch.setattr(activations, "norm_cdf", lambda x: cdf_calls.append(x) or norm_cdf(x))
+        monkeypatch.setattr(propagation, "phi_sq_mean", lambda *a: steps.append(a) or phi(*a))
+        critical_sigma_w(get_activation(name), 0.2)
+        assert len(cdf_calls) <= len(steps) + 1  # and mu_1 at q* for sigma_w
+
     def test_relu(self):
         sw, _ = critical_sigma_w(get_activation("relu"), 0.0)
         assert sw == pytest.approx(math.sqrt(2), abs=1e-6)
@@ -220,13 +310,21 @@ class TestPhaseGrid:
         assert grid.converged.all()
 
     @pytest.mark.parametrize("name", registry_names())
-    def test_grid_is_its_cells_bit_for_bit(self, name):
+    def test_grid_is_its_cells_bit_for_bit(self, name, monkeypatch):
         act = get_activation(name)
         sigma_w = [0.5, 1.0, 1.2, math.sqrt(2), 2.0, 3.0]
         if act.is_scale_free:
             sigma_w.append(1.0 / math.sqrt(mu_k(act, 1.0, 1)))  # chi = 1: degenerate at sigma_b = 0
         sigma_b = [0.0, 0.2, 0.5, 1.0]
+        bracketed = []
+
+        def spy(f, lo, hi, args=(), where=True):  # records the cells that the root solve runs on
+            bracketed.append(np.broadcast_to(where, np.shape(lo)))
+            return bracket_root(f, lo, hi, args, where)
+
+        monkeypatch.setattr(propagation, "bracket_root", spy)
         grid = phase_grid(act, sigma_w, sigma_b)
+        monkeypatch.undo()
         cells = [qstar_fixed_point(act, sw, sb) for sb in sigma_b for sw in sigma_w]
         assert np.array_equal(grid.sigma_w, np.tile(sigma_w, len(sigma_b)))
         assert np.array_equal(grid.sigma_b, np.repeat(sigma_b, len(sigma_w)))
@@ -241,9 +339,11 @@ class TestPhaseGrid:
             "degenerate": degenerate,
             "diverged": ~grid.converged,
             "closed form": (iterations == 1) & (grid.qstar > 0.0) & ~degenerate,
-            "bisection": iterations > 50,
+            "bracketed": np.any(bracketed, axis=0),  # no call where every cell is closed form
         }
-        expected = {"ordered", "degenerate", "diverged", "closed form"} if act.is_scale_free else {"ordered", "bisection"}
+        expected = {"ordered", "bracketed"}
+        if act.is_scale_free:
+            expected = {"ordered", "degenerate", "diverged", "closed form"}
         assert expected <= {branch for branch, cell in reached.items() if cell.any()}
         if name == "relu":  # relu at (2, 0.5) has chi = 2: q* runs past 1e8
             assert not grid.converged[(grid.sigma_w == 2.0) & (grid.sigma_b == 0.5)].any()
@@ -259,10 +359,11 @@ class TestPhaseGrid:
         monkeypatch.setattr(propagation, "phi_sq_mean", counted_phi_sq_mean)
         grid = phase_grid(act, np.linspace(0.5, 3.0, 26), np.linspace(0.0, 1.0, 11))
         assert grid.qstar.size == 286 and grid.converged.all()
-        assert len(calls) <= 100  # one array call per solver stage, not one per cell and step
+        assert len(calls) <= 35  # one array call per solver stage and step, not one per cell and step
         calls.clear()
         fp = qstar_fixed_point(act, 1.3, 0.2)
-        assert fp.iterations == len(calls) > 50
+        assert fp.iterations == len(calls) <= 30
+        assert max(qstar_fixed_point(act, w, b).iterations for w, b in zip(grid.sigma_w, grid.sigma_b)) <= 30
 
 
 class TestDegeneracy:

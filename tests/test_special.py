@@ -6,7 +6,7 @@ import pytest
 
 from jacspectra.errors import BracketError, ConvergenceError
 from jacspectra.special import (
-    bisect_root,
+    bracket_root,
     erf_vec,
     gauss_normal_rule,
     lambert_w0,
@@ -21,8 +21,8 @@ def erf(x: float) -> float:
 
 
 def erf_inv(y: float) -> float:
-    """erf inverted by ``bisect_root``; no sign change on [-5, 5] unless |y| < 1."""
-    return bisect_root(lambda x: erf(x) - y, -5.0, 5.0)
+    """erf inverted by ``bracket_root``; no sign change on [-5, 5] unless |y| < 1."""
+    return bracket_root(lambda x: erf(x) - y, -5.0, 5.0)
 
 
 class TestElementwiseErf:
@@ -99,37 +99,63 @@ class TestElementwiseBisection:
         return f, calls
 
     def test_each_element_is_its_scalar_solve(self):
-        # 0.75 is a midpoint of [0, 1], where the scalar solve stops on f = 0
+        # 0.0 is an iterate of the scalar solve on [-3, 0.5], where it stops on f = 0;
+        # tanh(4x) is flat at float resolution near 3, so the solve on [0, 1] stops on f = 0 near 0.75
         targets = np.array([0.75, 0.3, -0.2, 1.0, 0.0])
         lo, hi = np.array([0.0, 0.0, -1.0, 0.0, -3.0]), np.array([1.0, 2.0, 1.0, 1.0, 0.5])
         def g(x, t):
             return np.tanh(4.0 * x) - np.tanh(4.0 * t)
 
         f, calls = self.counted(g)
-        roots = bisect_root(f, lo, hi, (targets,))
+        roots = bracket_root(f, lo, hi, (targets,))
         steps = []
         for k in range(targets.size):
             fk, ck = self.counted(lambda x, t=targets[k]: g(x, t))
-            assert roots[k] == bisect_root(fk, lo[k], hi[k])
+            assert roots[k] == bracket_root(fk, lo[k], hi[k])
             steps.append(len(ck))
-        assert roots[0] == 0.75 and roots[3] == 1.0
+        assert roots[4] == 0.0 and roots[3] == 1.0
+        assert g(roots[0], 0.75) == 0.0 and abs(roots[0] - 0.75) <= 4 * np.spacing(0.75)
         # every element keeps its own stopping rule: it leaves the calls when it stops
         assert len(calls) == max(steps)
         assert sum(calls) == sum(steps)
 
     def test_scalar_call_returns_float(self):
-        root = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0)
+        root = bracket_root(lambda x: x * x - 2.0, 1.0, 2.0)
         assert type(root) is float and abs(root - math.sqrt(2.0)) <= 2.3e-16  # a float next to sqrt(2)
 
     def test_where_leaves_elements_unsolved(self):
         f, calls = self.counted(lambda x: x - 0.3)
-        roots = bisect_root(f, [0.0, 0.0], [1.0, 1.0], where=np.array([True, False]))
-        assert roots[0] == bisect_root(lambda x: x - 0.3, 0.0, 1.0) and math.isnan(roots[1])
+        roots = bracket_root(f, [0.0, 0.0], [1.0, 1.0], where=np.array([True, False]))
+        assert roots[0] == bracket_root(lambda x: x - 0.3, 0.0, 1.0) and math.isnan(roots[1])
         assert set(calls) == {1}
 
     def test_one_bad_bracket_refuses_the_call(self):
         with pytest.raises(BracketError, match=r"no sign change on \[2\.0, 3\.0\]"):
-            bisect_root(lambda x: x - 0.5, [0.0, 2.0], [1.0, 3.0])
+            bracket_root(lambda x: x - 0.5, [0.0, 2.0], [1.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "g,lo,hi",
+        [
+            (lambda x: x**9, -1.0, 2.0),  # flat at the root: plain regula falsi keeps one end for ever
+            (lambda x: np.where(x < 0.3, -1.0, 1.0), 0.0, 1.0),  # a step: no secant point is better than the midpoint
+            (lambda x: x**3 - 1e-30, -1.0, 1.0),
+            (lambda x: np.exp(x) - 1e10, 0.0, 700.0),  # f spans 300 decades on the bracket
+        ],
+    )
+    def test_at_most_three_times_bisection(self, g, lo, hi, bisection):
+        f, calls = self.counted(g)
+        ref, ref_calls = self.counted(g)
+        root, expected = bracket_root(f, lo, hi), bisection(ref, lo, hi)
+        assert len(calls) <= 3 * len(ref_calls)
+        # both stop on f = 0 or on adjacent floats around a sign change
+        for r in (root, expected):
+            assert g(r) == 0.0 or g(np.nextafter(r, -math.inf)) * g(np.nextafter(r, math.inf)) <= 0.0
+
+    def test_faster_than_bisection_on_a_smooth_root(self, bisection):
+        f, calls = self.counted(lambda x: x * x - 2.0)
+        ref, ref_calls = self.counted(lambda x: x * x - 2.0)
+        assert bracket_root(f, 1.0, 2.0) == bisection(ref, 1.0, 2.0)
+        assert len(calls) <= 12 < 50 <= len(ref_calls)
 
 
 class TestLambertW:
