@@ -171,7 +171,10 @@ def slope_sq_law(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None
     Piecewise activations give their exact discrete law; smooth ones the
     quadrature rule at t = phi'(sqrt(q) h)^2.  When t is even in h (t equals
     its own reverse) each node is merged with its mirror, an exact fold of
-    the symmetric rule onto its non-negative nodes.
+    the symmetric rule onto its non-negative nodes.  Quadrature nodes whose
+    weight is below 1e-30 (of a total of 1) are then dropped: a dropped term
+    is at most c t / |Im z|, too small to move a double sum of order one
+    (201 -> 51 nodes folded, 101 unfolded, at the default rule).
     """
     if spec.pieces is not None:
         return slope_distribution(spec, qstar)
@@ -183,7 +186,8 @@ def slope_sq_law(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None
         t, c = t[half:], c[half:] + c[::-1][half:]
         if rule.nodes.size % 2:
             c[0] = rule.weights[half]  # the middle node is its own mirror
-    return t, c
+    keep = c >= 1e-30
+    return t[keep], c[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +272,13 @@ def _make_erf_sm() -> ActivationSpec:
     )
 
 
+def _tanh_dphi(x):
+    with np.errstate(over="ignore"):  # cosh(x)^2 is inf past |x| ~ 355: 1/cosh^2 reads 0, not a subnormal
+        return 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
+
+
 def _make_tanh() -> ActivationSpec:
-    return ActivationSpec(
-        name="tanh",
-        phi=np.tanh,
-        dphi=lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2,
-    )
+    return ActivationSpec(name="tanh", phi=np.tanh, dphi=_tanh_dphi)
 
 
 def _make_arctan() -> ActivationSpec:

@@ -26,10 +26,13 @@ Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
 pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
 together, and the accepted line-search candidate hands its residual and
 derivative on to the next iteration, so an undamped step costs one
-evaluation.  M(w) sums over ``slope_sq_law`` at the default Gauss rule, the
-rule behind q* and chi too.  A squared slope even in the pre-activation
-(tanh, erf, arctan) folds that symmetric rule exactly onto its non-negative
-nodes (201 -> 101).
+evaluation.  z^{1/L} is taken once per continuation step, since z is fixed
+through its Newton iterations.  M(w) sums over ``slope_sq_law`` at the
+default Gauss rule, the rule behind q* and chi too.  A squared slope even in
+the pre-activation (tanh, erf, arctan) folds that symmetric rule exactly
+onto its non-negative nodes (201 -> 101), and the nodes of weight below
+1e-30 are dropped (101 -> 51; 201 -> 101 for silu): a dropped term is at
+most c t / |Im w|, below the rounding of a sum of order one.
 
 Point masses are not read from the ladder: they follow in closed form from
 the atom rule for free multiplicative convolution (Belinschi 2003, "The
@@ -67,6 +70,7 @@ __all__ = [
 ]
 
 _NUDGE = 1e-4  # step off a pole or NaN, relative to |M|/|z|
+_EPS = float(np.finfo(float).eps)
 _DAMPING_HALVINGS = 8
 _RATIO_MIN = 1.5  # smallest step ratio: a step rejected at it loses its point
 _START_RUNGS = 40  # every continuation starts at height _RATIO_MIN ** _START_RUNGS
@@ -93,37 +97,40 @@ class SolverSettings:
             raise ValueError("newton_tol must be positive")
 
 
-def _residual_factory(config: NetworkConfig, qstar: float) -> Callable:
-    """(G, z) -> (R, dR/dG); with M = zG - 1, dlog w/dM = -p/(M(1+M)), less 1/(1+M) for gaussian S."""
+def _residual_factory(config: NetworkConfig, qstar: float) -> tuple[Callable, int]:
+    """(residual, node count of M's sum).
+
+    The residual maps (G, z, z^{1/L}) to (R, dR/dG); with M = zG - 1,
+    dlog w/dM = -p/(M(1+M)), less 1/(1+M) for gaussian S.
+    """
     t, c = slope_sq_law(config.activation, qstar)
-    ct = c * t
+    t, ct = t.astype(complex), (c * t).astype(complex)  # cast once, not per call
     inv_sw2 = config.sigma_w**-2.0
     gaussian = config.ensemble.kind != ORTHOGONAL
     L = config.depth
     p = 1.0 - 1.0 / L
-    inv_L = 1.0 / L
 
-    def res(G, z):
+    def res(G, z, z_root):
         M = z * G - 1.0
         with np.errstate(all="ignore"):
             S = inv_sw2 / (1.0 + M) if gaussian else inv_sw2
             dlog_w = -p / (M * (1.0 + M)) - (1.0 / (1.0 + M) if gaussian else 0.0)
-            w = z**inv_L * (S * ((1.0 + M) / M) ** p)
+            w = z_root * (S * ((1.0 + M) / M) ** p)
             r = w[..., None] - t
             np.reciprocal(r, out=r)
             m = r @ ct
             np.square(r, out=r)
             return M - m, z * (1.0 + (r @ ct) * w * dlog_w)
 
-    return res
+    return res, t.size
 
 
 def _prepare(config: NetworkConfig):
-    """(q*, residual, m1) for one config; m1 = chi^L, with overflow guards, only seeds the ladder."""
+    """(q*, residual, node count, m1) for one config; m1 = chi^L, with overflow guards, only seeds the ladder."""
     fp = resolve_qstar(config)
     log_m1 = config.depth * math.log(max(fp.chi, 1e-300))
     m1 = math.exp(min(max(log_m1, -300.0), 300.0))
-    return fp.qstar, _residual_factory(config, fp.qstar), m1
+    return fp.qstar, *_residual_factory(config, fp.qstar), m1
 
 
 def master_residual(config: NetworkConfig, G, z):
@@ -138,7 +145,7 @@ def master_residual(config: NetworkConfig, G, z):
     M = z * G - 1.0
     if np.any(M == 0) or np.any(M == -1.0):
         raise PoleError("master residual evaluated at a pole (zG-1 in {0,-1})")
-    out = res(G, z)[0]
+    out = res(G, z, z ** (1.0 / config.depth))[0]
     return complex(out) if out.ndim == 0 else out
 
 
@@ -148,17 +155,17 @@ def master_residual(config: NetworkConfig, G, z):
 
 def _newton_tol(absM, tol):
     """Residual at which Newton stops: tol relative to |M|, plus the cancellation floor near atoms."""
-    return tol * absM + 64.0 * np.finfo(float).eps * (1.0 + absM) ** 2
+    return tol * absM + 64.0 * _EPS * (1.0 + absM) ** 2
 
 
-def _newton_batch(res_fn, z, G, tol, max_iter):
-    """Damped Newton on a batch of (z, G); res_fn gives (R, dR/dG).  Returns (G, converged, niter)."""
+def _newton_batch(res_fn, z, z_root, G, tol, max_iter):
+    """Damped Newton on a batch of (z, G); res_fn(G, z, z_root) gives (R, dR/dG).  Returns (G, converged, niter)."""
     n = G.shape[0]
     converged = np.zeros(n, dtype=bool)
     alive = np.ones(n, dtype=bool)
     iters = np.zeros(n, dtype=int)
     G = G.copy()
-    R, dR = res_fn(G, z)
+    R, dR = res_fn(G, z, z_root)
     for it in range(max_iter):
         idx = np.nonzero(alive & ~converged)[0]
         if idx.size == 0:
@@ -192,7 +199,7 @@ def _newton_batch(res_fn, z, G, tol, max_iter):
             if trial.size == 0:
                 break
             cand = Gi[trial] + step[trial] * factor[trial]
-            Rc, dRc = res_fn(cand, zi[trial])
+            Rc, dRc = res_fn(cand, zi[trial], z_root[idx[trial]])
             better = np.abs(Rc) < absR[trial]
             better &= np.isfinite(Rc)
             won = idx[trial[better]]
@@ -219,7 +226,7 @@ class _LadderResult:
     rejected_steps: int  # steps retried at a smaller ratio, or that lost their point
 
 
-def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float = 1.0) -> _LadderResult:
+def _run_ladder(res_fn, depth: int, lams, eps_targets, settings: SolverSettings, m1: float) -> _LadderResult:
     lams = np.asarray(lams, dtype=float)
     eps_targets = np.asarray(eps_targets, dtype=float)
     n = lams.size
@@ -235,10 +242,10 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
     fail_step = np.full(n, -1, dtype=int)
     residual_evals = newton_iters = rejected = 0
 
-    def counted_res(G, z):
+    def counted_res(G, z, z_root):
         nonlocal residual_evals
         residual_evals += G.size
-        return res_fn(G, z)
+        return res_fn(G, z, z_root)
 
     while True:
         idx = np.nonzero((z.imag > eps_targets) & ~failed)[0]
@@ -252,7 +259,7 @@ def _run_ladder(res_fn, lams, eps_targets, settings: SolverSettings, m1: float =
         M_from = z_from * G[idx] - 1.0
         M_pred = 1.0 / (1.0 / M_from + (z_to - z_from) * slope[idx])
         G_to, conv, iters = _newton_batch(
-            counted_res, z_to, (1.0 + M_pred) / z_to, settings.newton_tol, _STEP_MAX_ITERS + 1
+            counted_res, z_to, z_to ** (1.0 / depth), (1.0 + M_pred) / z_to, settings.newton_tol, _STEP_MAX_ITERS + 1
         )
         newton_iters += int(iters.sum())
         # a hard solve, or a root far from the predictor, has hopped: to a
@@ -295,9 +302,9 @@ def _require_branch(out: _LadderResult, lams) -> None:
 def solve_G_at(config: NetworkConfig, lam: float, settings: SolverSettings | None = None) -> complex:
     """Resolvent at lambda + i final_epsilon by branch-tracked continuation."""
     settings = settings or SolverSettings()
-    _, res_fn, m1 = _prepare(config)
+    _, res_fn, _, m1 = _prepare(config)
     lams = np.array([lam], dtype=float)
-    out = _run_ladder(res_fn, lams, np.array([settings.final_epsilon]), settings, m1)
+    out = _run_ladder(res_fn, config.depth, lams, np.array([settings.final_epsilon]), settings, m1)
     _require_branch(out, lams)
     return complex(out.G[0])
 
@@ -314,14 +321,14 @@ def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings 
     eps * integral rho eps / (lambda^2 + eps^2), which can pass the test.
     """
     settings = settings or SolverSettings()
-    _, res_fn, m1 = _prepare(config)
+    _, res_fn, _, m1 = _prepare(config)
     # below eps ~ 1e-6 the residual noise eps_mach*|M| ~ eps_mach*mass/eps
     # overwhelms the equation at an atom; the probe has converged long before
     eps = max(settings.final_epsilon, _ATOM_PROBE_EPS_FLOOR)
     b, N = _RATIO_MIN, _START_RUNGS
     k = next(k for k in itertools.count(1) if b ** (N - k) <= eps)  # b^{N-k} is the first at or below eps
     heights = np.array([b ** (N - j) for j in range(k - 4, k)] + [eps])
-    out = _run_ladder(res_fn, np.full(5, float(location)), heights, settings, m1)
+    out = _run_ladder(res_fn, config.depth, np.full(5, float(location)), heights, settings, m1)
     vals = heights * np.abs(out.G.imag)
     if not out.converged.all() or np.any(vals <= 0.0):
         return 0.0, False
@@ -362,9 +369,8 @@ def _rho_noise(grid, targets, G, settings: SolverSettings) -> np.ndarray:
     at the cancellation floor); the induced G noise is that divided by |z|.
     """
     absM = np.abs((grid + 1j * targets) * G - 1.0)
-    eps_mach = np.finfo(float).eps
     return 1e-8 + 200.0 * (
-        settings.newton_tol * (1.0 + absM) + 64.0 * eps_mach * (1.0 + absM) ** 2
+        settings.newton_tol * (1.0 + absM) + 64.0 * _EPS * (1.0 + absM) ** 2
     ) / np.maximum(grid, targets)
 
 
@@ -379,16 +385,17 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
     atom's own 1/(z - a) tail.  A point whose continuation loses the branch
     raises BranchLossError naming its lambda.  The metadata holds the
     solver's work summed over points: ``residual_evals``, ``newton_iters``,
-    ``continuation_steps`` (accepted steps) and ``rejected_steps``.
+    ``continuation_steps`` (accepted steps) and ``rejected_steps``; and
+    ``slope_nodes``, the terms of M(w) in each residual evaluation.
     """
     settings = settings or SolverSettings()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid < 0):
         raise ValueError("grid must be a strictly increasing nonnegative 1-D array")
-    qstar, res_fn, m1 = _prepare(config)
+    qstar, res_fn, slope_nodes, m1 = _prepare(config)
     targets = np.minimum(settings.final_epsilon, np.maximum(grid * _ADAPTIVE_EPS_REL, 1e-280))
 
-    out = _run_ladder(res_fn, grid, targets, settings, m1)
+    out = _run_ladder(res_fn, config.depth, grid, targets, settings, m1)
     _require_branch(out, grid)
     rho = -out.G.imag / math.pi
     # Where the true Im G is ~0 (off support, next to atoms) the readout can
@@ -419,6 +426,7 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
         "ensemble": config.ensemble.kind,
         "settings": asdict(settings),
         "residual_evals": out.residual_evals,
+        "slope_nodes": slope_nodes,
         "newton_iters": out.newton_iters,
         "continuation_steps": out.continuation_steps,
         "rejected_steps": out.rejected_steps,

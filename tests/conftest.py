@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jacspectra.activations import slope_distribution
 from jacspectra.errors import BracketError
-from jacspectra.special import eval_where
+from jacspectra.special import default_rule, eval_where
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,3 +65,28 @@ def _bisect_reference(f, lo, hi, args=(), where=True):
 def bisection():
     """Reference root solver for ``special.bracket_root`` (same signature)."""
     return _bisect_reference
+
+
+def _unpruned_slope_sq_law(spec, qstar, rule=None):
+    """``activations.slope_sq_law`` before it dropped the nodes of weight below 1e-30 (same signature).
+
+    Piecewise units give their discrete law; smooth ones every node of the
+    Gauss rule, folded onto the non-negative nodes when t is even in h.
+    """
+    if spec.pieces is not None:
+        return slope_distribution(spec, qstar)
+    rule = rule or default_rule()
+    d = np.asarray(spec.dphi(math.sqrt(qstar) * rule.nodes), dtype=float)
+    t, c = d * d, rule.weights
+    if np.array_equal(t, t[::-1]):
+        half = t.size // 2
+        t, c = t[half:], c[half:] + c[::-1][half:]
+        if rule.nodes.size % 2:
+            c[0] = rule.weights[half]  # the middle node is its own mirror
+    return t, c
+
+
+@pytest.fixture(scope="session")
+def unpruned_slope_sq_law():
+    """Reference squared-slope law for ``activations.slope_sq_law``: every node of the rule."""
+    return _unpruned_slope_sq_law

@@ -274,7 +274,7 @@ class TestDensity:
 _FD_STEP = 1e-4
 
 
-def _central_difference_newton(res_fn, z, G, tol, max_iter):
+def _central_difference_newton(res_fn, z, z_root, G, tol, max_iter):
     """Test-only reference: the damped Newton with a central-difference dR/dG.
 
     It evaluates the residual afresh at every iterate, twice more for the
@@ -282,8 +282,8 @@ def _central_difference_newton(res_fn, z, G, tol, max_iter):
     (R, dR/dG) is used.
     """
 
-    def res(G, z):
-        return res_fn(G, z)[0]
+    def res(G, idx):
+        return res_fn(G, z[idx], z_root[idx])[0]
 
     n = G.shape[0]
     converged = np.zeros(n, dtype=bool)
@@ -295,7 +295,7 @@ def _central_difference_newton(res_fn, z, G, tol, max_iter):
         if idx.size == 0:
             break
         Gi, zi = G[idx], z[idx]
-        R = res(Gi, zi)
+        R = res(Gi, idx)
         absM = np.abs(zi * Gi - 1.0)
         tol_eff = tol * absM + 64.0 * np.finfo(float).eps * (1.0 + absM) ** 2
         ok = np.abs(R) <= tol_eff
@@ -308,7 +308,7 @@ def _central_difference_newton(res_fn, z, G, tol, max_iter):
         # the real axis, so the probes stay off the (1+M)/M branch cut
         h = _FD_STEP * (np.abs(zi * Gi - 1.0) + 1e-12) / np.abs(zi)
         dh = h * np.conj(zi) / np.abs(zi)
-        dR = (res(Gi + dh, zi) - res(Gi - dh, zi)) / (2.0 * dh)
+        dR = (res(Gi + dh, idx) - res(Gi - dh, idx)) / (2.0 * dh)
         with np.errstate(all="ignore"):
             step = -R / dR
         step = np.where(np.isfinite(step), step, h)
@@ -322,7 +322,7 @@ def _central_difference_newton(res_fn, z, G, tol, max_iter):
             if trial.size == 0:
                 break
             cand = Gi[trial] + step[trial] * factor[trial]
-            Rc = res(cand, zi[trial])
+            Rc = res(cand, idx[trial])
             better = (np.abs(Rc) < absR[trial]) & np.isfinite(Rc)
             G_new[trial[better]] = cand[better]
             settled[trial[better]] = True
@@ -340,8 +340,8 @@ def _solve(config, grid, newton=master._newton_batch, ladder=master._run_ladder)
     """density() with the given Newton and ladder, and the noise envelope at its grid points."""
     ladders = []
 
-    def spy(res_fn, lams, targets, settings, m1):
-        out = ladder(res_fn, lams, targets, settings, m1)
+    def spy(res_fn, depth, lams, targets, settings, m1):
+        out = ladder(res_fn, depth, lams, targets, settings, m1)
         ladders.append((lams, targets, settings, out.G))
         return out
 
@@ -401,15 +401,16 @@ class TestAgainstCentralDifferenceNewton:
 def test_analytic_derivative_matches_central_difference(name, ensemble):
     sw = 1.3
     config = NetworkConfig(get_activation(name), ensemble(sw), sw, 0.1, depth=8, qstar=0.9)
-    res = master._residual_factory(config, 0.9)
+    res, _ = master._residual_factory(config, 0.9)
     rng = np.random.default_rng(5)
     z = rng.uniform(0.1, 5.0, 50) + 1j * rng.uniform(0.05, 2.0, 50)
+    z_root = z ** (1.0 / 8)
     # M = zG - 1 off the real axis, clear of the (1+M)/M cut on (-1, 0)
     M = rng.uniform(-2.0, 2.0, 50) + 1j * rng.choice([-1.0, 1.0], 50) * rng.uniform(0.2, 2.0, 50)
     G = (1.0 + M) / z
-    _, dR = res(G, z)
+    _, dR = res(G, z, z_root)
     h = 1e-5 * np.abs(G)
-    dR_cd = (res(G + h, z)[0] - res(G - h, z)[0]) / (2.0 * h)
+    dR_cd = (res(G + h, z, z_root)[0] - res(G - h, z, z_root)[0]) / (2.0 * h)
     assert np.all(np.abs(dR - dR_cd) <= 1e-6 * np.abs(dR))
 
 
@@ -424,7 +425,7 @@ _FIXED_NEWTON_ITERS = 100
 _FIXED_SUB_STEPS = 8
 
 
-def _fixed_ladder(res_fn, lams, eps_targets, settings, m1=1.0):
+def _fixed_ladder(res_fn, depth, lams, eps_targets, settings, m1):
     """Test-only reference: the fixed ladder that per-point step control replaced.
 
     Every point walks the rungs z_k = lambda + i b^{N-k} (b = 1.5, N = 40)
@@ -446,12 +447,14 @@ def _fixed_ladder(res_fn, lams, eps_targets, settings, m1=1.0):
     fail_step = np.full(n, -1, dtype=int)
     work = {"evals": 0, "iters": 0, "steps": 0}
 
-    def counted_res(G, z):
+    def counted_res(G, z, z_root):
         work["evals"] += G.size
-        return res_fn(G, z)
+        return res_fn(G, z, z_root)
 
     def newton(z, seed):
-        G, conv, iters = master._newton_batch(counted_res, z, seed, settings.newton_tol, _FIXED_NEWTON_ITERS)
+        G, conv, iters = master._newton_batch(
+            counted_res, z, z ** (1.0 / depth), seed, settings.newton_tol, _FIXED_NEWTON_ITERS
+        )
         work["iters"] += int(iters.sum())
         return G, conv
 
@@ -539,8 +542,8 @@ def _probe_readings(config, location, ladder):
     """probe_atom through the given ladder: its verdict, its readings eps |Im G| and their noise."""
     ladders = []
 
-    def spy(res_fn, lams, heights, settings, m1):
-        out = ladder(res_fn, lams, heights, settings, m1)
+    def spy(res_fn, depth, lams, heights, settings, m1):
+        out = ladder(res_fn, depth, lams, heights, settings, m1)
         ladders.append((lams, heights, settings, out.G))
         return out
 
@@ -618,3 +621,74 @@ def test_no_point_lost_across_units():
         except BranchLossError as err:
             lost.append(f"{name}: {err}")
     assert not lost
+
+
+# ---------------------------------------------------------------------------
+# the pruned squared-slope law against the one on every node of the rule
+
+# the theory-spectrum configs of the benchmark's theory and mc workloads,
+# with their grid sizes
+_WORKLOAD_CONFIGS = {
+    "hard_tanh-orth-L16": (lambda: critical_config(get_activation("hard_tanh"), "orthogonal", 0.2, 16), 600),
+    "tanh-gauss-L16": (lambda: critical_config(get_activation("tanh"), "gaussian", 0.2, 16), 600),
+    "tanh-orth-L4": (lambda: critical_config(get_activation("tanh"), "orthogonal", 0.2, 4), 600),
+    "erf_sm-orth-L64": (lambda: critical_config(get_activation("erf_sm"), "orthogonal", 0.2, 64), 600),
+    "ds-erf_sm-L256": (lambda: double_scaled_config(get_activation("erf_sm"), 256, 0.25), 600),
+    "ds-hard_tanh-L256": (lambda: double_scaled_config(get_activation("hard_tanh"), 256, 0.25), 600),
+    "mc-hard_tanh-orth-L16": (lambda: critical_config(get_activation("hard_tanh"), "orthogonal", 0.2, 16), 300),
+    "mc-tanh-gauss-L16": (lambda: critical_config(get_activation("tanh"), "gaussian", 0.2, 16), 300),
+    "mc-erf_sm-orth-L64": (lambda: critical_config(get_activation("erf_sm"), "orthogonal", 0.2, 64), 300),
+}
+
+
+class TestPrunedSlopeLaw:
+    @pytest.mark.parametrize("name", sorted(_WORKLOAD_CONFIGS))
+    def test_density_is_unchanged(self, name, unpruned_slope_sq_law, monkeypatch):
+        make, points = _WORKLOAD_CONFIGS[name]
+        config = make()
+        grid = make_lambda_grid(default_lam_max(jacobian_moments(config)), n=points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mass lost below the grid: not what is compared here
+            new = density(config, grid)
+            monkeypatch.setattr(master, "slope_sq_law", unpruned_slope_sq_law)
+            ref = density(config, grid)
+        np.testing.assert_array_equal(new.grid, ref.grid)
+        np.testing.assert_array_equal(new.rho, ref.rho)
+        assert new.atoms == ref.atoms
+        for key in ("residual_evals", "newton_iters"):
+            assert new.metadata[key] == ref.metadata[key]
+        smooth = not config.activation.is_piecewise
+        assert new.metadata["slope_nodes"] == (51 if smooth else ref.metadata["slope_nodes"])
+        assert ref.metadata["slope_nodes"] == (101 if smooth else 2)
+
+    @pytest.mark.parametrize("name", ["tanh", "erf_sm", "erf_main", "arctan", "silu"])
+    @pytest.mark.parametrize("ensemble", [orthogonal, gaussian])
+    def test_residual_within_rounding(self, name, ensemble, unpruned_slope_sq_law, monkeypatch):
+        # (R, dR/dG) with and without the dropped nodes, at random (G, z) and,
+        # for orthogonal weights, at G placing w within 1e-6 of a dropped node
+        sw, q, L = 1.3, 0.9, 8
+        config = NetworkConfig(get_activation(name), ensemble(sw), sw, 0.1, depth=L, qstar=q)
+        res, nodes = master._residual_factory(config, q)
+        with monkeypatch.context() as mp:
+            mp.setattr(master, "slope_sq_law", unpruned_slope_sq_law)
+            ref, ref_nodes = master._residual_factory(config, q)
+        assert nodes < ref_nodes
+        t_all, c_all = unpruned_slope_sq_law(config.activation, q)
+        dropped = t_all[c_all < 1e-30]
+        rng = np.random.default_rng(9)
+        z = rng.uniform(0.1, 5.0, 400) + 1j * rng.uniform(1e-6, 2.0, 400)
+        z_root = z ** (1.0 / L)
+        M = rng.uniform(-2.0, 2.0, 400) + 1j * rng.choice([-1.0, 1.0], 400) * rng.uniform(1e-3, 2.0, 400)
+        if ensemble is orthogonal:
+            # w = z^{1/L} S ((1+M)/M)^p solved for M at w = t + delta, |delta| <= 1e-6
+            p = 1.0 - 1.0 / L
+            t = rng.choice(dropped, 200)
+            w = t + 1e-6 * rng.uniform(0.0, 1.0, 200) * np.exp(1j * rng.uniform(-3, 3, 200))
+            M[:200] = 1.0 / ((w * sw**2 / z_root[:200]) ** (1.0 / p) - 1.0)
+            assert np.all(np.abs(z_root[:200] * ((1.0 + M[:200]) / M[:200]) ** p / sw**2 - t) <= 1e-6)
+        G = (1.0 + M) / z
+        (R, dR), (R_ref, dR_ref) = res(G, z, z_root), ref(G, z, z_root)
+        assert np.all(np.isfinite(R_ref)) and np.all(np.isfinite(dR_ref))
+        scale = 1e-15 * (1.0 + np.abs(M))
+        assert np.all(np.abs(R - R_ref) <= scale)
+        assert np.all(np.abs(dR - dR_ref) <= scale)
