@@ -253,6 +253,7 @@ def cmd_theory_spectrum(args, extra) -> int:
             "newton_iters": dens.metadata["newton_iters"],
             "continuation_steps": dens.metadata["continuation_steps"],
             "rejected_steps": dens.metadata["rejected_steps"],
+            **{k: dens.metadata[k] for k in ("anchor_points", "seeded_points", "fallback_points")},
         },
     )
     return 0

@@ -98,8 +98,7 @@ class SpectralDensity:
 
     def write_csv(self, path) -> None:
         lines = ["domain,x,rho"]
-        for x, r in zip(self.grid, self.rho):
-            lines.append(f"{self.domain},{float(x)!r},{float(r)!r}")
+        lines += [f"{self.domain},{x!r},{r!r}" for x, r in zip(self.grid.tolist(), self.rho.tolist())]
         for loc, mass in self.atoms:
             lines.append(f"atom,{float(loc)!r},{float(mass)!r}")
         with open(path, "w") as fh:

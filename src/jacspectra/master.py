@@ -10,17 +10,21 @@ point and S is the weight ensemble's S-transform.  Principal branches are
 used for both fractional powers; the choice is validated against Monte Carlo
 spectra rather than argued analytically.
 
-For each real lambda the root is tracked from z = lambda + i 1.5^40 down to
+The ladder tracks the root of each lambda from z = lambda + i 1.5^40 down to
 lambda + i eps, where the density is read off as rho = -Im G / pi.  Each
 lambda has its own height and step ratio (Allgower & Georg, "Numerical
 Continuation Methods"): a step divides the height by the ratio, predicts
 M = zG - 1 by extrapolating 1/M linearly in z, and corrects by damped Newton.
-It is accepted when Newton converges within 8 iterations, within 25% of the
-predicted M, with Im M < 0 up to Newton's noise.  An easy step (at most 3
-iterations) squares the ratio, up to 100; a rejected one retries at its
-square root, down to 1.5; a step rejected at 1.5 loses its point, and
-``density`` and ``solve_G_at`` raise BranchLossError on a lost point.  All
+The step test accepts it when Newton converges within 8 iterations, within
+25% of the predicted M, with Im M < 0 up to Newton's noise.  An easy step (at
+most 3 iterations) squares the ratio, up to 100; a rejected one retries at
+its square root, down to 1.5; a step rejected at 1.5 loses its point.  All
 lambdas march as one vectorized batch.
+
+On a grid, ``density`` ladders every 8th point, the last, and any whose level's
+neighbours lie beyond a factor 4; the rest go at strides 4, 2, 1, one Newton
+batch per level seeded in log lambda between solved points (atom poles aside),
+under the same step test; failures take the ladder (BranchLossError if lost).
 
 Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
 pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
@@ -78,6 +82,8 @@ _STEP_GROW_ITERS = 3  # a step solved in this many Newton iterations squares its
 _STEP_MAX_ITERS = 8  # a step needing more is rejected, so Newton stops one iteration later
 _STEP_DRIFT = 0.25  # a step is rejected when |M - M_pred| > 0.25 |M_pred|
 _STEP_RATIO_MAX = 100.0
+_ANCHOR_STRIDE = 8  # density() ladders every 8th grid point and seeds the rest from solved neighbours
+_SEED_REACH = 4.0  # a seed's two solved ends lie within this factor of its lambda
 _ADAPTIVE_EPS_REL = 1e-3
 _ATOM_SPREAD_TOL = 0.02
 _ATOM_MASS_MIN = 1e-3
@@ -215,6 +221,13 @@ def _newton_batch(res_fn, z, z_root, G, tol, max_iter):
     return G, converged, iters
 
 
+def _accepted(M, M_seed, conv, iters, tol):
+    """Step test of a ladder step or seeded point: failing it, a root has hopped to a spurious or mirror root."""
+    near = np.abs(M - M_seed) <= _STEP_DRIFT * np.abs(M_seed)
+    lower = M.imag < np.sqrt(_newton_tol(np.abs(M), tol))
+    return conv & (iters <= _STEP_MAX_ITERS) & near & lower
+
+
 @dataclass
 class _LadderResult:
     G: np.ndarray
@@ -262,15 +275,8 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, settings: SolverSettings,
             counted_res, z_to, z_to ** (1.0 / depth), (1.0 + M_pred) / z_to, settings.newton_tol, _STEP_MAX_ITERS + 1
         )
         newton_iters += int(iters.sum())
-        # a hard solve, or a root far from the predictor, has hopped: to a
-        # spurious root (M -> 0 or -1), or to a mirror root near a hard edge.
-        # The physical M = integral x/(z - x) dmu(x) has Im M < 0, up to
-        # Newton's noise: below the support M -> -1 merges with the spurious
-        # root there, and a residual tol leaves M uncertain by sqrt(tol)
         M = z_to * G_to - 1.0
-        near = np.abs(M - M_pred) <= _STEP_DRIFT * np.abs(M_pred)
-        lower = M.imag < np.sqrt(_newton_tol(np.abs(M), settings.newton_tol))
-        ok = conv & (iters <= _STEP_MAX_ITERS) & near & lower
+        ok = _accepted(M, M_pred, conv, iters, settings.newton_tol)
         rejected += int((~ok).sum())
         retry = ~ok & (ratio[idx] > _RATIO_MIN)
         ratio[idx[retry]] = np.maximum(np.sqrt(ratio[idx[retry]]), _RATIO_MIN)
@@ -362,6 +368,56 @@ def point_masses(config: NetworkConfig, qstar: float) -> tuple:
     return tuple(atoms)
 
 
+def _solve_grid(res_fn, depth: int, lams, targets, settings: SolverSettings, m1: float, atoms):
+    """(_LadderResult, points solved by each path) at z = lams + i targets: anchors, levels, fallback."""
+    n, z, tol = lams.size, lams + 1j * targets, settings.newton_tol
+    log_lam = np.log(np.maximum(lams, 1e-300)) / math.log(_SEED_REACH)  # log base _SEED_REACH
+    poles = sum((mass * loc / (z - loc) for loc, mass in atoms), np.zeros(n, dtype=complex))  # M's atom part
+    G, solved, fail_step = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool), np.full(n, -1)
+    work = np.zeros(4, dtype=int)  # the last four fields of _LadderResult; a seeded solve is one step
+
+    def ladder(idx):
+        out = _run_ladder(res_fn, depth, lams[idx], targets[idx], settings, m1)
+        G[idx], solved[idx], fail_step[idx] = out.G, out.converged, out.fail_step
+        work[:] += (out.residual_evals, out.newton_iters, out.continuation_steps, out.rejected_steps)
+
+    def counted_res(G, z, z_root):
+        work[0] += G.size
+        return res_fn(G, z, z_root)
+
+    def seeded(idx):
+        """Newton at idx from M interpolated in log lambda between the nearest solved points on either side."""
+        done = np.flatnonzero(solved)
+        j = np.searchsorted(done, idx)
+        lo, hi = done[np.maximum(j - 1, 0)], done[np.minimum(j, done.size - 1)]
+        # one-sided or wider seeds took spurious roots on coarse grids: M = -1 below the support, real M in it
+        use = (lo < idx) & (idx < hi) & (np.maximum(log_lam[idx] - log_lam[lo], log_lam[hi] - log_lam[idx]) <= 1.0)
+        idx, lo, hi = idx[use], lo[use], hi[use]
+        M_free = z * G - 1.0 - poles
+        t = (log_lam[idx] - log_lam[lo]) / (log_lam[hi] - log_lam[lo])
+        M_seed = M_free[lo] + t * (M_free[hi] - M_free[lo]) + poles[idx]
+        G_new, conv, iters = _newton_batch(
+            counted_res, z[idx], z[idx] ** (1.0 / depth), (1.0 + M_seed) / z[idx], tol, _STEP_MAX_ITERS + 1
+        )
+        ok = _accepted(z[idx] * G_new - 1.0, M_seed, conv, iters, tol)
+        G[idx[ok]], solved[idx[ok]] = G_new[ok], True
+        work[1:] += (iters.sum(), ok.sum(), (~ok).sum())
+
+    i = np.arange(n)
+    level = i & -i  # largest power of 2 dividing i: below _ANCHOR_STRIDE, the stride i is seeded at
+    gap = np.maximum(log_lam - log_lam[i - level], log_lam[np.minimum(i + level, n - 1)] - log_lam)
+    anchors = np.flatnonzero((level % _ANCHOR_STRIDE == 0) | (i == n - 1) | (gap > 1.0))  # out of reach too
+    ladder(anchors)
+    rest = np.setdiff1d(i, anchors)
+    if solved.any():
+        for stride in _ANCHOR_STRIDE >> np.arange(1, _ANCHOR_STRIDE.bit_length()):  # 4, 2, 1
+            seeded(rest[level[rest] == stride])
+        rest = rest[~solved[rest]]
+    ladder(rest)
+    points = dict(anchor_points=anchors.size, seeded_points=n - anchors.size - rest.size, fallback_points=rest.size)
+    return _LadderResult(G, solved, fail_step, *map(int, work)), points
+
+
 def _rho_noise(grid, targets, G, settings: SolverSettings) -> np.ndarray:
     """Noise envelope of the readout rho = -Im G / pi at z = grid + i targets.
 
@@ -380,13 +436,13 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
     The continuum is read at the per-point offset min(final_epsilon,
     1e-3 * lambda) (tiny lambdas need a proportionally small offset to
     resolve heavy bottom tails); each point's continuation ends exactly
-    there.  The atoms are ``point_masses`` in closed form, and grid points
-    within 100 offsets of an atom are dropped, since there the readout is the
-    atom's own 1/(z - a) tail.  A point whose continuation loses the branch
-    raises BranchLossError naming its lambda.  The metadata holds the
-    solver's work summed over points: ``residual_evals``, ``newton_iters``,
-    ``continuation_steps`` (accepted steps) and ``rejected_steps``; and
-    ``slope_nodes``, the terms of M(w) in each residual evaluation.
+    there, laddered or seeded (module docstring).  The atoms are ``point_masses``
+    in closed form, and grid points within 100 offsets of an atom are dropped,
+    since there the readout is the atom's own 1/(z - a) tail.  A lost point
+    raises BranchLossError naming its lambda.  The metadata holds the solver's
+    work summed over points: ``residual_evals``, ``newton_iters``, ``rejected_steps``,
+    ``continuation_steps`` (a seeded solve is one), ``slope_nodes`` (terms of M(w)
+    per residual evaluation), ``anchor_points``, ``seeded_points`` and ``fallback_points``.
     """
     settings = settings or SolverSettings()
     grid = np.asarray(grid, dtype=float)
@@ -394,8 +450,9 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
         raise ValueError("grid must be a strictly increasing nonnegative 1-D array")
     qstar, res_fn, slope_nodes, m1 = _prepare(config)
     targets = np.minimum(settings.final_epsilon, np.maximum(grid * _ADAPTIVE_EPS_REL, 1e-280))
+    atoms = point_masses(config, qstar)
 
-    out = _run_ladder(res_fn, config.depth, grid, targets, settings, m1)
+    out, points = _solve_grid(res_fn, config.depth, grid, targets, settings, m1, atoms)
     _require_branch(out, grid)
     rho = -out.G.imag / math.pi
     # Where the true Im G is ~0 (off support, next to atoms) the readout can
@@ -411,7 +468,6 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
         )
     rho = np.maximum(rho, 0.0)
 
-    atoms = point_masses(config, qstar)
     keep = np.ones(grid.size, dtype=bool)
     for loc, _ in atoms:
         keep &= np.abs(grid - loc) > _ATOM_PRUNE_EPS_FACTOR * targets
@@ -430,6 +486,7 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
         "newton_iters": out.newton_iters,
         "continuation_steps": out.continuation_steps,
         "rejected_steps": out.rejected_steps,
+        **points,
     }
     dens = SpectralDensity(
         domain=SQUARED_SINGULAR,

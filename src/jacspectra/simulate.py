@@ -6,8 +6,8 @@ sphere that puts the pre-activation variance exactly at its fixed point
 product D^L W^L ... D^1 W^1 followed by one SVD. An orthogonal layer never
 forms W: it applies the Householder reflectors of a sign-corrected Gaussian QR,
 which is Haar (Stewart 1980, SINUM 17; Mezzadri 2007), to [x | J] in compact-WY
-blocks. Per seed, orthogonal draws differ from the earlier QR sampler's (same
-law); Gaussian ones are bit-identical.
+blocks; J starts at D^1 W^1, or at sigma_w D^1 as sigma(J Q^1) = sigma(J). Per seed,
+orthogonal draws differ from the earlier QR sampler's (same law); Gaussian ones are bit-identical.
 
 Randomness is counter-based: every (trial, layer, purpose) tuple maps to its
 own Philox stream derived from the master seed, so results are independent
@@ -83,7 +83,7 @@ class EmpiricalSpectrum:
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("s\n")
-            fh.writelines(f"{float(v)!r}\n" for v in self.singular_values)
+            fh.writelines(f"{v!r}\n" for v in np.asarray(self.singular_values, dtype=float).tolist())
 
     def sidecar(self) -> dict:
         return {
@@ -152,14 +152,14 @@ def jacobian_singular_values(config: NetworkConfig, streams: TrialStreams) -> np
     u = streams.input().standard_normal(n)
     x = u * (math.sqrt(radius_sq) / np.linalg.norm(u)) if radius_sq > 0 else np.zeros(n)
 
-    jac = np.eye(n)
+    jac = None  # set by the first layer
     phi, dphi = config.activation.phi, config.activation.dphi
     orthogonal = config.ensemble.kind == ORTHOGONAL
     for layer in range(1, config.depth + 1):
         rng = streams.layer(layer, "weights")
         b = streams.layer(layer, "bias").standard_normal(n) * config.sigma_b
-        if orthogonal:  # Q acts on [x | J] without being formed
-            xj = _apply_householder(*_householder_haar(n, rng), np.column_stack((x, jac)))
+        if orthogonal:  # Q acts on [x | J] without being formed; Q_1 on x alone, as sigma(J Q_1) = sigma(J)
+            xj = _apply_householder(*_householder_haar(n, rng), x[:, None] if jac is None else np.c_[x, jac])
             h = config.sigma_w * xj[:, 0] + b
         else:
             w = sample_gaussian(n, config.sigma_w, rng)
@@ -167,7 +167,10 @@ def jacobian_singular_values(config: NetworkConfig, streams: TrialStreams) -> np
         if np.max(np.abs(h)) > _OVERFLOW_GUARD:
             raise FloatingPointError(f"pre-activations exceeded {_OVERFLOW_GUARD} at layer {layer}")
         slope = np.asarray(dphi(h), dtype=float)
-        jac = (config.sigma_w * slope)[:, None] * xj[:, 1:] if orthogonal else (slope[:, None] * w) @ jac
+        if orthogonal:
+            jac = (config.sigma_w * slope)[:, None] * (np.eye(n) if jac is None else xj[:, 1:])
+        else:
+            jac = slope[:, None] * w if jac is None else (slope[:, None] * w) @ jac
         x = np.asarray(phi(h), dtype=float)
     return np.sort(np.linalg.svd(jac, compute_uv=False))
 

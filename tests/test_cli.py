@@ -243,6 +243,8 @@ class TestPipeline:
         assert report["grid_points"] <= report["continuation_steps"]
         assert report["rejected_steps"] >= 0
         assert report["continuation_steps"] + report["rejected_steps"] <= report["residual_evals"]
+        # every point is an anchor, seeded from its neighbours, or laddered after its seeds failed
+        assert report["anchor_points"] + report["seeded_points"] + report["fallback_points"] == report["grid_points"]
 
     def test_density_csv_byte_stable(self, workdir, theory_doc):
         first = (workdir / "th.csv").read_bytes()

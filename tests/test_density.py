@@ -110,6 +110,17 @@ class TestIO:
         assert back.atoms == d.atoms
         assert np.array_equal(back.grid, d.grid)
 
+    def test_csv_bytes_match_scalar_formatter(self, tmp_path):
+        # reference: each row formatted from float() of the numpy scalar
+        grid = np.array([5e-324, 2.2250738585072014e-308, 1e-300, 1.5e-17, 0.1, 1.0, 1e16, 1e22, 1.7976931348623157e308])
+        rho = np.array([0.0, 1.7976931348623157e308, 3e-310, 1e-300, 0.30000000000000004, 2.5, 1e-5, 5e-324, 1e300])
+        d = SpectralDensity(SQUARED_SINGULAR, grid, rho, ((0.0, 0.25), (1e-300, 1e-3)), {})
+        rows = [f"{d.domain},{float(x)!r},{float(r)!r}" for x, r in zip(d.grid, d.rho)]
+        atoms = [f"atom,{float(loc)!r},{float(mass)!r}" for loc, mass in d.atoms]
+        p = tmp_path / "d.csv"
+        d.write_csv(p)
+        assert p.read_bytes() == "\n".join(["domain,x,rho", *rows, *atoms, ""]).encode()
+
     def test_csv_bytes_stable(self, tmp_path):
         d = _uniform_density()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

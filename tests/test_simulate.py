@@ -154,6 +154,34 @@ class TestJacobian:
         ref = np.sort(np.linalg.svd(jac, compute_uv=False))
         np.testing.assert_allclose(jacobian_singular_values(cfg, streams), ref, rtol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
+    @pytest.mark.parametrize("name,depth", [("tanh", 1), ("hard_tanh", 2), ("tanh", 8), ("relu", 8)])
+    def test_first_layer_matches_identity_start(self, kind, name, depth):
+        # reference: the loop that started from J = I and multiplied the first layer into it
+        cfg = _config(name, kind, 1.3, 0.2, depth=depth, width=60, qstar=0.7)
+        streams, n = TrialStreams(13, 2), cfg.width
+        u = streams.input().standard_normal(n)
+        x = u * (math.sqrt(n * (cfg.qstar - cfg.sigma_b**2) / cfg.sigma_w**2) / np.linalg.norm(u))
+        jac = np.eye(n)
+        for layer in range(1, depth + 1):
+            rng = streams.layer(layer, "weights")
+            b = streams.layer(layer, "bias").standard_normal(n) * cfg.sigma_b
+            if kind == "orthogonal":
+                xj = _apply_householder(*_householder_haar(n, rng), np.column_stack((x, jac)))
+                h = cfg.sigma_w * xj[:, 0] + b
+                jac = (cfg.sigma_w * cfg.activation.dphi(h))[:, None] * xj[:, 1:]
+            else:
+                w = sample_gaussian(n, cfg.sigma_w, rng)
+                h = w @ x + b
+                jac = (cfg.activation.dphi(h)[:, None] * w) @ jac
+            x = cfg.activation.phi(h)
+        ref = np.sort(np.linalg.svd(jac, compute_uv=False))
+        sv = jacobian_singular_values(cfg, streams)
+        if kind == "gaussian":
+            np.testing.assert_array_equal(sv, ref)
+        else:
+            assert np.max(np.abs(sv - ref)) <= 1e-12 * ref[-1]
+
     def test_requires_width(self):
         cfg = _config("relu", "orthogonal", math.sqrt(2), 0.0, depth=1, width=None, qstar=1.0)
         with pytest.raises(ValueError):
@@ -181,6 +209,14 @@ class TestSpectrumFile:
         back = EmpiricalSpectrum.read_csv(tmp_path / "sp.csv", tmp_path / "sp.json")
         np.testing.assert_array_equal(back.singular_values, spec.singular_values)
         assert back.sidecar() == json.loads(json.dumps(spec.sidecar()))
+
+    def test_csv_bytes_match_scalar_formatter(self, tmp_path):
+        # reference: each value formatted from float() of the numpy scalar
+        sv = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.5e-17, 0.1, 1e16, 1.7976931348623157e308])
+        spec = EmpiricalSpectrum(sv, width=4, depth=1, trials=2, seed=0, config={})
+        spec.write_csv(tmp_path / "sp.csv")
+        expected = "s\n" + "".join(f"{float(v)!r}\n" for v in sv)
+        assert (tmp_path / "sp.csv").read_bytes() == expected.encode()
 
     def test_bad_header(self, tmp_path):
         (tmp_path / "sp.csv").write_text("sigma\n0.5\n")
