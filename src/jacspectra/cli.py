@@ -43,11 +43,23 @@ THREADS_ENV = "JACSPECTRA_THREADS"
 _GRID_DEFAULTS = {"min": GRID_LAM_MIN, "max": None, "points": GRID_POINTS}
 
 
-def _default_threads() -> int:
+def _thread_count(text: str, source: str = "--threads") -> int:
+    """A worker cap: a positive integer, else JacspectraError naming its source."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise JacspectraError(f"{source} must be a positive integer, got {text!r}")
+    return value
+
+
+def _threads(args) -> int:
+    """--threads, else $JACSPECTRA_THREADS, else the CPU count."""
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return _thread_count(env, THREADS_ENV) if env else os.cpu_count() or 1
 
 
 def _deep_update(dst: dict, path: list, value) -> None:
@@ -267,7 +279,7 @@ def cmd_simulate(args, extra) -> int:
     trials = int(cfg.get("trials", 30))
     seed = int(cfg.get("seed", 0))
     cfg["trials"], cfg["seed"] = trials, seed
-    spectrum = run_trials(config, trials, seed, threads=args.threads)
+    spectrum = run_trials(config, trials, seed, threads=_threads(args))
     out = cfg.get("out", {})
     csv_path = out.get("spectrum_csv", "spectrum.csv")
     spectrum.write_csv(csv_path)
@@ -389,17 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON config document")
     parser.add_argument(
         "--threads",
-        type=int,
-        default=_default_threads(),
+        type=_thread_count,
         help=f"worker cap for independent trials (default: ${THREADS_ENV} or cpu count)",
     )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
         return _COMMANDS[args.command](args, extra)
     except JacspectraError as exc:
         print(f"error: {exc}", file=sys.stderr)

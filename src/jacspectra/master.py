@@ -66,7 +66,6 @@ from .propagation import NetworkConfig, resolve_qstar
 __all__ = [
     "SolverSettings",
     "master_residual",
-    "solve_G_at",
     "density",
     "default_lam_max",
     "point_masses",
@@ -303,16 +302,6 @@ def _require_branch(out: _LadderResult, lams) -> None:
             step_index=int(out.fail_step[i]),
             last_iterate=complex(out.G[i]),
         )
-
-
-def solve_G_at(config: NetworkConfig, lam: float, settings: SolverSettings | None = None) -> complex:
-    """Resolvent at lambda + i final_epsilon by branch-tracked continuation."""
-    settings = settings or SolverSettings()
-    _, res_fn, _, m1 = _prepare(config)
-    lams = np.array([lam], dtype=float)
-    out = _run_ladder(res_fn, config.depth, lams, np.array([settings.final_epsilon]), settings, m1)
-    _require_branch(out, lams)
-    return complex(out.G[0])
 
 
 def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings | None = None):

@@ -5,9 +5,15 @@ sphere that puts the pre-activation variance exactly at its fixed point
 (q^1 = q*), propagates, and accumulates the Jacobian as an explicit matrix
 product D^L W^L ... D^1 W^1 followed by one SVD. An orthogonal layer never
 forms W: it applies the Householder reflectors of a sign-corrected Gaussian QR,
-which is Haar (Stewart 1980, SINUM 17; Mezzadri 2007), to [x | J] in compact-WY
-blocks; J starts at D^1 W^1, or at sigma_w D^1 as sigma(J Q^1) = sigma(J). Per seed,
-orthogonal draws differ from the earlier QR sampler's (same law); Gaussian ones are bit-identical.
+which is Haar (Stewart 1980, SINUM 17; Mezzadri 2007), in compact-WY blocks to
+the one n x (n+1) buffer [x | J] that the trial keeps, and scales J by sigma_w D
+in place; J starts at I, and Q^1 acts on x alone as sigma(J Q^1) = sigma(J). A
+Gaussian layer scales its drawn W to D W in place and writes (D W) J over it in
+row panels. So a trial holds two n^2 arrays, [x | J] and the reflectors U or W
+and J, plus O(n) rows of panels and blocks: at n = 256 it peaks at 2.6 n^2
+doubles with orthogonal weights and 2.4 n^2 with Gaussian ones. Per seed,
+orthogonal draws differ from the earlier QR sampler's (same law); Gaussian ones
+are bit-identical.
 
 Randomness is counter-based: every (trial, layer, purpose) tuple maps to its
 own Philox stream derived from the master seed, so results are independent
@@ -33,6 +39,9 @@ _PURPOSES = {"input": 0, "weights": 1, "bias": 2}
 _ATOM_THRESHOLD = 1e-8
 _OVERFLOW_GUARD = 1e100
 _WY_BLOCK = 48  # reflectors per compact-WY block: of 32, 48, 64 and 80, 48 ran fastest at N = 400
+# rows of (D W) J per GEMM, the last panel taking a remainder under half a panel: of 48, 64, 96 and 128,
+# only 96 rounded as one whole GEMM does for every n < 1100 (OpenBLAS 0.3.31, one thread)
+_GEMM_PANEL = 96
 
 
 def stream(seed: int, trial: int, layer: int, purpose: str) -> np.random.Generator:
@@ -110,7 +119,9 @@ class EmpiricalSpectrum:
 def _householder_haar(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Reflector rows u_k of U and signs d, Haar Q = H_0 ... H_{n-1} diag(d), H_k = I - 2 u_k u_k^T."""
     u = np.zeros((n, n))
-    u[np.tri(n, dtype=bool).T] = rng.standard_normal(n * (n + 1) // 2)  # step k meets n - k fresh normals g
+    for k in range(0, n, _WY_BLOCK):  # step k meets n - k fresh normals g, drawn a block of rows at a time
+        upper = np.arange(n) >= np.arange(n)[k : k + _WY_BLOCK, None]
+        u[k : k + _WY_BLOCK][upper] = rng.standard_normal(np.count_nonzero(upper))
     head = u.diagonal().copy()
     d = np.where(head < 0.0, 1.0, -1.0)  # d_k = sign(R_kk); R_kk = -sign(g_0)|g| avoids cancellation in u_k
     norm = np.sqrt(np.einsum("ij,ij->i", u, u))
@@ -119,12 +130,18 @@ def _householder_haar(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.
 
 
 def _apply_householder(u: np.ndarray, d: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """m <- Q m in place and returned; a block is I - Y T Y^T with T^{-1} = striu(Y^T Y) + I/2."""
+    """m <- Q m in place and returned; a block is I - Y T Y^T with T^{-1} = striu(Y^T Y) + I/2.
+
+    A block forms Z = T Y m[j:], _WY_BLOCK rows, then subtracts Y^T Z from m[j:] one panel of
+    _WY_BLOCK rows at a time, so beside u and m it holds O(_WY_BLOCK m.shape[1]) doubles.
+    """
     m *= d[:, None]
-    for j in range((u.shape[0] - 1) // _WY_BLOCK * _WY_BLOCK, -1, -_WY_BLOCK):
+    for j in range((len(u) - 1) // _WY_BLOCK * _WY_BLOCK, -1, -_WY_BLOCK):
         y = u[j : j + _WY_BLOCK, j:]
         t = np.linalg.inv(np.triu(y @ y.T, 1) + 0.5 * np.eye(y.shape[0]))  # 1/3 the time of solve
-        m[j:] -= y.T @ (t @ (y @ m[j:]))
+        z = t @ (y @ m[j:])
+        for r in range(j, len(u), _WY_BLOCK):
+            m[r : r + _WY_BLOCK] -= u[j : j + _WY_BLOCK, r : r + _WY_BLOCK].T @ z
     return m
 
 
@@ -134,12 +151,16 @@ def sample_orthogonal(n: int, sigma_w: float, rng: np.random.Generator) -> np.nd
     sigma_w Q I from the Householder reflectors (Stewart 1980) that an orthogonal layer draws
     from ``rng`` and applies without forming Q; per seed it differs from the earlier QR sampler's, same law.
     """
-    return sigma_w * _apply_householder(*_householder_haar(n, rng), np.eye(n))
+    w = _apply_householder(*_householder_haar(n, rng), np.eye(n))
+    w *= sigma_w
+    return w
 
 
 def sample_gaussian(n: int, sigma_w: float, rng: np.random.Generator) -> np.ndarray:
     """IID Gaussian matrix with entry variance sigma_w^2 / n."""
-    return rng.standard_normal((n, n)) * (sigma_w / math.sqrt(n))
+    w = rng.standard_normal((n, n))
+    w *= sigma_w / math.sqrt(n)
+    return w
 
 
 def jacobian_singular_values(config: NetworkConfig, streams: TrialStreams) -> np.ndarray:
@@ -152,14 +173,16 @@ def jacobian_singular_values(config: NetworkConfig, streams: TrialStreams) -> np
     u = streams.input().standard_normal(n)
     x = u * (math.sqrt(radius_sq) / np.linalg.norm(u)) if radius_sq > 0 else np.zeros(n)
 
-    jac = None  # set by the first layer
     phi, dphi = config.activation.phi, config.activation.dphi
     orthogonal = config.ensemble.kind == ORTHOGONAL
+    xj = np.eye(n, n + 1, 1) if orthogonal else None  # the one buffer [x | J] of orthogonal layers, J = I
+    jac = xj[:, 1:] if orthogonal else None  # a Gaussian J is set by the first layer
     for layer in range(1, config.depth + 1):
         rng = streams.layer(layer, "weights")
         b = streams.layer(layer, "bias").standard_normal(n) * config.sigma_b
-        if orthogonal:  # Q acts on [x | J] without being formed; Q_1 on x alone, as sigma(J Q_1) = sigma(J)
-            xj = _apply_householder(*_householder_haar(n, rng), x[:, None] if jac is None else np.c_[x, jac])
+        if orthogonal:  # Q acts on [x | J] in place, never formed; Q_1 on x alone, as sigma(J Q_1) = sigma(J)
+            xj[:, 0] = x
+            _apply_householder(*_householder_haar(n, rng), xj if layer > 1 else xj[:, :1])
             h = config.sigma_w * xj[:, 0] + b
         else:
             w = sample_gaussian(n, config.sigma_w, rng)
@@ -168,9 +191,14 @@ def jacobian_singular_values(config: NetworkConfig, streams: TrialStreams) -> np
             raise FloatingPointError(f"pre-activations exceeded {_OVERFLOW_GUARD} at layer {layer}")
         slope = np.asarray(dphi(h), dtype=float)
         if orthogonal:
-            jac = (config.sigma_w * slope)[:, None] * (np.eye(n) if jac is None else xj[:, 1:])
+            jac *= (config.sigma_w * slope)[:, None]
         else:
-            jac = slope[:, None] * w if jac is None else (slope[:, None] * w) @ jac
+            w *= slope[:, None]  # D W in place, then (D W) J written over it one row panel at a time
+            if jac is not None:
+                rows = [*range(0, max(n - _GEMM_PANEL // 2, 1), _GEMM_PANEL), n]
+                for r, e in zip(rows, rows[1:]):
+                    w[r:e] = w[r:e] @ jac
+            jac = w
         x = np.asarray(phi(h), dtype=float)
     return np.sort(np.linalg.svd(jac, compute_uv=False))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jacspectra import master
 from jacspectra.activations import slope_distribution
 from jacspectra.errors import BracketError
 from jacspectra.special import default_rule, eval_where
@@ -90,3 +91,22 @@ def _unpruned_slope_sq_law(spec, qstar, rule=None):
 def unpruned_slope_sq_law():
     """Reference squared-slope law for ``activations.slope_sq_law``: every node of the rule."""
     return _unpruned_slope_sq_law
+
+
+def _solve_G_at(config, lam):
+    """Resolvent at lambda + i final_epsilon by branch-tracked continuation: one point of ``master._run_ladder``.
+
+    Raises BranchLossError, as ``master.density`` does, when the continuation loses the branch.
+    """
+    settings = master.SolverSettings()
+    _, res_fn, _, m1 = master._prepare(config)
+    lams = np.array([lam], dtype=float)
+    out = master._run_ladder(res_fn, config.depth, lams, np.array([settings.final_epsilon]), settings, m1)
+    master._require_branch(out, lams)
+    return complex(out.G[0])
+
+
+@pytest.fixture(scope="session")
+def solve_G_at():
+    """Single-point resolvent solve (same signature as ``_solve_G_at``)."""
+    return _solve_G_at

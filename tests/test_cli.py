@@ -361,6 +361,38 @@ class TestErrors:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag,env,source,value",
+        [
+            ("two", None, "--threads", "two"),
+            ("-4", None, "--threads", "-4"),
+            ("0", None, "--threads", "0"),
+            (None, "two", "JACSPECTRA_THREADS", "two"),
+            (None, "-4", "JACSPECTRA_THREADS", "-4"),
+            (None, "0", "JACSPECTRA_THREADS", "0"),
+        ],
+    )
+    def test_thread_count_refused(self, tmp_path, flag, env, source, value):
+        args = ["simulate", "--activation.name", "tanh", "--width", "8", "--depth", "2", "--trials", "1",
+                "--qstar", "0.5", "--out.spectrum_csv", "sp.csv"]
+        proc = subprocess.run(
+            PY + args + (["--threads", flag] if flag else []), cwd=tmp_path, capture_output=True, text=True,
+            env={**child_env(), "JACSPECTRA_THREADS": env or ""},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {source} must be a positive integer, got {value!r}\n"
+        assert not (tmp_path / "sp.csv").exists()
+
+    def test_thread_env_read_by_simulate_alone(self, tmp_path):
+        # only simulate runs trials: a bad JACSPECTRA_THREADS leaves the other commands alone
+        args = ["moments", "--activation.name", "tanh", "--critical", "true", "--sigma-b", "0.2"]
+        env = {**child_env(), "JACSPECTRA_THREADS": "two"}
+        proc = subprocess.run(PY + args, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        proc = subprocess.run(PY + args + ["--threads", "-4"], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: --threads must be a positive integer, got '-4'\n"
+
     def test_compare_refuses_bad_spectrum_header(self, tmp_path):
         SpectralDensity(SINGULAR, np.linspace(0.0, 2.0, 5), np.full(5, 0.5)).write_json(tmp_path / "th.json")
         (tmp_path / "sp.csv").write_text("sigma\n0.5\n")

@@ -18,7 +18,6 @@ from jacspectra.limits import (
     smooth_edges,
     smooth_w,
 )
-from jacspectra.master import solve_G_at
 from jacspectra.propagation import double_scaled_config
 
 
@@ -67,7 +66,7 @@ class TestBernoulliG:
         assert below > 0.05
         assert above <= 1e-6
 
-    def test_deep_master_solve_cross_check(self):
+    def test_deep_master_solve_cross_check(self, solve_G_at):
         cfg = double_scaled_config(get_activation("hard_tanh"), 4096, 0.25)
         for lam in (0.1, 0.4, 3.0):
             g_lim = bernoulli_G(0.25, lam + 1e-6j)
@@ -136,7 +135,7 @@ class TestSmoothG:
     def test_stieltjes_asymptotics(self):
         assert abs(smooth_G(0.25, 1e4) - 1e-4) <= 1e-3
 
-    def test_deep_master_solve_cross_check(self):
+    def test_deep_master_solve_cross_check(self, solve_G_at):
         cfg = double_scaled_config(get_activation("erf_sm"), 8192, 0.25)
         g_lim = smooth_G(0.25, 1.0 + 1e-6j)
         g_mas = solve_G_at(cfg, 1.0)

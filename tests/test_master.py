@@ -17,7 +17,6 @@ from jacspectra.master import (
     master_residual,
     point_masses,
     probe_atom,
-    solve_G_at,
 )
 from jacspectra.moments import jacobian_moments, moments_from_density
 from jacspectra.propagation import NetworkConfig, critical_config, double_scaled_config, resolve_qstar
@@ -84,26 +83,26 @@ class TestMasterResidual:
 
 
 class TestSolveG:
-    def test_off_support_resolvent_of_atom(self):
+    def test_off_support_resolvent_of_atom(self, solve_G_at):
         G = solve_G_at(_linear_orth(), 3.0)
         assert abs(G - 0.5) <= 1e-5
 
-    def test_mp_density_point(self):
+    def test_mp_density_point(self, solve_G_at):
         G = solve_G_at(_linear_gauss(), 2.0)
         rho = -G.imag / math.pi
         assert rho == pytest.approx(math.sqrt(2 * (4 - 2)) / (2 * math.pi * 2), abs=1e-6)
 
-    def test_relu_between_atoms(self):
+    def test_relu_between_atoms(self, solve_G_at):
         G = solve_G_at(_relu_orth(), 0.5)
         assert -G.imag / math.pi <= 1e-4  # no continuum between the point masses
         assert G.real == pytest.approx(0.5 / 0.5 + 0.5 / (0.5 - 2.0), abs=1e-6)
 
-    def test_far_asymptotics(self):
+    def test_far_asymptotics(self, solve_G_at):
         for cfg in (_linear_gauss(), _relu_orth(4)):
             G = solve_G_at(cfg, 1e4)
             assert abs(G - 1e-4) <= 1e-3
 
-    def test_branch_loss_reported(self, monkeypatch):
+    def test_branch_loss_reported(self, monkeypatch, solve_G_at):
         monkeypatch.setattr(master, "_STEP_MAX_ITERS", 0)  # every step that needs Newton is rejected
         with pytest.raises(BranchLossError) as err:
             solve_G_at(_linear_gauss(), 2.0)

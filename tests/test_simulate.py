@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,27 @@ from jacspectra.simulate import (
 def _config(name, kind, sw, sb, depth, width, qstar=None):
     ens = orthogonal(sw) if kind == "orthogonal" else gaussian(sw)
     return NetworkConfig(get_activation(name), ens, sw, sb, depth=depth, width=width, qstar=qstar)
+
+
+def _identity_start_reference(cfg, streams):
+    """Sorted singular values from the loop that started at J = I and took (D W) J in one product per layer."""
+    n = cfg.width
+    u = streams.input().standard_normal(n)
+    x = u * (math.sqrt(n * (cfg.qstar - cfg.sigma_b**2) / cfg.sigma_w**2) / np.linalg.norm(u))
+    jac = np.eye(n)
+    for layer in range(1, cfg.depth + 1):
+        rng = streams.layer(layer, "weights")
+        b = streams.layer(layer, "bias").standard_normal(n) * cfg.sigma_b
+        if cfg.ensemble.kind == "orthogonal":
+            xj = _apply_householder(*_householder_haar(n, rng), np.column_stack((x, jac)))
+            h = cfg.sigma_w * xj[:, 0] + b
+            jac = (cfg.sigma_w * cfg.activation.dphi(h))[:, None] * xj[:, 1:]
+        else:
+            w = sample_gaussian(n, cfg.sigma_w, rng)
+            h = w @ x + b
+            jac = (cfg.activation.dphi(h)[:, None] * w) @ jac
+        x = cfg.activation.phi(h)
+    return np.sort(np.linalg.svd(jac, compute_uv=False))
 
 
 class TestSampleOrthogonal:
@@ -155,45 +177,52 @@ class TestJacobian:
         np.testing.assert_allclose(jacobian_singular_values(cfg, streams), ref, rtol=1e-10)
 
     @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
-    @pytest.mark.parametrize("name,depth", [("tanh", 1), ("hard_tanh", 2), ("tanh", 8), ("relu", 8)])
+    @pytest.mark.parametrize("name,depth", [("tanh", 1), ("hard_tanh", 2), ("tanh", 8), ("relu", 8), ("tanh", 24)])
     def test_first_layer_matches_identity_start(self, kind, name, depth):
-        # reference: the loop that started from J = I and multiplied the first layer into it
         cfg = _config(name, kind, 1.3, 0.2, depth=depth, width=60, qstar=0.7)
-        streams, n = TrialStreams(13, 2), cfg.width
-        u = streams.input().standard_normal(n)
-        x = u * (math.sqrt(n * (cfg.qstar - cfg.sigma_b**2) / cfg.sigma_w**2) / np.linalg.norm(u))
-        jac = np.eye(n)
-        for layer in range(1, depth + 1):
-            rng = streams.layer(layer, "weights")
-            b = streams.layer(layer, "bias").standard_normal(n) * cfg.sigma_b
-            if kind == "orthogonal":
-                xj = _apply_householder(*_householder_haar(n, rng), np.column_stack((x, jac)))
-                h = cfg.sigma_w * xj[:, 0] + b
-                jac = (cfg.sigma_w * cfg.activation.dphi(h))[:, None] * xj[:, 1:]
-            else:
-                w = sample_gaussian(n, cfg.sigma_w, rng)
-                h = w @ x + b
-                jac = (cfg.activation.dphi(h)[:, None] * w) @ jac
-            x = cfg.activation.phi(h)
-        ref = np.sort(np.linalg.svd(jac, compute_uv=False))
+        streams = TrialStreams(13, 2)
+        ref = _identity_start_reference(cfg, streams)
         sv = jacobian_singular_values(cfg, streams)
         if kind == "gaussian":
             np.testing.assert_array_equal(sv, ref)
         else:
             assert np.max(np.abs(sv - ref)) <= 1e-12 * ref[-1]
 
+    def test_gaussian_row_panels_match_one_product(self):
+        # n = 250 writes (D W) J in three row panels (96, 96 and 58 rows); the reference takes one GEMM
+        cfg = _config("tanh", "gaussian", 1.3, 0.2, depth=4, width=250, qstar=0.7)
+        streams = TrialStreams(13, 3)
+        ref = _identity_start_reference(cfg, streams)
+        assert np.max(np.abs(jacobian_singular_values(cfg, streams) - ref)) <= 1e-12 * ref[-1]
+
     def test_requires_width(self):
         cfg = _config("relu", "orthogonal", math.sqrt(2), 0.0, depth=1, width=None, qstar=1.0)
         with pytest.raises(ValueError):
             jacobian_singular_values(cfg, TrialStreams(0, 0))
 
-    def test_determinism_and_schedule_independence(self):
-        cfg = _config("hard_tanh", "orthogonal", 1.05, 0.1, depth=3, width=64)
+    @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
+    def test_determinism_and_schedule_independence(self, kind):
+        cfg = _config("hard_tanh", kind, 1.05, 0.1, depth=3, width=64)
         a = run_trials(cfg, 4, 123)
         b = run_trials(cfg, 4, 123, threads=2)
         assert np.array_equal(a.singular_values, b.singular_values)
         c = run_trials(cfg, 4, 124)
         assert not np.array_equal(a.singular_values, c.singular_values)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "orthogonal"])
+    def test_trial_working_set(self, kind):
+        # a trial's numpy buffers (tracemalloc sees them) stay under 3 n^2 doubles plus a few n-vectors:
+        # two n^2 arrays, [x | J] and the reflectors or W and J, and O(n) rows of panels
+        n = 256
+        cfg = _config("tanh", kind, 1.3, 0.2, depth=4, width=n, qstar=0.7)
+        jacobian_singular_values(cfg, TrialStreams(1, 0))  # a first call imports modules (SeedSequence's secrets)
+        tracemalloc.start()
+        try:
+            jacobian_singular_values(cfg, TrialStreams(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * n * n + 16 * n)
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
