@@ -25,7 +25,7 @@ from .limits import (
     smooth_density,
     smooth_edges,
 )
-from .master import SolverSettings, density, master_residual, point_masses, probe_atom
+from .master import density, master_residual, point_masses, probe_atom
 from .moments import MomentSummary, jacobian_moments, moments_from_density
 from .propagation import (
     FixedPoint,

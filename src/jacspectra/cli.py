@@ -1,9 +1,9 @@
 """Command-line driver: reproducible runs from JSON configs.
 
 Every command reads a single JSON config (``--config``), applies dotted
-flag overrides (``--solver.final-epsilon 1e-7`` targets config["solver"]
-["final_epsilon"]), materializes all defaults, runs, writes its CSV/JSON
-outputs, and prints the fully resolved provenance document to stdout.
+flag overrides (``--grid.min 1e-8`` targets config["grid"]["min"]),
+materializes all defaults, runs, writes its CSV/JSON outputs, and prints
+the fully resolved provenance document to stdout.
 
 Subcommands: fixed-point, phase-grid, theory-spectrum, simulate, compare,
 limit, moments.
@@ -26,7 +26,7 @@ from .density import GRID_LAM_MIN, GRID_POINTS, make_lambda_grid, read_csv, read
 from .ensembles import WeightEnsemble
 from .errors import JacspectraError
 from .limits import BERNOULLI, SMOOTH, bernoulli_density, bernoulli_edges_atoms, smooth_density, smooth_edges
-from .master import SolverSettings, default_lam_max, density
+from .master import default_lam_max, density
 from .moments import jacobian_moments, moments_from_density
 from .propagation import (
     NetworkConfig,
@@ -76,9 +76,9 @@ def _parse_overrides(pairs) -> list:
     while i < len(pairs):
         key = pairs[i]
         if not key.startswith("--"):
-            raise SystemExit(f"unexpected argument {key!r}")
+            raise JacspectraError(f"unexpected argument {key!r}")
         if i + 1 >= len(pairs):
-            raise SystemExit(f"flag {key!r} needs a value")
+            raise JacspectraError(f"flag {key!r} needs a value")
         raw = pairs[i + 1]
         try:
             value = json.loads(raw)
@@ -143,30 +143,16 @@ def _network_from(cfg: dict) -> NetworkConfig:
     )
 
 
-def _solver_from(cfg: dict) -> SolverSettings:
-    """SolverSettings from config["solver"], which becomes the settings used; an unknown key is an error."""
-    defaults = asdict(SolverSettings())
-    given = cfg.get("solver", {})
-    unknown = sorted(set(given) - set(defaults))
-    if unknown:
-        raise JacspectraError(f"unknown solver setting {unknown[0]!r}; settings are {', '.join(sorted(defaults))}")
-    try:
-        settings = SolverSettings(**{key: type(value)(given.get(key, value)) for key, value in defaults.items()})
-    except ValueError as exc:
-        raise JacspectraError(f"bad solver setting: {exc}") from None
-    cfg["solver"] = asdict(settings)
-    return settings
-
-
 def _grid_from(cfg: dict, lam_max_default: float) -> np.ndarray:
     merged = dict(_GRID_DEFAULTS)
     merged.update(cfg.get("grid", {}))
     if merged["max"] is None:
         merged["max"] = lam_max_default
     cfg["grid"] = merged
-    return make_lambda_grid(
-        float(merged["max"]), lam_min=float(merged["min"]), n=int(merged["points"])
-    )
+    try:
+        return make_lambda_grid(float(merged["max"]), lam_min=float(merged["min"]), n=int(merged["points"]))
+    except ValueError as exc:
+        raise JacspectraError(f"bad grid {merged}: {exc}") from None
 
 
 def _emit(command: str, cfg: dict, outputs: dict, report=None) -> None:
@@ -239,10 +225,11 @@ def cmd_phase_grid(args, extra) -> int:
 
 def cmd_theory_spectrum(args, extra) -> int:
     cfg = _load_config(args, extra)
+    if "solver" in cfg:  # refused, so that an old config cannot run on the defaults without a word
+        raise JacspectraError(f"the solver takes no settings; remove config['solver'] (got {cfg['solver']})")
     config = _network_from(cfg)
-    settings = _solver_from(cfg)
     grid = _grid_from(cfg, default_lam_max(jacobian_moments(config)))
-    dens = density(config, grid, settings)
+    dens = density(config, grid)
     if cfg.get("singular_domain", True):
         dens_out = to_singular_domain(dens)
     else:
@@ -275,7 +262,7 @@ def cmd_simulate(args, extra) -> int:
     cfg = _load_config(args, extra)
     config = _network_from(cfg)
     if config.width is None:
-        raise SystemExit("simulate requires config['width']")
+        raise JacspectraError("simulate requires config['width']")
     trials = int(cfg.get("trials", 30))
     seed = int(cfg.get("seed", 0))
     cfg["trials"], cfg["seed"] = trials, seed
@@ -335,6 +322,8 @@ def cmd_limit(args, extra) -> int:
     cfg = _load_config(args, extra)
     klass = cfg.get("class", BERNOULLI)
     s0sq = float(cfg.get("sigma0_sq", 0.25))
+    if not 0.0 < s0sq < math.inf:
+        raise JacspectraError(f"sigma0_sq must be positive and finite, got {s0sq!r}")
     cfg["class"], cfg["sigma0_sq"] = klass, s0sq
     half = int(cfg.get("grid", {}).get("points", 1200)) // 2
     if klass == BERNOULLI:
@@ -351,7 +340,7 @@ def cmd_limit(args, extra) -> int:
         dens = smooth_density(s0sq, np.unique(grid))
         edges = {"lambda_minus": lo, "lambda_plus": hi}
     else:
-        raise SystemExit(f"unknown limit class {klass!r}")
+        raise JacspectraError(f"unknown limit class {klass!r}; classes are {BERNOULLI}, {SMOOTH}")
     dens_s = to_singular_domain(dens)
     out = cfg.get("out", {})
     csv_path = out.get("density_csv", "limit.csv")

@@ -11,9 +11,9 @@ used for both fractional powers; the choice is validated against Monte Carlo
 spectra rather than argued analytically.
 
 The ladder tracks the root of each lambda from z = lambda + i 1.5^40 down to
-lambda + i eps, where the density is read off as rho = -Im G / pi.  Each
-lambda has its own height and step ratio (Allgower & Georg, "Numerical
-Continuation Methods"): a step divides the height by the ratio, predicts
+the stop height lambda + i min(1e-6, 1e-3 lambda).  Each lambda has its own
+height and step ratio (Allgower & Georg, "Numerical Continuation Methods"):
+a step divides the height by the ratio, predicts
 M = zG - 1 by extrapolating 1/M linearly in z, and corrects by damped Newton.
 The step test accepts it when Newton converges within 8 iterations, within
 25% of the predicted M, with Im M < 0 up to Newton's noise.  An easy step (at
@@ -25,6 +25,12 @@ On a grid, ``density`` ladders every 8th point, the last, and any whose level's
 neighbours lie beyond a factor 4; the rest go at strides 4, 2, 1, one Newton
 batch per level seeded in log lambda between solved points (atom poles aside),
 under the same step test; failures take the ladder (BranchLossError if lost).
+Then one Newton batch at z = lambda + 0i, seeded with each point's M at the
+stop height, gives G on the real axis, and the density is read there as
+rho = -Im G(lambda + i0) / pi: no offset biases it, and atoms leave no tail on
+their neighbours.  Near a square-root edge that Newton is ill-conditioned
+(dz/dG = 0 there), which is why ``make_lambda_grid`` keeps points off round
+edges.
 
 Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
 pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
@@ -42,8 +48,8 @@ Point masses are not read from the ladder: they follow in closed form from
 the atom rule for free multiplicative convolution (Belinschi 2003, "The
 atoms of the free multiplicative convolution of two probability
 distributions"), applied to the discrete squared-slope law of a piecewise
-unit; see ``point_masses``.  ``probe_atom`` reads eps * |Im G| at a location
-as a numerical check of that rule.
+unit; see ``point_masses``.  ``probe_atom`` reads eps * |Im G| at a location,
+off the axis, as a numerical check of that rule.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,7 +70,6 @@ from .moments import MomentSummary
 from .propagation import NetworkConfig, resolve_qstar
 
 __all__ = [
-    "SolverSettings",
     "master_residual",
     "density",
     "default_lam_max",
@@ -83,23 +88,16 @@ _STEP_DRIFT = 0.25  # a step is rejected when |M - M_pred| > 0.25 |M_pred|
 _STEP_RATIO_MAX = 100.0
 _ANCHOR_STRIDE = 8  # density() ladders every 8th grid point and seeds the rest from solved neighbours
 _SEED_REACH = 4.0  # a seed's two solved ends lie within this factor of its lambda
-_ADAPTIVE_EPS_REL = 1e-3
+_NEWTON_TOL = 1e-11  # a ladder step or seed stops at a residual of this times |M|, plus _newton_tol's floor
+# the ladder stops at height min(_STOP_HEIGHT, _STOP_HEIGHT_REL * lambda), and probe_atom reads at
+# _STOP_HEIGHT: below ~1e-6 the residual noise eps_mach |M| ~ eps_mach mass / eps swamps an atom
+_STOP_HEIGHT = 1e-6
+_STOP_HEIGHT_REL = 1e-3  # tiny lambdas stop proportionally lower, to resolve heavy bottom tails
+# Newton's tol on the real axis, where it sets rho's noise: at _NEWTON_TOL, a tenfold
+# change of the stop height moved rho by up to 2.4e-9 max rho, at 1e-13 by 2e-10
+_AXIS_TOL = 1e-13
 _ATOM_SPREAD_TOL = 0.02
 _ATOM_MASS_MIN = 1e-3
-_ATOM_PRUNE_EPS_FACTOR = 100.0
-_ATOM_PROBE_EPS_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    newton_tol: float = 1e-11
-    final_epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if not 0.0 < self.final_epsilon < _RATIO_MIN**_START_RUNGS:
-            raise ValueError("final_epsilon must lie in (0, 1.5^40)")
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
 
 
 def _residual_factory(config: NetworkConfig, qstar: float) -> tuple[Callable, int]:
@@ -220,11 +218,15 @@ def _newton_batch(res_fn, z, z_root, G, tol, max_iter):
     return G, converged, iters
 
 
-def _accepted(M, M_seed, conv, iters, tol):
-    """Step test of a ladder step or seeded point: failing it, a root has hopped to a spurious or mirror root."""
-    near = np.abs(M - M_seed) <= _STEP_DRIFT * np.abs(M_seed)
-    lower = M.imag < np.sqrt(_newton_tol(np.abs(M), tol))
-    return conv & (iters <= _STEP_MAX_ITERS) & near & lower
+def _accepted(M, conv, iters, M_seed=None):
+    """Step test of a ladder step, seeded point or root on the axis: failing it, a root has hopped to a spurious
+    or mirror root.
+
+    Without ``M_seed`` (the solve on the real axis) the drift test is left out: within about the stop
+    height of an inverse-square-root edge the root on the axis lies rightly far from its seed.
+    """
+    ok = conv & (iters <= _STEP_MAX_ITERS) & (M.imag < np.sqrt(_newton_tol(np.abs(M), _NEWTON_TOL)))
+    return ok if M_seed is None else ok & (np.abs(M - M_seed) <= _STEP_DRIFT * np.abs(M_seed))
 
 
 @dataclass
@@ -238,7 +240,7 @@ class _LadderResult:
     rejected_steps: int  # steps retried at a smaller ratio, or that lost their point
 
 
-def _run_ladder(res_fn, depth: int, lams, eps_targets, settings: SolverSettings, m1: float) -> _LadderResult:
+def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float) -> _LadderResult:
     lams = np.asarray(lams, dtype=float)
     eps_targets = np.asarray(eps_targets, dtype=float)
     n = lams.size
@@ -271,11 +273,11 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, settings: SolverSettings,
         M_from = z_from * G[idx] - 1.0
         M_pred = 1.0 / (1.0 / M_from + (z_to - z_from) * slope[idx])
         G_to, conv, iters = _newton_batch(
-            counted_res, z_to, z_to ** (1.0 / depth), (1.0 + M_pred) / z_to, settings.newton_tol, _STEP_MAX_ITERS + 1
+            counted_res, z_to, z_to ** (1.0 / depth), (1.0 + M_pred) / z_to, _NEWTON_TOL, _STEP_MAX_ITERS + 1
         )
         newton_iters += int(iters.sum())
         M = z_to * G_to - 1.0
-        ok = _accepted(M, M_pred, conv, iters, settings.newton_tol)
+        ok = _accepted(M, conv, iters, M_pred)
         rejected += int((~ok).sum())
         retry = ~ok & (ratio[idx] > _RATIO_MIN)
         ratio[idx[retry]] = np.maximum(np.sqrt(ratio[idx[retry]]), _RATIO_MIN)
@@ -291,39 +293,38 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, settings: SolverSettings,
     return _LadderResult(G, ~failed, fail_step, residual_evals, newton_iters, int(steps.sum()), rejected)
 
 
-def _require_branch(out: _LadderResult, lams) -> None:
-    """Raise BranchLossError naming the first lambda whose continuation lost the branch."""
-    lost = np.nonzero(~out.converged)[0]
+def _require_branch(lams, converged, G, fail_step=None) -> None:
+    """Raise BranchLossError naming the first lambda whose solve lost the branch: at a ladder step, else on the axis."""
+    lost = np.flatnonzero(~converged)
     if lost.size:
         i = lost[0]
+        where = "on the real axis" if fail_step is None else f"step {fail_step[i]}"
         raise BranchLossError(
-            f"continuation lost the branch at lambda={lams[i]:.6g} (step {out.fail_step[i]}; "
-            f"{lost.size} of {out.converged.size} points lost)",
-            step_index=int(out.fail_step[i]),
-            last_iterate=complex(out.G[i]),
+            f"continuation lost the branch at lambda={lams[i]:.6g} "
+            f"({where}; {lost.size} of {converged.size} points lost)",
+            step_index=None if fail_step is None else int(fail_step[i]),
+            last_iterate=complex(G[i]),
         )
 
 
-def probe_atom(config: NetworkConfig, location: float, settings: SolverSettings | None = None):
+def probe_atom(config: NetworkConfig, location: float):
     """Residue probe at a location: a numerical check of ``point_masses``.
 
     eps * |Im G(location + i eps)| tends to the atom mass as eps -> 0.  It is
-    read at eps = max(final_epsilon, 1e-6) and at the four heights 1.5^{40-j}
-    just above it, and returns (mass, is_atom): the values must agree to a
-    relative spread of 2% on a mass above 1e-3 for the point to count as an atom;
-    drifting values indicate an integrable divergence.  Beside a continuum
-    that diverges at the location the reading stays above the mass by
-    eps * integral rho eps / (lambda^2 + eps^2), which can pass the test.
+    read off the axis, at the ladder's stop height eps = 1e-6 and at the four
+    heights 1.5^{40-j} just above it, and returns (mass, is_atom): the values
+    must agree to a relative spread of 2% on a mass above 1e-3 for the point
+    to count as an atom; drifting values indicate an integrable divergence.
+    Beside a continuum that diverges at the location the reading stays above
+    the mass by eps * integral rho eps / (lambda^2 + eps^2), which can pass
+    the test.
     """
-    settings = settings or SolverSettings()
     _, res_fn, _, m1 = _prepare(config)
-    # below eps ~ 1e-6 the residual noise eps_mach*|M| ~ eps_mach*mass/eps
-    # overwhelms the equation at an atom; the probe has converged long before
-    eps = max(settings.final_epsilon, _ATOM_PROBE_EPS_FLOOR)
+    eps = _STOP_HEIGHT
     b, N = _RATIO_MIN, _START_RUNGS
     k = next(k for k in itertools.count(1) if b ** (N - k) <= eps)  # b^{N-k} is the first at or below eps
     heights = np.array([b ** (N - j) for j in range(k - 4, k)] + [eps])
-    out = _run_ladder(res_fn, config.depth, np.full(5, float(location)), heights, settings, m1)
+    out = _run_ladder(res_fn, config.depth, np.full(5, float(location)), heights, m1)
     vals = heights * np.abs(out.G.imag)
     if not out.converged.all() or np.any(vals <= 0.0):
         return 0.0, False
@@ -357,16 +358,16 @@ def point_masses(config: NetworkConfig, qstar: float) -> tuple:
     return tuple(atoms)
 
 
-def _solve_grid(res_fn, depth: int, lams, targets, settings: SolverSettings, m1: float, atoms):
+def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms):
     """(_LadderResult, points solved by each path) at z = lams + i targets: anchors, levels, fallback."""
-    n, z, tol = lams.size, lams + 1j * targets, settings.newton_tol
+    n, z = lams.size, lams + 1j * targets
     log_lam = np.log(np.maximum(lams, 1e-300)) / math.log(_SEED_REACH)  # log base _SEED_REACH
     poles = sum((mass * loc / (z - loc) for loc, mass in atoms), np.zeros(n, dtype=complex))  # M's atom part
     G, solved, fail_step = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool), np.full(n, -1)
     work = np.zeros(4, dtype=int)  # the last four fields of _LadderResult; a seeded solve is one step
 
     def ladder(idx):
-        out = _run_ladder(res_fn, depth, lams[idx], targets[idx], settings, m1)
+        out = _run_ladder(res_fn, depth, lams[idx], targets[idx], m1)
         G[idx], solved[idx], fail_step[idx] = out.G, out.converged, out.fail_step
         work[:] += (out.residual_evals, out.newton_iters, out.continuation_steps, out.rejected_steps)
 
@@ -386,9 +387,9 @@ def _solve_grid(res_fn, depth: int, lams, targets, settings: SolverSettings, m1:
         t = (log_lam[idx] - log_lam[lo]) / (log_lam[hi] - log_lam[lo])
         M_seed = M_free[lo] + t * (M_free[hi] - M_free[lo]) + poles[idx]
         G_new, conv, iters = _newton_batch(
-            counted_res, z[idx], z[idx] ** (1.0 / depth), (1.0 + M_seed) / z[idx], tol, _STEP_MAX_ITERS + 1
+            counted_res, z[idx], z[idx] ** (1.0 / depth), (1.0 + M_seed) / z[idx], _NEWTON_TOL, _STEP_MAX_ITERS + 1
         )
-        ok = _accepted(z[idx] * G_new - 1.0, M_seed, conv, iters, tol)
+        ok = _accepted(z[idx] * G_new - 1.0, conv, iters, M_seed)
         G[idx[ok]], solved[idx[ok]] = G_new[ok], True
         work[1:] += (iters.sum(), ok.sum(), (~ok).sum())
 
@@ -407,59 +408,44 @@ def _solve_grid(res_fn, depth: int, lams, targets, settings: SolverSettings, m1:
     return _LadderResult(G, solved, fail_step, *map(int, work)), points
 
 
-def _rho_noise(grid, targets, G, settings: SolverSettings) -> np.ndarray:
-    """Noise envelope of the readout rho = -Im G / pi at z = grid + i targets.
-
-    Newton stops at a residual ~ tol*(1+|M|) (or 100x that when stagnating
-    at the cancellation floor); the induced G noise is that divided by |z|.
-    """
-    absM = np.abs((grid + 1j * targets) * G - 1.0)
-    return 1e-8 + 200.0 * (
-        settings.newton_tol * (1.0 + absM) + 64.0 * _EPS * (1.0 + absM) ** 2
-    ) / np.maximum(grid, targets)
-
-
-def density(config: NetworkConfig, grid, settings: SolverSettings | None = None) -> SpectralDensity:
+def density(config: NetworkConfig, grid) -> SpectralDensity:
     """Squared-singular-value density of J J^T on the given lambda grid.
 
-    The continuum is read at the per-point offset min(final_epsilon,
-    1e-3 * lambda) (tiny lambdas need a proportionally small offset to
-    resolve heavy bottom tails); each point's continuation ends exactly
-    there, laddered or seeded (module docstring).  The atoms are ``point_masses``
-    in closed form, and grid points within 100 offsets of an atom are dropped,
-    since there the readout is the atom's own 1/(z - a) tail.  A lost point
-    raises BranchLossError naming its lambda.  The metadata holds the solver's
-    work summed over points: ``residual_evals``, ``newton_iters``, ``rejected_steps``,
-    ``continuation_steps`` (a seeded solve is one), ``slope_nodes`` (terms of M(w)
-    per residual evaluation), ``anchor_points``, ``seeded_points`` and ``fallback_points``.
+    The continuum is read on the real axis, rho = -Im G(lambda + i0) / pi:
+    each point is laddered or seeded (module docstring) down to the stop
+    height min(1e-6, 1e-3 lambda), and one Newton at z = lambda, seeded from
+    there, finishes it.  The atoms are ``point_masses`` in closed form; a grid
+    point at an atom is dropped, since M has a pole there.  A lost point, or a
+    root on the axis off the physical branch (Newton unconverged within 8
+    iterations, or Im M above Newton's noise), raises BranchLossError naming
+    its lambda.  The metadata holds the solver's work summed over points:
+    ``residual_evals``, ``newton_iters`` (both with the solve on the axis),
+    ``rejected_steps``, ``continuation_steps`` (a seeded solve is one),
+    ``slope_nodes`` (terms of M(w) per residual evaluation), ``anchor_points``,
+    ``seeded_points`` and ``fallback_points``.
     """
-    settings = settings or SolverSettings()
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid < 0):
-        raise ValueError("grid must be a strictly increasing nonnegative 1-D array")
+    if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
+        raise ValueError("grid must be a strictly increasing positive 1-D array")  # M = -1, a pole, at z = 0
     qstar, res_fn, slope_nodes, m1 = _prepare(config)
-    targets = np.minimum(settings.final_epsilon, np.maximum(grid * _ADAPTIVE_EPS_REL, 1e-280))
     atoms = point_masses(config, qstar)
+    grid = grid[~np.isin(grid, [loc for loc, _ in atoms])]
+    targets = np.minimum(_STOP_HEIGHT, np.maximum(grid * _STOP_HEIGHT_REL, 1e-280))
 
-    out, points = _solve_grid(res_fn, config.depth, grid, targets, settings, m1, atoms)
-    _require_branch(out, grid)
-    rho = -out.G.imag / math.pi
-    # Where the true Im G is ~0 (off support, next to atoms) the readout can
-    # come out slightly negative within the noise envelope; clamp it, and fail
-    # on anything larger, which would mean a lost branch rather than noise.
-    noise = _rho_noise(grid, targets, out.G, settings)
-    too_negative = rho < -noise
-    if np.any(too_negative):
-        worst = int(np.argmin(rho + noise))
-        raise BranchLossError(
-            f"negative density {rho[worst]:.3e} at lambda={grid[worst]} exceeds the noise envelope",
-            last_iterate=complex(out.G[worst]),
-        )
-    rho = np.maximum(rho, 0.0)
+    out, points = _solve_grid(res_fn, config.depth, grid, targets, m1, atoms)
+    _require_branch(grid, out.converged, out.G, out.fail_step)
+    axis_evals = 0
 
-    keep = np.ones(grid.size, dtype=bool)
-    for loc, _ in atoms:
-        keep &= np.abs(grid - loc) > _ATOM_PRUNE_EPS_FACTOR * targets
+    def counted_res(G, z, z_root):
+        nonlocal axis_evals
+        axis_evals += G.size
+        return res_fn(G, z, z_root)
+
+    M_stop = (grid + 1j * targets) * out.G - 1.0
+    G, conv, iters = _newton_batch(
+        counted_res, grid, grid ** (1.0 / config.depth), (1.0 + M_stop) / grid, _AXIS_TOL, _STEP_MAX_ITERS + 1
+    )
+    _require_branch(grid, _accepted(grid * G - 1.0, conv, iters), G)
 
     meta = {
         "qstar": qstar,
@@ -469,18 +455,17 @@ def density(config: NetworkConfig, grid, settings: SolverSettings | None = None)
         "activation": config.activation.name,
         "activation_params": dict(config.activation.params),
         "ensemble": config.ensemble.kind,
-        "settings": asdict(settings),
-        "residual_evals": out.residual_evals,
+        "residual_evals": out.residual_evals + axis_evals,
         "slope_nodes": slope_nodes,
-        "newton_iters": out.newton_iters,
+        "newton_iters": out.newton_iters + int(iters.sum()),
         "continuation_steps": out.continuation_steps,
         "rejected_steps": out.rejected_steps,
         **points,
     }
     dens = SpectralDensity(
         domain=SQUARED_SINGULAR,
-        grid=grid[keep],
-        rho=rho[keep],
+        grid=grid,
+        rho=np.maximum(-G.imag, 0.0) / math.pi,
         atoms=atoms,
         metadata=meta,
     )

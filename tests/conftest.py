@@ -1,3 +1,6 @@
+# jacspectra first: importing it pins BLAS to one thread, which holds only if numpy is not loaded yet
+from jacspectra import master
+
 import json
 import math
 from pathlib import Path
@@ -5,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacspectra import master
 from jacspectra.activations import slope_distribution
 from jacspectra.errors import BracketError
 from jacspectra.special import default_rule, eval_where
@@ -94,15 +96,14 @@ def unpruned_slope_sq_law():
 
 
 def _solve_G_at(config, lam):
-    """Resolvent at lambda + i final_epsilon by branch-tracked continuation: one point of ``master._run_ladder``.
+    """Resolvent at lambda + i (the stop height) by branch-tracked continuation: one point of ``master._run_ladder``.
 
     Raises BranchLossError, as ``master.density`` does, when the continuation loses the branch.
     """
-    settings = master.SolverSettings()
     _, res_fn, _, m1 = master._prepare(config)
     lams = np.array([lam], dtype=float)
-    out = master._run_ladder(res_fn, config.depth, lams, np.array([settings.final_epsilon]), settings, m1)
-    master._require_branch(out, lams)
+    out = master._run_ladder(res_fn, config.depth, lams, np.array([master._STOP_HEIGHT]), m1)
+    master._require_branch(lams, out.converged, out.G, out.fail_step)
     return complex(out.G[0])
 
 

@@ -1,4 +1,5 @@
 import ast
+import ctypes
 import importlib
 import importlib.util
 import json
@@ -6,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +15,6 @@ import pytest
 
 import jacspectra
 from jacspectra.density import SINGULAR, SpectralDensity, read_csv
-from jacspectra.master import SolverSettings
 
 PY = [sys.executable, "-m", "jacspectra"]
 
@@ -218,7 +217,7 @@ class TestPipeline:
 
     def test_theory_then_simulate_then_compare(self, workdir, theory_doc):
         doc = theory_doc
-        assert doc["config"]["solver"] == asdict(SolverSettings())  # defaults echoed
+        assert "solver" not in doc["config"]  # the solver has no settings to echo
         doc = provenance(run_cli(["simulate", "--config", "cfg.json"], workdir))
         assert doc["report"]["n_values"] == 6 * 200
         doc = provenance(
@@ -254,22 +253,23 @@ class TestPipeline:
     def test_flag_overrides_echoed(self, workdir):
         doc = provenance(
             run_cli(
-                ["theory-spectrum", "--config", "cfg.json", "--solver.final-epsilon", "1e-7",
+                ["theory-spectrum", "--config", "cfg.json", "--grid.min", "1e-7",
                  "--out.density_csv", "th2.csv", "--out.density_json", "th2.json"],
                 workdir,
             )
         )
-        assert doc["config"]["solver"] == {**asdict(SolverSettings()), "final_epsilon": 1e-7}
+        assert doc["config"]["grid"] == {"min": 1e-7, "max": 40.0, "points": 400}
 
     def test_provenance_lists_only_settings_used(self, workdir):
-        # a key that is no solver setting is refused: a config that sets one
-        # would otherwise run on the defaults without a word
-        for flag, key in (("--solver.quad-nodes", "quad_nodes"), ("--solver.step-base", "step_base")):
+        # the solver has no settings, so any solver section is refused: a
+        # config that sets one would otherwise run on the defaults without a word
+        for flag, key in (("--solver.final-epsilon", "final_epsilon"), ("--solver.newton-tol", "newton_tol"),
+                          ("--solver.quad-nodes", "quad_nodes")):
             proc = run_cli(
                 ["theory-spectrum", "--config", "cfg.json", flag, "3", "--out.density_csv", "th3.csv"], workdir
             )
             assert proc.returncode == 1
-            assert proc.stderr == f"error: unknown solver setting {key!r}; settings are final_epsilon, newton_tol\n"
+            assert proc.stderr == f"error: the solver takes no settings; remove config['solver'] (got {{{key!r}: 3}})\n"
             assert not (workdir / "th3.csv").exists()
 
 
@@ -334,6 +334,14 @@ class TestErrors:
             ("theory-spectrum", ["--sigma-w", "0.5"], "ordered phase"),
             ("moments", ["--sigma-w", "4", "--sigma-b", "0.2", "--depth", "2000"], "overflows"),  # chi^L
             ("theory-spectrum", ["--critical", "true", "--sigma-b", "0.2", "--solver.final-epsilon", "0"], "final_epsilon"),
+            ("limit", ["--sigma0-sq", "0"], "sigma0_sq must be positive"),
+            ("limit", ["--sigma0-sq", "-1"], "sigma0_sq must be positive"),
+            ("limit", ["--class", "smooth", "--sigma0-sq", "0"], "sigma0_sq must be positive"),
+            ("theory-spectrum", ["--critical", "true", "--sigma-b", "0.2", "--grid.min", "0"], "lam_min"),
+            ("simulate", ["--qstar", "1.0"], "requires config['width']"),
+            ("limit", ["--class", "gumbel"], "unknown limit class 'gumbel'"),
+            ("moments", ["--depth"], "flag '--depth' needs a value"),
+            ("moments", ["stray"], "unexpected argument 'stray'"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):
@@ -482,6 +490,17 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [preset or "1"] * len(names)
+
+    def test_blas_one_thread_in_the_suite(self):
+        # conftest imports jacspectra before numpy, so the suite runs BLAS at
+        # the one thread every user path runs it at
+        libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+        if not libs:
+            pytest.skip("numpy is not linked to its bundled OpenBLAS")
+        lib = ctypes.CDLL(str(libs[0]))  # the copy numpy loaded
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None) or lib.openblas_get_num_threads
+        get.argtypes, get.restype = [], ctypes.c_int
+        assert get() == 1
 
     def test_benchmark_hooks_resolve(self):
         # bench/layers.py wraps package functions by name; a renamed or
