@@ -26,7 +26,7 @@ from .density import GRID_LAM_MIN, GRID_POINTS, make_lambda_grid, read_csv, read
 from .ensembles import WeightEnsemble
 from .errors import JacspectraError
 from .limits import BERNOULLI, SMOOTH, bernoulli_density, bernoulli_edges_atoms, smooth_density, smooth_edges
-from .master import default_lam_max, density
+from .master import WORK_COUNTS, default_lam_max, density
 from .moments import jacobian_moments, moments_from_density
 from .propagation import (
     NetworkConfig,
@@ -93,54 +93,73 @@ def _parse_overrides(pairs) -> list:
 def _load_config(args, extra) -> dict:
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise JacspectraError(f"cannot read config {args.config!r}: {exc}") from None
     for path, value in _parse_overrides(extra):
         _deep_update(cfg, path, value)
     return cfg
+
+
+def _setting(cfg: dict, key: str, default=None, kind=float):
+    """The config value at a dotted key as a float, or a whole int; ``default`` where absent, else JacspectraError."""
+    raw = cfg
+    for name in key.split("."):
+        raw = raw.get(name, default) if isinstance(raw, dict) else default
+    if raw is None:
+        return None
+    try:
+        value = kind(raw)
+        whole = kind is float or isinstance(raw, str) or value == raw  # 1.5 is refused, not cut to 1
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise JacspectraError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}")
+    return value
 
 
 def _activation_from(cfg: dict):
     spec = cfg.get("activation", {})
     name = spec.get("name", "linear") if isinstance(spec, dict) else str(spec)
     params = spec.get("params", {}) if isinstance(spec, dict) else {}
-    return get_activation(name, **params)
+    try:
+        return get_activation(name, **params)
+    except (KeyError, TypeError) as exc:
+        raise JacspectraError(f"bad activation {spec!r}: {exc.args[0]}") from None
 
 
 def _network_from(cfg: dict) -> NetworkConfig:
     activation = _activation_from(cfg)
     kind = cfg.get("ensemble", {}).get("kind", "orthogonal")
-    depth = int(cfg.get("depth", 1))
-    sigma_b = float(cfg.get("sigma_b", 0.0))
-    qstar = cfg.get("qstar")
+    depth = _setting(cfg, "depth", 1, int)
+    sigma_b = _setting(cfg, "sigma_b", 0.0)
+    qstar = _setting(cfg, "qstar")
+    width = _setting(cfg, "width", kind=int)
     ds = cfg.get("double_scaling")
     crit = cfg.get("critical", False)
     if ds:
-        qstar, sigma_w = double_scaling_qstar(activation, depth, float(ds["sigma0_sq"]))
+        qstar, sigma_w = double_scaling_qstar(activation, depth, _setting(cfg, "double_scaling.sigma0_sq"))
         sigma_b = 0.0
     elif crit:
         sigma_w, qstar = critical_sigma_w(activation, sigma_b)
     else:
-        sigma_w = float(cfg.get("sigma_w", 1.0))
+        sigma_w = _setting(cfg, "sigma_w", 1.0)
     resolved = {
         "activation": {"name": activation.name, "params": dict(activation.params)},
         "ensemble": {"kind": kind},
         "sigma_w": sigma_w,
         "sigma_b": sigma_b,
         "depth": depth,
-        "width": cfg.get("width"),
+        "width": width,
         "qstar": qstar,
     }
     cfg.update(resolved)
-    return NetworkConfig(
-        activation=activation,
-        ensemble=WeightEnsemble(kind, sigma_w),
-        sigma_w=sigma_w,
-        sigma_b=sigma_b,
-        depth=depth,
-        width=cfg.get("width"),
-        qstar=qstar,
-    )
+    try:
+        return NetworkConfig(activation, WeightEnsemble(kind, sigma_w), sigma_w, sigma_b, depth, width, qstar)
+    except ValueError as exc:
+        raise JacspectraError(f"bad network config: {exc}") from None
 
 
 def _grid_from(cfg: dict, lam_max_default: float) -> np.ndarray:
@@ -175,8 +194,8 @@ def _emit(command: str, cfg: dict, outputs: dict, report=None) -> None:
 def cmd_fixed_point(args, extra) -> int:
     cfg = _load_config(args, extra)
     activation = _activation_from(cfg)
-    sigma_w = float(cfg.get("sigma_w", 1.0))
-    sigma_b = float(cfg.get("sigma_b", 0.0))
+    sigma_w = _setting(cfg, "sigma_w", 1.0)
+    sigma_b = _setting(cfg, "sigma_b", 0.0)
     fp = qstar_fixed_point(activation, sigma_w, sigma_b)
     degenerate = bool(fixed_point_is_degenerate(activation, sigma_w, sigma_b))
     report = {
@@ -248,11 +267,7 @@ def cmd_theory_spectrum(args, extra) -> int:
             "grid_points": int(np.size(grid)),
             "total_mass": dens.metadata["total_mass"],
             "atoms": [list(a) for a in dens_out.atoms],
-            "residual_evals": dens.metadata["residual_evals"],
-            "newton_iters": dens.metadata["newton_iters"],
-            "continuation_steps": dens.metadata["continuation_steps"],
-            "rejected_steps": dens.metadata["rejected_steps"],
-            **{k: dens.metadata[k] for k in ("anchor_points", "seeded_points", "fallback_points")},
+            **{k: dens.metadata[k] for k in WORK_COUNTS},
         },
     )
     return 0
@@ -263,8 +278,8 @@ def cmd_simulate(args, extra) -> int:
     config = _network_from(cfg)
     if config.width is None:
         raise JacspectraError("simulate requires config['width']")
-    trials = int(cfg.get("trials", 30))
-    seed = int(cfg.get("seed", 0))
+    trials = _setting(cfg, "trials", 30, int)
+    seed = _setting(cfg, "seed", 0, int)
     cfg["trials"], cfg["seed"] = trials, seed
     spectrum = run_trials(config, trials, seed, threads=_threads(args))
     out = cfg.get("out", {})
@@ -275,7 +290,7 @@ def cmd_simulate(args, extra) -> int:
         json.dump(spectrum.sidecar(), fh, sort_keys=True)
     hist_path = out.get("histogram_csv")
     if hist_path:
-        empirical_density(spectrum, bins=int(cfg.get("bins", 200))).write_csv(hist_path)
+        empirical_density(spectrum, bins=_setting(cfg, "bins", 200, int)).write_csv(hist_path)
     _emit(
         "simulate",
         cfg,
@@ -291,13 +306,17 @@ def cmd_simulate(args, extra) -> int:
 
 def cmd_compare(args, extra) -> int:
     cfg = _load_config(args, extra)
-    emp = cfg["empirical"]
-    spectrum = EmpiricalSpectrum.read_csv(emp["spectrum_csv"], emp["sidecar_json"])
-    theory_path = cfg["theory"]["density"]
-    if theory_path.endswith(".json"):
-        theory = read_json(theory_path)
-    else:
-        theory = read_csv(theory_path)
+    try:
+        spectrum_csv, sidecar_json = cfg["empirical"]["spectrum_csv"], cfg["empirical"]["sidecar_json"]
+        theory_path = str(cfg["theory"]["density"])
+    except KeyError as exc:
+        keys = "empirical.spectrum_csv, empirical.sidecar_json and theory.density"
+        raise JacspectraError(f"compare requires config keys {keys} (missing {exc})") from None
+    try:
+        spectrum = EmpiricalSpectrum.read_csv(spectrum_csv, sidecar_json)
+        theory = (read_json if theory_path.endswith(".json") else read_csv)(theory_path)
+    except OSError as exc:
+        raise JacspectraError(f"cannot read {exc.filename!r}: {exc.strerror}") from None
     if theory.domain != "singular":
         theory = to_singular_domain(theory)
     ks = ks_distance(spectrum, theory)
@@ -321,11 +340,11 @@ def cmd_compare(args, extra) -> int:
 def cmd_limit(args, extra) -> int:
     cfg = _load_config(args, extra)
     klass = cfg.get("class", BERNOULLI)
-    s0sq = float(cfg.get("sigma0_sq", 0.25))
+    s0sq = _setting(cfg, "sigma0_sq", 0.25)
     if not 0.0 < s0sq < math.inf:
         raise JacspectraError(f"sigma0_sq must be positive and finite, got {s0sq!r}")
     cfg["class"], cfg["sigma0_sq"] = klass, s0sq
-    half = int(cfg.get("grid", {}).get("points", 1200)) // 2
+    half = _setting(cfg, "grid.points", 1200, int) // 2
     if klass == BERNOULLI:
         info = bernoulli_edges_atoms(s0sq)
         # rho ~ 1/(lambda log^2 lambda) near 0: reach far down; the report has the mass below

@@ -32,6 +32,12 @@ their neighbours.  Near a square-root edge that Newton is ill-conditioned
 (dz/dG = 0 there), which is why ``make_lambda_grid`` keeps points off round
 edges.
 
+A ladder step, a seeded level and the solve on the axis are each one ``_step``:
+seed G = (1 + M)/z, Newton, step test (no drift test on the axis).  Their work
+goes into one ``collections.Counter`` that ``density`` makes and writes into
+its metadata: residual evaluations, Newton iterations and steps from ``_step``,
+points per path from the grid solve.
+
 Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
 pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
 together, and the accepted line-search candidate hands its residual and
@@ -57,7 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -98,6 +104,9 @@ _STOP_HEIGHT_REL = 1e-3  # tiny lambdas stop proportionally lower, to resolve he
 _AXIS_TOL = 1e-13
 _ATOM_SPREAD_TOL = 0.02
 _ATOM_MASS_MIN = 1e-3
+# density()'s work, summed over points, in its metadata and the theory-spectrum report
+WORK_COUNTS = ("residual_evals", "newton_iters", "continuation_steps", "rejected_steps",
+               "anchor_points", "seeded_points", "fallback_points")
 
 
 def _residual_factory(config: NetworkConfig, qstar: float) -> tuple[Callable, int]:
@@ -218,29 +227,29 @@ def _newton_batch(res_fn, z, z_root, G, tol, max_iter):
     return G, converged, iters
 
 
-def _accepted(M, conv, iters, M_seed=None):
-    """Step test of a ladder step, seeded point or root on the axis: failing it, a root has hopped to a spurious
-    or mirror root.
+def _step(res_fn, depth: int, z, M_seed, work: Counter, tol=_NEWTON_TOL, drift=True):
+    """Newton from M_seed at each z, z^{1/L} taken once, its work added to ``work``: (G, step test passed, iters).
 
-    Without ``M_seed`` (the solve on the real axis) the drift test is left out: within about the stop
-    height of an inverse-square-root edge the root on the axis lies rightly far from its seed.
+    Failing the step test, a root has hopped to a spurious or mirror root.  The solve on the real axis skips
+    the drift test (``drift=False``): near an inverse-square-root edge its root lies rightly far from its seed.
     """
+
+    def counted(G, z, z_root):
+        work["residual_evals"] += G.size
+        return res_fn(G, z, z_root)
+
+    G, conv, iters = _newton_batch(counted, z, z ** (1.0 / depth), (1.0 + M_seed) / z, tol, _STEP_MAX_ITERS + 1)
+    work["newton_iters"] += int(iters.sum())
+    M = z * G - 1.0
     ok = conv & (iters <= _STEP_MAX_ITERS) & (M.imag < np.sqrt(_newton_tol(np.abs(M), _NEWTON_TOL)))
-    return ok if M_seed is None else ok & (np.abs(M - M_seed) <= _STEP_DRIFT * np.abs(M_seed))
+    if drift:  # a ladder step or seeded point: one continuation step, accepted or rejected
+        ok &= np.abs(M - M_seed) <= _STEP_DRIFT * np.abs(M_seed)
+        work.update(continuation_steps=int(ok.sum()), rejected_steps=int((~ok).sum()))
+    return G, ok, iters
 
 
-@dataclass
-class _LadderResult:
-    G: np.ndarray
-    converged: np.ndarray
-    fail_step: np.ndarray
-    residual_evals: int  # point-evaluations of the residual
-    newton_iters: int  # Newton iterations summed over points and steps
-    continuation_steps: int  # accepted steps summed over points
-    rejected_steps: int  # steps retried at a smaller ratio, or that lost their point
-
-
-def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float) -> _LadderResult:
+def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float, work: Counter):
+    """(G, converged, fail_step) at z = lams + i eps_targets, the ladder's work added to ``work``."""
     lams = np.asarray(lams, dtype=float)
     eps_targets = np.asarray(eps_targets, dtype=float)
     n = lams.size
@@ -254,13 +263,6 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float) -> _LadderResu
     steps = np.zeros(n, dtype=int)
     failed = np.zeros(n, dtype=bool)
     fail_step = np.full(n, -1, dtype=int)
-    residual_evals = newton_iters = rejected = 0
-
-    def counted_res(G, z, z_root):
-        nonlocal residual_evals
-        residual_evals += G.size
-        return res_fn(G, z, z_root)
-
     while True:
         idx = np.nonzero((z.imag > eps_targets) & ~failed)[0]
         if idx.size == 0:
@@ -272,13 +274,7 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float) -> _LadderResu
         # keeps the seed off the (1+M)/M branch cut
         M_from = z_from * G[idx] - 1.0
         M_pred = 1.0 / (1.0 / M_from + (z_to - z_from) * slope[idx])
-        G_to, conv, iters = _newton_batch(
-            counted_res, z_to, z_to ** (1.0 / depth), (1.0 + M_pred) / z_to, _NEWTON_TOL, _STEP_MAX_ITERS + 1
-        )
-        newton_iters += int(iters.sum())
-        M = z_to * G_to - 1.0
-        ok = _accepted(M, conv, iters, M_pred)
-        rejected += int((~ok).sum())
+        G_to, ok, iters = _step(res_fn, depth, z_to, M_pred, work)
         retry = ~ok & (ratio[idx] > _RATIO_MIN)
         ratio[idx[retry]] = np.maximum(np.sqrt(ratio[idx[retry]]), _RATIO_MIN)
         lost = idx[~ok & ~retry]
@@ -286,11 +282,11 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float) -> _LadderResu
         fail_step[lost] = steps[lost] + 1
         done = idx[ok]
         G[done], z[done] = G_to[ok], z_to[ok]
-        slope[done] = ((1.0 / M - 1.0 / M_from) / (z_to - z_from))[ok]
+        slope[done] = ((1.0 / (z_to * G_to - 1.0) - 1.0 / M_from) / (z_to - z_from))[ok]
         steps[done] += 1
         grow = idx[ok & (iters <= _STEP_GROW_ITERS)]
         ratio[grow] = np.minimum(ratio[grow] ** 2, _STEP_RATIO_MAX)
-    return _LadderResult(G, ~failed, fail_step, residual_evals, newton_iters, int(steps.sum()), rejected)
+    return G, ~failed, fail_step
 
 
 def _require_branch(lams, converged, G, fail_step=None) -> None:
@@ -324,9 +320,9 @@ def probe_atom(config: NetworkConfig, location: float):
     b, N = _RATIO_MIN, _START_RUNGS
     k = next(k for k in itertools.count(1) if b ** (N - k) <= eps)  # b^{N-k} is the first at or below eps
     heights = np.array([b ** (N - j) for j in range(k - 4, k)] + [eps])
-    out = _run_ladder(res_fn, config.depth, np.full(5, float(location)), heights, m1)
-    vals = heights * np.abs(out.G.imag)
-    if not out.converged.all() or np.any(vals <= 0.0):
+    G, converged, _ = _run_ladder(res_fn, config.depth, np.full(5, float(location)), heights, m1, Counter())
+    vals = heights * np.abs(G.imag)
+    if not converged.all() or np.any(vals <= 0.0):
         return 0.0, False
     spread = (vals.max() - vals.min()) / vals.mean()
     mass = min(float(vals[-1]), 1.0)  # finite-eps probe bias can overshoot by O(eps)
@@ -358,22 +354,15 @@ def point_masses(config: NetworkConfig, qstar: float) -> tuple:
     return tuple(atoms)
 
 
-def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms):
-    """(_LadderResult, points solved by each path) at z = lams + i targets: anchors, levels, fallback."""
+def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms, work: Counter):
+    """(G, converged, fail_step) at z = lams + i targets: anchors, levels, fallback, each path's points in ``work``."""
     n, z = lams.size, lams + 1j * targets
     log_lam = np.log(np.maximum(lams, 1e-300)) / math.log(_SEED_REACH)  # log base _SEED_REACH
     poles = sum((mass * loc / (z - loc) for loc, mass in atoms), np.zeros(n, dtype=complex))  # M's atom part
     G, solved, fail_step = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool), np.full(n, -1)
-    work = np.zeros(4, dtype=int)  # the last four fields of _LadderResult; a seeded solve is one step
 
     def ladder(idx):
-        out = _run_ladder(res_fn, depth, lams[idx], targets[idx], m1)
-        G[idx], solved[idx], fail_step[idx] = out.G, out.converged, out.fail_step
-        work[:] += (out.residual_evals, out.newton_iters, out.continuation_steps, out.rejected_steps)
-
-    def counted_res(G, z, z_root):
-        work[0] += G.size
-        return res_fn(G, z, z_root)
+        G[idx], solved[idx], fail_step[idx] = _run_ladder(res_fn, depth, lams[idx], targets[idx], m1, work)
 
     def seeded(idx):
         """Newton at idx from M interpolated in log lambda between the nearest solved points on either side."""
@@ -386,12 +375,8 @@ def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms):
         M_free = z * G - 1.0 - poles
         t = (log_lam[idx] - log_lam[lo]) / (log_lam[hi] - log_lam[lo])
         M_seed = M_free[lo] + t * (M_free[hi] - M_free[lo]) + poles[idx]
-        G_new, conv, iters = _newton_batch(
-            counted_res, z[idx], z[idx] ** (1.0 / depth), (1.0 + M_seed) / z[idx], _NEWTON_TOL, _STEP_MAX_ITERS + 1
-        )
-        ok = _accepted(z[idx] * G_new - 1.0, conv, iters, M_seed)
+        G_new, ok, _ = _step(res_fn, depth, z[idx], M_seed, work)
         G[idx[ok]], solved[idx[ok]] = G_new[ok], True
-        work[1:] += (iters.sum(), ok.sum(), (~ok).sum())
 
     i = np.arange(n)
     level = i & -i  # largest power of 2 dividing i: below _ANCHOR_STRIDE, the stride i is seeded at
@@ -404,8 +389,8 @@ def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms):
             seeded(rest[level[rest] == stride])
         rest = rest[~solved[rest]]
     ladder(rest)
-    points = dict(anchor_points=anchors.size, seeded_points=n - anchors.size - rest.size, fallback_points=rest.size)
-    return _LadderResult(G, solved, fail_step, *map(int, work)), points
+    work.update(anchor_points=anchors.size, seeded_points=n - anchors.size - rest.size, fallback_points=rest.size)
+    return G, solved, fail_step
 
 
 def density(config: NetworkConfig, grid) -> SpectralDensity:
@@ -418,11 +403,12 @@ def density(config: NetworkConfig, grid) -> SpectralDensity:
     point at an atom is dropped, since M has a pole there.  A lost point, or a
     root on the axis off the physical branch (Newton unconverged within 8
     iterations, or Im M above Newton's noise), raises BranchLossError naming
-    its lambda.  The metadata holds the solver's work summed over points:
-    ``residual_evals``, ``newton_iters`` (both with the solve on the axis),
-    ``rejected_steps``, ``continuation_steps`` (a seeded solve is one),
-    ``slope_nodes`` (terms of M(w) per residual evaluation), ``anchor_points``,
-    ``seeded_points`` and ``fallback_points``.
+    its lambda.  The metadata holds ``qstar``, the config, ``slope_nodes``
+    (terms of M(w) per residual evaluation), ``total_mass`` and the work tally
+    summed over points, ``WORK_COUNTS``: ``residual_evals``, ``newton_iters``
+    (both with the solve on the axis), ``continuation_steps`` (a seeded point
+    is one), ``rejected_steps``, ``anchor_points``, ``seeded_points`` and
+    ``fallback_points``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
@@ -432,20 +418,11 @@ def density(config: NetworkConfig, grid) -> SpectralDensity:
     grid = grid[~np.isin(grid, [loc for loc, _ in atoms])]
     targets = np.minimum(_STOP_HEIGHT, np.maximum(grid * _STOP_HEIGHT_REL, 1e-280))
 
-    out, points = _solve_grid(res_fn, config.depth, grid, targets, m1, atoms)
-    _require_branch(grid, out.converged, out.G, out.fail_step)
-    axis_evals = 0
-
-    def counted_res(G, z, z_root):
-        nonlocal axis_evals
-        axis_evals += G.size
-        return res_fn(G, z, z_root)
-
-    M_stop = (grid + 1j * targets) * out.G - 1.0
-    G, conv, iters = _newton_batch(
-        counted_res, grid, grid ** (1.0 / config.depth), (1.0 + M_stop) / grid, _AXIS_TOL, _STEP_MAX_ITERS + 1
-    )
-    _require_branch(grid, _accepted(grid * G - 1.0, conv, iters), G)
+    work = Counter()
+    G, converged, fail_step = _solve_grid(res_fn, config.depth, grid, targets, m1, atoms, work)
+    _require_branch(grid, converged, G, fail_step)
+    G, converged, _ = _step(res_fn, config.depth, grid, (grid + 1j * targets) * G - 1.0, work, _AXIS_TOL, drift=False)
+    _require_branch(grid, converged, G)
 
     meta = {
         "qstar": qstar,
@@ -455,12 +432,8 @@ def density(config: NetworkConfig, grid) -> SpectralDensity:
         "activation": config.activation.name,
         "activation_params": dict(config.activation.params),
         "ensemble": config.ensemble.kind,
-        "residual_evals": out.residual_evals + axis_evals,
         "slope_nodes": slope_nodes,
-        "newton_iters": out.newton_iters + int(iters.sum()),
-        "continuation_steps": out.continuation_steps,
-        "rejected_steps": out.rejected_steps,
-        **points,
+        **{key: work[key] for key in WORK_COUNTS},
     }
     dens = SpectralDensity(
         domain=SQUARED_SINGULAR,

@@ -3,6 +3,7 @@ from jacspectra import master
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +99,14 @@ def unpruned_slope_sq_law():
 def _solve_G_at(config, lam):
     """Resolvent at lambda + i (the stop height) by branch-tracked continuation: one point of ``master._run_ladder``.
 
-    Raises BranchLossError, as ``master.density`` does, when the continuation loses the branch.
+    The ladder's work tally is dropped.  Raises BranchLossError, as ``master.density`` does, when the
+    continuation loses the branch.
     """
     _, res_fn, _, m1 = master._prepare(config)
     lams = np.array([lam], dtype=float)
-    out = master._run_ladder(res_fn, config.depth, lams, np.array([master._STOP_HEIGHT]), m1)
-    master._require_branch(lams, out.converged, out.G, out.fail_step)
-    return complex(out.G[0])
+    G, converged, fail_step = master._run_ladder(res_fn, config.depth, lams, [master._STOP_HEIGHT], m1, Counter())
+    master._require_branch(lams, converged, G, fail_step)
+    return complex(G[0])
 
 
 @pytest.fixture(scope="session")

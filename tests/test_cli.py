@@ -342,6 +342,23 @@ class TestErrors:
             ("limit", ["--class", "gumbel"], "unknown limit class 'gumbel'"),
             ("moments", ["--depth"], "flag '--depth' needs a value"),
             ("moments", ["stray"], "unexpected argument 'stray'"),
+            ("limit", ["--sigma0-sq", "abc"], "sigma0_sq must be a number, got 'abc'"),
+            ("limit", ["--grid.points", "abc"], "grid.points must be an integer, got 'abc'"),
+            ("moments", ["--depth", "two"], "depth must be an integer, got 'two'"),
+            ("moments", ["--depth", "2.5"], "depth must be an integer, got 2.5"),
+            ("moments", ["--sigma-w", "abc"], "sigma_w must be a number, got 'abc'"),
+            ("fixed-point", ["--sigma-w", "abc"], "sigma_w must be a number, got 'abc'"),
+            ("moments", ["--depth", "0"], "depth must be >= 1"),
+            ("moments", ["--sigma-w", "-1"], "sigma_w must be positive"),
+            ("moments", ["--ensemble.kind", "nope"], "unknown ensemble kind 'nope'"),
+            ("moments", ["--activation.name", "nope"], "unknown activation 'nope'"),
+            ("moments", ["--config", "nofile.json"], "cannot read config 'nofile.json'"),
+            ("simulate", ["--qstar", "0.5", "--width", "8", "--trials", "x"], "trials must be an integer, got 'x'"),
+            ("simulate", ["--qstar", "0.5", "--width", "abc"], "width must be an integer, got 'abc'"),
+            ("simulate", ["--qstar", "0.5", "--width", "8", "--seed", "1.5"], "seed must be an integer, got 1.5"),
+            ("compare", [], "compare requires config keys"),
+            ("compare", ["--empirical.spectrum_csv", "sp.csv", "--empirical.sidecar_json", "sp.json",
+                         "--theory.density", "th.csv"], "cannot read 'sp.csv'"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):

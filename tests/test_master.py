@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -263,9 +264,9 @@ class TestDensity:
         for lost in (37, 40):
 
             def lose_one(*args):
-                out, points = solve(*args)
-                out.converged[lost], out.fail_step[lost] = False, 5
-                return out, points
+                G, converged, fail_step = solve(*args)
+                converged[lost], fail_step[lost] = False, 5
+                return G, converged, fail_step
 
             monkeypatch.setattr(master, "_solve_grid", lose_one)
             with pytest.raises(BranchLossError, match=f"lambda={grid[lost]:.6g} .*1 of 100") as err:
@@ -362,13 +363,13 @@ def _solve(config, grid, newton=master._newton_batch, ladder=None):
     solves = []
     grid_solve = master._solve_grid
 
-    def spy(res_fn, depth, lams, targets, m1, atoms):
+    def spy(res_fn, depth, lams, targets, m1, atoms, work):
         if ladder is None:
-            out, points = grid_solve(res_fn, depth, lams, targets, m1, atoms)
+            out = grid_solve(res_fn, depth, lams, targets, m1, atoms, work)
         else:
-            out, points = ladder(res_fn, depth, lams, targets, m1), {}
-        solves.append((lams, targets, out.G))
-        return out, points
+            out = ladder(res_fn, depth, lams, targets, m1, work)
+        solves.append((lams, targets, out[0]))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(master, "_newton_batch", newton)
@@ -450,13 +451,14 @@ _FIXED_NEWTON_ITERS = 100
 _FIXED_SUB_STEPS = 8
 
 
-def _fixed_ladder(res_fn, depth, lams, eps_targets, m1):
+def _fixed_ladder(res_fn, depth, lams, eps_targets, m1, work):
     """Test-only reference: the fixed ladder that per-point step control replaced.
 
     Every point walks the rungs z_k = lambda + i b^{N-k} (b = 1.5, N = 40)
     down to its target, Newton (up to 100 iterations) seeded with the previous
     rung's M = zG - 1.  A root that moves more than 10x the z step (from
-    |G| <= 10) re-walks the rung in 8 sub-steps.
+    |G| <= 10) re-walks the rung in 8 sub-steps.  Returns (G, converged,
+    fail_step) and tallies its work into ``work``, as ``master._run_ladder`` does.
     """
     lams = np.asarray(lams, dtype=float)
     eps_targets = np.asarray(eps_targets, dtype=float)
@@ -470,17 +472,16 @@ def _fixed_ladder(res_fn, depth, lams, eps_targets, m1):
     done = np.zeros(n, dtype=bool)
     failed = np.zeros(n, dtype=bool)
     fail_step = np.full(n, -1, dtype=int)
-    work = {"evals": 0, "iters": 0, "steps": 0}
 
     def counted_res(G, z, z_root):
-        work["evals"] += G.size
+        work["residual_evals"] += G.size
         return res_fn(G, z, z_root)
 
     def newton(z, seed):
         G, conv, iters = master._newton_batch(
             counted_res, z, z ** (1.0 / depth), seed, master._NEWTON_TOL, _FIXED_NEWTON_ITERS
         )
-        work["iters"] += int(iters.sum())
+        work["newton_iters"] += int(iters.sum())
         return G, conv
 
     for k in range(1, k_max + 1):
@@ -514,9 +515,9 @@ def _fixed_ladder(res_fn, depth, lams, eps_targets, m1):
         ok = idx[conv]
         G[ok] = G_new[conv]
         z_prev[ok] = z_k[conv]
-        work["steps"] += ok.size
+        work["continuation_steps"] += ok.size
         done[idx[finishing[idx]]] = True
-    return master._LadderResult(G, ~failed, fail_step, work["evals"], work["iters"], work["steps"], 0)
+    return G, ~failed, fail_step
 
 
 _THEORY_CONFIGS = {
@@ -567,9 +568,9 @@ def _probe_readings(config, location, ladder):
     """probe_atom through the given ladder: its verdict, its readings eps |Im G| and their noise."""
     ladders = []
 
-    def spy(res_fn, depth, lams, heights, m1):
-        out = ladder(res_fn, depth, lams, heights, m1)
-        ladders.append((lams, heights, out.G))
+    def spy(res_fn, depth, lams, heights, m1, work):
+        out = ladder(res_fn, depth, lams, heights, m1, work)
+        ladders.append((lams, heights, out[0]))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -620,17 +621,18 @@ def test_step_sign_check(config, lam_min):
 
 
 def _solve_at_height(config, grid, scale):
-    """Test-only: the seeded grid solve alone, at lambda + i scale*min(1e-6, 1e-3 lambda)."""
+    """Test-only: the seeded grid solve alone, at lambda + i scale*min(1e-6, 1e-3 lambda): G and its work tally."""
     qstar, res_fn, _, m1 = master._prepare(config)
     heights = scale * np.minimum(master._STOP_HEIGHT, master._STOP_HEIGHT_REL * grid)
-    out, _ = master._solve_grid(res_fn, config.depth, grid, heights, m1, point_masses(config, qstar))
-    assert out.converged.all()
-    return out
+    work = Counter()
+    G, converged, _ = master._solve_grid(res_fn, config.depth, grid, heights, m1, point_masses(config, qstar), work)
+    assert converged.all()
+    return G, work
 
 
 def _readout_at_height(config, grid, scale):
     """Test-only: the offset readout rho = -Im G / pi of ``_solve_at_height``."""
-    return -_solve_at_height(config, grid, scale).G.imag / math.pi
+    return -_solve_at_height(config, grid, scale)[0].imag / math.pi
 
 
 def _default_density(config):
@@ -675,9 +677,9 @@ class TestOnAxisReadout:
     def test_report_counts_the_solve_on_the_axis(self, on_axis):
         # at least one residual evaluation per point, at its seed, and some iterations
         config, grid, dens = on_axis
-        at_height = _solve_at_height(config, grid, 1.0)
-        assert dens.metadata["residual_evals"] >= at_height.residual_evals + grid.size
-        assert dens.metadata["newton_iters"] > at_height.newton_iters
+        _, at_height = _solve_at_height(config, grid, 1.0)
+        assert dens.metadata["residual_evals"] >= at_height["residual_evals"] + grid.size
+        assert dens.metadata["newton_iters"] > at_height["newton_iters"]
 
     def test_tails_outside_the_support_read_zero(self):
         # ds-erf_sm L256 below its bulk and above its top edge: the root on
@@ -849,3 +851,29 @@ class TestSeededGrid:
         else:
             grid = make_lambda_grid(lam_max, lam_min=lam_min, n=points)
         assert _seeded_and_full(config, grid)[2]
+
+
+def test_report_tallies_every_residual_evaluation(monkeypatch):
+    # the metadata's count is the residual's own: over anchors, seeded points, the one
+    # fallback point (lambda = 5.968) and the solve on the axis
+    make, points = _WORKLOAD_CONFIGS["mc-hard_tanh-orth-L16"]
+    config = make()
+    grid = make_lambda_grid(default_lam_max(jacobian_moments(config)), n=points)
+    evaluated = Counter()
+    factory = master._residual_factory
+
+    def counting_factory(config, qstar):
+        res, nodes = factory(config, qstar)
+
+        def counted(G, z, z_root):
+            evaluated["points"] += G.size
+            return res(G, z, z_root)
+
+        return counted, nodes
+
+    monkeypatch.setattr(master, "_residual_factory", counting_factory)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mass lost below the grid: not what is checked here
+        meta = density(config, grid).metadata
+    assert meta["anchor_points"] > 0 and meta["seeded_points"] > 0 and meta["fallback_points"] == 1
+    assert meta["residual_evals"] == evaluated["points"] > 0
