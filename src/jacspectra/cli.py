@@ -100,11 +100,14 @@ def _load_config(args, extra) -> dict:
             raise JacspectraError(f"cannot read config {args.config!r}: {exc}") from None
     for path, value in _parse_overrides(extra):
         _deep_update(cfg, path, value)
+    for key in ("ensemble", "double_scaling", "grid", "out", "empirical", "theory"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise JacspectraError(f"config['{key}'] must be a section of keys, got {cfg[key]!r}")
     return cfg
 
 
-def _setting(cfg: dict, key: str, default=None, kind=float):
-    """The config value at a dotted key as a float, or a whole int; ``default`` where absent, else JacspectraError."""
+def _setting(cfg: dict, key: str, default=None, kind=float, least=None):
+    """The config value at a dotted key as a float, or a whole int, >= ``least``; ``default`` where absent."""
     raw = cfg
     for name in key.split("."):
         raw = raw.get(name, default) if isinstance(raw, dict) else default
@@ -117,6 +120,8 @@ def _setting(cfg: dict, key: str, default=None, kind=float):
         whole = False
     if not whole:
         raise JacspectraError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}")
+    if least is not None and value < least:
+        raise JacspectraError(f"{key} must be >= {least}, got {raw!r}")
     return value
 
 
@@ -133,14 +138,14 @@ def _activation_from(cfg: dict):
 def _network_from(cfg: dict) -> NetworkConfig:
     activation = _activation_from(cfg)
     kind = cfg.get("ensemble", {}).get("kind", "orthogonal")
-    depth = _setting(cfg, "depth", 1, int)
+    depth = _setting(cfg, "depth", 1, int, least=1)
     sigma_b = _setting(cfg, "sigma_b", 0.0)
     qstar = _setting(cfg, "qstar")
     width = _setting(cfg, "width", kind=int)
-    ds = cfg.get("double_scaling")
+    ds = _setting(cfg, "double_scaling.sigma0_sq")
     crit = cfg.get("critical", False)
-    if ds:
-        qstar, sigma_w = double_scaling_qstar(activation, depth, _setting(cfg, "double_scaling.sigma0_sq"))
+    if ds is not None:
+        qstar, sigma_w = double_scaling_qstar(activation, depth, ds)
         sigma_b = 0.0
     elif crit:
         sigma_w, qstar = critical_sigma_w(activation, sigma_b)
@@ -187,6 +192,25 @@ def _emit(command: str, cfg: dict, outputs: dict, report=None) -> None:
     sys.stdout.write("\n")
 
 
+def _write_density(cfg: dict, dens, default_csv: str) -> dict:
+    """Write ``dens`` to out.density_csv (``default_csv`` if unnamed) and to out.density_json if named."""
+    out = cfg.get("out", {})
+    paths = {"density_csv": out.get("density_csv", default_csv), "density_json": out.get("density_json")}
+    dens.write_csv(paths["density_csv"])
+    if paths["density_json"]:
+        dens.write_json(paths["density_json"])
+    return paths
+
+
+def _emit_report(command: str, cfg: dict, report: dict) -> None:
+    """Write ``report`` to config out.report_json where one is named, then emit the provenance."""
+    out = cfg.get("out", {}).get("report_json")
+    if out:
+        with open(out, "w") as fh:
+            json.dump(report, fh, sort_keys=True)
+    _emit(command, cfg, {"report_json": out}, report)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -206,11 +230,7 @@ def cmd_fixed_point(args, extra) -> int:
         "residual": fp.residual,
         "critical_degenerate": degenerate,
     }
-    out = cfg.get("out", {}).get("report_json")
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, sort_keys=True)
-    _emit("fixed-point", cfg, {"report_json": out}, report)
+    _emit_report("fixed-point", cfg, report)
     return 0 if fp.converged else 1
 
 
@@ -249,20 +269,11 @@ def cmd_theory_spectrum(args, extra) -> int:
     config = _network_from(cfg)
     grid = _grid_from(cfg, default_lam_max(jacobian_moments(config)))
     dens = density(config, grid)
-    if cfg.get("singular_domain", True):
-        dens_out = to_singular_domain(dens)
-    else:
-        dens_out = dens
-    out = cfg.get("out", {})
-    csv_path = out.get("density_csv", "theory_spectrum.csv")
-    json_path = out.get("density_json")
-    dens_out.write_csv(csv_path)
-    if json_path:
-        dens_out.write_json(json_path)
+    dens_out = to_singular_domain(dens) if cfg.get("singular_domain", True) else dens
     _emit(
         "theory-spectrum",
         cfg,
-        {"density_csv": csv_path, "density_json": json_path},
+        _write_density(cfg, dens_out, "theory_spectrum.csv"),
         {
             "grid_points": int(np.size(grid)),
             "total_mass": dens.metadata["total_mass"],
@@ -278,7 +289,7 @@ def cmd_simulate(args, extra) -> int:
     config = _network_from(cfg)
     if config.width is None:
         raise JacspectraError("simulate requires config['width']")
-    trials = _setting(cfg, "trials", 30, int)
+    trials = _setting(cfg, "trials", 30, int, least=1)
     seed = _setting(cfg, "seed", 0, int)
     cfg["trials"], cfg["seed"] = trials, seed
     spectrum = run_trials(config, trials, seed, threads=_threads(args))
@@ -329,11 +340,7 @@ def cmd_compare(args, extra) -> int:
         "theory_mean_squared": th_m1,
         "mean_squared_delta": float(np.mean(sq)) - th_m1,
     }
-    out = cfg.get("out", {}).get("report_json")
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, sort_keys=True)
-    _emit("compare", cfg, {"report_json": out}, report)
+    _emit_report("compare", cfg, report)
     return 0
 
 
@@ -344,7 +351,7 @@ def cmd_limit(args, extra) -> int:
     if not 0.0 < s0sq < math.inf:
         raise JacspectraError(f"sigma0_sq must be positive and finite, got {s0sq!r}")
     cfg["class"], cfg["sigma0_sq"] = klass, s0sq
-    half = _setting(cfg, "grid.points", 1200, int) // 2
+    half = _setting(cfg, "grid.points", 1200, int, least=4) // 2
     if klass == BERNOULLI:
         info = bernoulli_edges_atoms(s0sq)
         # rho ~ 1/(lambda log^2 lambda) near 0: reach far down; the report has the mass below
@@ -361,16 +368,10 @@ def cmd_limit(args, extra) -> int:
     else:
         raise JacspectraError(f"unknown limit class {klass!r}; classes are {BERNOULLI}, {SMOOTH}")
     dens_s = to_singular_domain(dens)
-    out = cfg.get("out", {})
-    csv_path = out.get("density_csv", "limit.csv")
-    dens_s.write_csv(csv_path)
-    json_path = out.get("density_json")
-    if json_path:
-        dens_s.write_json(json_path)
     _emit(
         "limit",
         cfg,
-        {"density_csv": csv_path, "density_json": json_path},
+        _write_density(cfg, dens_s, "limit.csv"),
         {"edges": edges, "atoms": [list(a) for a in dens_s.atoms], "mass": dens.metadata["mass"]},
     )
     return 0
@@ -381,11 +382,7 @@ def cmd_moments(args, extra) -> int:
     config = _network_from(cfg)
     summary = jacobian_moments(config)
     report = asdict(summary)
-    out = cfg.get("out", {}).get("report_json")
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, sort_keys=True)
-    _emit("moments", cfg, {"report_json": out}, report)
+    _emit_report("moments", cfg, report)
     return 0
 
 

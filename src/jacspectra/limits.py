@@ -4,7 +4,7 @@ In the variance-matched deep limit (spectral variance pinned to s0sq,
 orthogonal weights) the squared-singular-value law converges to one of two
 universal laws, fixed by the squared-slope law of the nonlinearity as
 q* -> 0.  ``bernoulli_G`` and ``smooth_G`` give the resolvents off the real
-axis; the densities come from exact parametrisations of the support.
+axis; the densities solve exact parametrisations z(w) = lambda by Newton.
 
   * {0,1}-valued squared slope ("Bernoulli" class, e.g. saturating units):
     G(z) = s0sq / (z (s0sq + W(-s0sq/z))), W the principal Lambert W.  On
@@ -93,17 +93,32 @@ def bernoulli_log_ratio(theta) -> np.ndarray:
     return np.log(np.sin(theta) / theta) + theta / np.tan(theta)
 
 
+# Seeds on the cut: theta uniform over the bulk, 1/(pi - theta) over the tail, where log lambda ~ -pi/(pi - theta).
+# The abscissa sqrt(1 - log(lambda/s0sq)) ~ theta/sqrt(2) keeps them linear across the branch point at lambda1.
+_THETA = np.append(np.linspace(0, 2.5, 64, endpoint=False)[1:], math.pi - 1 / np.linspace(1 / (math.pi - 2.5), 250, 64))
+_BERNOULLI_SEEDS = (np.sqrt(1.0 - np.append(1.0, bernoulli_log_ratio(_THETA))),
+                    np.append(-1.0, -_THETA / np.tan(_THETA) + 1j * _THETA))
+
+
+def _newton(log_z, dlog_z, log_lam, x, seeds) -> np.ndarray:
+    """w with log z(w) = log_lam, by Newton from np.interp(x, *seeds); a point stops after the step
+    on which its residual is within 1e-14 (1 + |log_lam|) with Im w > 0."""
+    w = np.interp(x, *seeds)
+    todo = np.arange(w.size)
+    for _ in range(_NEWTON_MAX):
+        wt = w[todo]
+        f = log_z(wt) - log_lam[todo]
+        w[todo] = wt = wt - f / dlog_z(wt)
+        todo = todo[~((np.abs(f) <= 1e-14 * (1.0 + np.abs(log_lam[todo]))) & (wt.imag > 0.0))]
+        if todo.size == 0:
+            return w
+    raise ConvergenceError(f"{todo.size} of {w.size} points unsolved by Newton", last_iterate=w[todo])
+
+
 def bernoulli_w(sigma0_sq: float, lam) -> np.ndarray:
-    """W(-s0sq/lambda) above its cut, theta bisected until no float lies between the ends."""
-    target = np.log(np.asarray(lam, dtype=float) / sigma0_sq)
-    lo, hi = np.zeros_like(target), np.full_like(target, math.pi)
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        open_ = (lo < mid) & (mid < hi)
-        if not open_.any():
-            return -mid / np.tan(mid) + 1j * mid
-        right = open_ & (bernoulli_log_ratio(mid) > target)
-        lo, hi = np.where(right, mid, lo), np.where(open_ & ~right, mid, hi)
+    """W(-s0sq/lambda) above its cut for lambda in (0, lambda1), by Newton on log(z/s0sq) = -w - log(-w)."""
+    target = np.log(np.atleast_1d(np.asarray(lam, dtype=float)) / sigma0_sq)
+    return _newton(lambda w: -w - np.log(-w), lambda w: -1.0 - 1.0 / w, target, np.sqrt(1.0 - target), _BERNOULLI_SEEDS)
 
 
 def smooth_edges(sigma0_sq: float) -> tuple[float, float]:
@@ -134,17 +149,8 @@ def smooth_w(sigma0_sq: float, lam) -> np.ndarray:
     """Arch point w with z(w) = lambda in (lambda_-, lambda_+), by Newton on log z from an arch seed."""
     arch, arch_lam = smooth_arch(sigma0_sq)
     log_lam = np.log(np.atleast_1d(np.asarray(lam, dtype=float)))
-    w = np.interp(log_lam, np.log(arch_lam), arch)
-    todo = np.arange(w.size)
-    for _ in range(_NEWTON_MAX):
-        wt = w[todo]
-        f = wt - sigma0_sq + np.log(wt) - np.log(wt - sigma0_sq) - log_lam[todo]
-        done = (np.abs(f) <= 1e-14 * (1.0 + np.abs(log_lam[todo]))) & (wt.imag > 0.0)
-        todo, wt, f = todo[~done], wt[~done], f[~done]
-        if todo.size == 0:
-            return w
-        w[todo] = wt - f / (1.0 + 1.0 / wt - 1.0 / (wt - sigma0_sq))
-    raise ConvergenceError(f"no arch point at lambda = {np.exp(log_lam[todo])}", last_iterate=w[todo])
+    return _newton(lambda w: w - sigma0_sq + np.log(w) - np.log(w - sigma0_sq),
+                   lambda w: 1.0 + 1.0 / w - 1.0 / (w - sigma0_sq), log_lam, log_lam, (np.log(arch_lam), arch))
 
 
 def bernoulli_density(sigma0_sq: float, grid) -> SpectralDensity:
@@ -153,7 +159,7 @@ def bernoulli_density(sigma0_sq: float, grid) -> SpectralDensity:
     if grid[0] <= 0.0:
         raise ValueError("the Bernoulli limit density diverges at 0; the grid must be positive")
     info = bernoulli_edges_atoms(sigma0_sq)
-    inside = np.log(grid / sigma0_sq) < 1.0  # lambda < lambda1, decided as bernoulli_w bisects
+    inside = np.log(grid / sigma0_sq) < 1.0  # lambda < lambda1, decided on bernoulli_w's own target
     w = bernoulli_w(sigma0_sq, grid[inside])
     rho = np.zeros_like(grid)
     rho[inside] = sigma0_sq * w.imag / (math.pi * grid[inside] * np.abs(sigma0_sq + w) ** 2)

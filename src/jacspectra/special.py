@@ -11,10 +11,7 @@ exactly.
 The solvers are kept self-contained:
 
   * ``bracket_root`` -- regula falsi, elementwise over arrays, behind every
-    solve in ``propagation`` and ``limits.smooth_arch``.  ``limits.bernoulli_w``
-    keeps its own theta bisection: its f is so cheap that on 1,200 points
-    this solver's steps cost more than the ones they save (4.4 ms in 27
-    steps against 3.4 ms in 60).
+    solve in ``propagation`` and ``limits.smooth_arch``.
   * ``lambert_w0`` -- principal branch of W, where W(x) e^{W(x)} = x,
     by Halley iteration from a seed chosen by region (Maclaurin series for
     small argument, branch-point series near -1/e, log asymptotics for large

@@ -359,6 +359,12 @@ class TestErrors:
             ("compare", [], "compare requires config keys"),
             ("compare", ["--empirical.spectrum_csv", "sp.csv", "--empirical.sidecar_json", "sp.json",
                          "--theory.density", "th.csv"], "cannot read 'sp.csv'"),
+            ("simulate", ["--qstar", "0.5", "--width", "8", "--trials", "0"], "trials must be >= 1, got 0"),
+            ("limit", ["--grid.points", "-4"], "grid.points must be >= 4, got -4"),
+            ("limit", ["--grid.points", "1"], "grid.points must be >= 4, got 1"),
+            ("moments", ["--double-scaling.sigma0-sq", "0.25", "--depth", "0"], "depth must be >= 1, got 0"),
+            ("moments", ["--double-scaling", "true"], "config['double_scaling'] must be a section of keys, got True"),
+            ("moments", ["--ensemble", "orthogonal"], "config['ensemble'] must be a section of keys, got 'orthogonal'"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jacspectra import limits
+from jacspectra import cli, limits
 from jacspectra.activations import get_activation
 from jacspectra.errors import ConvergenceError, PoleError
 from jacspectra.limits import (
@@ -12,6 +12,7 @@ from jacspectra.limits import (
     bernoulli_density,
     bernoulli_edges_atoms,
     bernoulli_log_ratio,
+    bernoulli_w,
     smooth_arch,
     smooth_G,
     smooth_density,
@@ -240,6 +241,8 @@ class TestParametrisedReadout:
         lo, hi = smooth_edges(0.25)
         with pytest.raises(ConvergenceError):
             smooth_density(0.25, np.linspace(lo, hi, 7))
+        with pytest.raises(ConvergenceError):
+            bernoulli_density(0.25, np.geomspace(1e-3, 0.6, 7))
 
     def test_bernoulli_needs_positive_grid(self):
         with pytest.raises(ValueError):
@@ -312,3 +315,58 @@ class TestParametrisedReadout:
         lo, hi = smooth_edges(0.25)
         mass = smooth_density(0.25, np.linspace(0.8 * lo, hi, 50)).metadata["mass"]
         assert mass == {"continuum_total": 1.0, "below_grid": 0.0, "atoms": 0.0}
+
+
+EPS = np.finfo(float).eps
+
+
+def _bisect_w(s0sq, lam):
+    """Reference: theta bisected on the cut until no float lies between the ends."""
+    target = np.log(np.asarray(lam, dtype=float) / s0sq)
+    lo, hi = np.zeros_like(target), np.full_like(target, math.pi)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            return -mid / np.tan(mid) + 1j * mid
+        right = open_ & (bernoulli_log_ratio(mid) > target)
+        lo, hi = np.where(right, mid, lo), np.where(open_ & ~right, mid, hi)
+
+
+class TestBernoulliInverse:
+    # Near lambda1, d log z / dw = -(1 + 1/w) ~ -i theta vanishes: a residual of a few ulps in log z, which both the
+    # bisection and Newton leave, moves w by ~ eps / |1 + 1/w|.  That term passes 1e-12 |w| below theta ~ 1e-3;
+    # at theta = 1e-4 the two differ by 1.95e-12 relative, and each lies within 1.6e-12 of a 40-digit root.
+
+    @pytest.mark.parametrize("s0sq", [0.1, 0.25, 1.0, 4.0])
+    def test_matches_bisection(self, s0sq):
+        theta = np.geomspace(1e-4, math.pi - 0.01, 400)
+        lam = np.append(s0sq * np.exp(bernoulli_log_ratio(theta)), 1e-300 * s0sq)
+        ref = _bisect_w(s0sq, lam)
+        err = np.abs(bernoulli_w(s0sq, lam) - ref)
+        assert np.all(err <= 1e-12 * np.abs(ref) + 4.0 * EPS / np.abs(1.0 + 1.0 / ref))
+        far = np.append(theta > 1e-3, True)
+        assert np.all(err[far] <= 1e-12 * np.abs(ref[far]))
+
+    @pytest.mark.parametrize("s0sq", [0.1, 0.25, 1.0, 4.0])
+    def test_edge_within_conditioning(self, s0sq):
+        # at lambda1 (1 - 1e-12), theta ~ 1.4e-6 and 1 - log(lambda/s0sq) = theta^2/2 + theta^4/36 + ...; a residual
+        # of a few ulps moves theta^2 by as much, so theta^2 holds to ~8 eps / 2e-12 = 9e-4 relative, and w to 4 eps/theta
+        lam = math.e * s0sq * (1.0 - 1e-12)
+        w, ref = bernoulli_w(s0sq, lam)[0], _bisect_w(s0sq, np.array([lam]))[0]
+        assert abs(w.imag**2 - 2.0 * (1.0 - math.log(lam / s0sq))) <= 8.0 * EPS
+        assert abs(w - ref) <= 4.0 * EPS / abs(1.0 + 1.0 / ref)
+
+    @pytest.mark.parametrize("klass", ["bernoulli", "smooth"])
+    @pytest.mark.parametrize("s0sq", [0.25, 1.0, 4.0])
+    def test_benchmark_grid_in_few_passes(self, klass, s0sq, monkeypatch, tmp_path):
+        # the 1,200-point grids of the limit command: at most 8 Newton passes (the bisection took ~55 steps)
+        passes, newton = [], limits._newton
+
+        def counted(log_z, *rest):
+            return newton(lambda w: passes.append(w.size) or log_z(w), *rest)
+
+        monkeypatch.setattr(limits, "_newton", counted)
+        out = tmp_path / "limit.csv"
+        assert cli.main(["limit", "--class", klass, "--sigma0-sq", str(s0sq), "--out.density_csv", str(out)]) == 0
+        assert 0 < len(passes) <= 8 and passes[0] > 600
