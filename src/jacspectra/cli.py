@@ -350,8 +350,10 @@ def cmd_limit(args, extra) -> int:
     s0sq = _setting(cfg, "sigma0_sq", 0.25)
     if not 0.0 < s0sq < math.inf:
         raise JacspectraError(f"sigma0_sq must be positive and finite, got {s0sq!r}")
-    cfg["class"], cfg["sigma0_sq"] = klass, s0sq
+    if set(cfg.get("grid", {})) - {"points"}:
+        raise JacspectraError(f"limit sets its own grid from grid.points alone, got grid {cfg['grid']}")
     half = _setting(cfg, "grid.points", 1200, int, least=4) // 2
+    cfg["class"], cfg["sigma0_sq"], cfg["grid"] = klass, s0sq, {"points": 2 * half}  # echoed as used
     if klass == BERNOULLI:
         info = bernoulli_edges_atoms(s0sq)
         # rho ~ 1/(lambda log^2 lambda) near 0: reach far down; the report has the mass below

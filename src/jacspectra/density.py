@@ -174,11 +174,9 @@ def make_lambda_grid(lam_max: float, *, lam_min: float = GRID_LAM_MIN, n: int = 
         raise ValueError("need 0 < lam_min < lam_max")
     n_geo = n // 2
     geo = np.geomspace(lam_min, lam_max, n_geo)
-    # interior linear points ride at an irrational fraction of the spacing so
-    # the grid cannot collide exactly with round-number spectral edges: at a
-    # square-root edge dz/dG = 0, and Newton on the real axis is ill-conditioned
+    # the linear points sit at an irrational fraction of the spacing, so they miss round-number spectral
+    # edges; lam_max and the geometric points can still fall on an edge
     n_lin = n - n_geo
     step = (lam_max - lam_min) / n_lin
     lin = lam_min + step * (np.arange(n_lin) + 0.5 * (math.sqrt(5.0) - 1.0))
-    grid = np.unique(np.concatenate([geo, lin, [lam_max]]))
-    return grid
+    return np.unique(np.concatenate([geo, lin, [lam_max]]))

@@ -21,22 +21,22 @@ most 3 iterations) squares the ratio, up to 100; a rejected one retries at
 its square root, down to 1.5; a step rejected at 1.5 loses its point.  All
 lambdas march as one vectorized batch.
 
-On a grid, ``density`` ladders every 8th point, the last, and any whose level's
-neighbours lie beyond a factor 4; the rest go at strides 4, 2, 1, one Newton
-batch per level seeded in log lambda between solved points (atom poles aside),
-under the same step test; failures take the ladder (BranchLossError if lost).
-Then one Newton batch at z = lambda + 0i, seeded with each point's M at the
-stop height, gives G on the real axis, and the density is read there as
-rho = -Im G(lambda + i0) / pi: no offset biases it, and atoms leave no tail on
-their neighbours.  Near a square-root edge that Newton is ill-conditioned
-(dz/dG = 0 there), which is why ``make_lambda_grid`` keeps points off round
-edges.
+On a grid, ``density`` ladders every 8th point, the last, and any whose
+level's neighbours lie beyond a factor 4, then takes each to the real axis by
+one Newton at z = lambda + 0i.  The rest go at strides 4, 2, 1, one Newton
+batch per level at z = lambda, seeded in log lambda between points already on
+the axis (atom poles aside), under the step test; failures take the ladder
+(BranchLossError if lost).  So each point ends with one solve on the axis,
+where the density is read as rho = -Im G(lambda + i0) / pi: no offset biases
+it, and atoms leave no tail on their neighbours.  Newton converges only
+linearly at a square-root edge, where dz/dG = 0, so the solve after the ladder
+(no drift test) may take twice the step's 8 iterations.
 
-A ladder step, a seeded level and the solve on the axis are each one ``_step``:
-seed G = (1 + M)/z, Newton, step test (no drift test on the axis).  Their work
-goes into one ``collections.Counter`` that ``density`` makes and writes into
-its metadata: residual evaluations, Newton iterations and steps from ``_step``,
-points per path from the grid solve.
+A ladder step, a seeded level and the solve after the ladder are each one
+``_step``: seed G = (1 + M)/z, Newton, step test.  Their work goes into one
+``collections.Counter`` that ``density`` makes and writes into its metadata:
+residual evaluations, Newton iterations and steps from ``_step``, points per
+path from the grid solve.
 
 Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
 pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
@@ -94,9 +94,9 @@ _STEP_DRIFT = 0.25  # a step is rejected when |M - M_pred| > 0.25 |M_pred|
 _STEP_RATIO_MAX = 100.0
 _ANCHOR_STRIDE = 8  # density() ladders every 8th grid point and seeds the rest from solved neighbours
 _SEED_REACH = 4.0  # a seed's two solved ends lie within this factor of its lambda
-_NEWTON_TOL = 1e-11  # a ladder step or seed stops at a residual of this times |M|, plus _newton_tol's floor
-# the ladder stops at height min(_STOP_HEIGHT, _STOP_HEIGHT_REL * lambda), and probe_atom reads at
-# _STOP_HEIGHT: below ~1e-6 the residual noise eps_mach |M| ~ eps_mach mass / eps swamps an atom
+_NEWTON_TOL = 1e-11  # a ladder step stops at a residual of this times |M|, plus _newton_tol's floor
+# a laddered grid point stops at height min(_STOP_HEIGHT, _STOP_HEIGHT_REL * lambda) on its way to the axis,
+# and probe_atom reads at _STOP_HEIGHT: below ~1e-6 the residual noise eps_mach |M| ~ eps_mach mass / eps swamps an atom
 _STOP_HEIGHT = 1e-6
 _STOP_HEIGHT_REL = 1e-3  # tiny lambdas stop proportionally lower, to resolve heavy bottom tails
 # Newton's tol on the real axis, where it sets rho's noise: at _NEWTON_TOL, a tenfold
@@ -230,18 +230,19 @@ def _newton_batch(res_fn, z, z_root, G, tol, max_iter):
 def _step(res_fn, depth: int, z, M_seed, work: Counter, tol=_NEWTON_TOL, drift=True):
     """Newton from M_seed at each z, z^{1/L} taken once, its work added to ``work``: (G, step test passed, iters).
 
-    Failing the step test, a root has hopped to a spurious or mirror root.  The solve on the real axis skips
-    the drift test (``drift=False``): near an inverse-square-root edge its root lies rightly far from its seed.
+    Failing the step test, a root has hopped to a spurious or mirror root.  ``drift=False``, the solve after the
+    ladder, skips the drift test (at an edge its root lies rightly far from its seed) and allows twice the iterations.
     """
 
     def counted(G, z, z_root):
         work["residual_evals"] += G.size
         return res_fn(G, z, z_root)
 
-    G, conv, iters = _newton_batch(counted, z, z ** (1.0 / depth), (1.0 + M_seed) / z, tol, _STEP_MAX_ITERS + 1)
+    max_iters = _STEP_MAX_ITERS if drift else 2 * _STEP_MAX_ITERS
+    G, conv, iters = _newton_batch(counted, z, z ** (1.0 / depth), (1.0 + M_seed) / z, tol, max_iters + 1)
     work["newton_iters"] += int(iters.sum())
     M = z * G - 1.0
-    ok = conv & (iters <= _STEP_MAX_ITERS) & (M.imag < np.sqrt(_newton_tol(np.abs(M), _NEWTON_TOL)))
+    ok = conv & (iters <= max_iters) & (M.imag < np.sqrt(_newton_tol(np.abs(M), _NEWTON_TOL)))
     if drift:  # a ladder step or seeded point: one continuation step, accepted or rejected
         ok &= np.abs(M - M_seed) <= _STEP_DRIFT * np.abs(M_seed)
         work.update(continuation_steps=int(ok.sum()), rejected_steps=int((~ok).sum()))
@@ -289,17 +290,17 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float, work: Counter)
     return G, ~failed, fail_step
 
 
-def _require_branch(lams, converged, G, fail_step=None) -> None:
+def _require_branch(lams, converged, G, fail_step) -> None:
     """Raise BranchLossError naming the first lambda whose solve lost the branch: at a ladder step, else on the axis."""
     lost = np.flatnonzero(~converged)
     if lost.size:
         i = lost[0]
-        where = "on the real axis" if fail_step is None else f"step {fail_step[i]}"
+        step = int(fail_step[i]) if fail_step[i] >= 0 else None
+        where = "on the real axis" if step is None else f"step {step}"
         raise BranchLossError(
             f"continuation lost the branch at lambda={lams[i]:.6g} "
             f"({where}; {lost.size} of {converged.size} points lost)",
-            step_index=None if fail_step is None else int(fail_step[i]),
-            last_iterate=complex(G[i]),
+            step_index=step, last_iterate=complex(G[i]),
         )
 
 
@@ -355,14 +356,16 @@ def point_masses(config: NetworkConfig, qstar: float) -> tuple:
 
 
 def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms, work: Counter):
-    """(G, converged, fail_step) at z = lams + i targets: anchors, levels, fallback, each path's points in ``work``."""
-    n, z = lams.size, lams + 1j * targets
+    """(G, converged, fail_step) at z = lams + 0i, points per path in ``work``; fail_step -1: lost on the axis."""
+    n, z = lams.size, lams + 1j * targets  # z: where the ladder stops
     log_lam = np.log(np.maximum(lams, 1e-300)) / math.log(_SEED_REACH)  # log base _SEED_REACH
-    poles = sum((mass * loc / (z - loc) for loc, mass in atoms), np.zeros(n, dtype=complex))  # M's atom part
+    poles = sum((mass * loc / (lams - loc) for loc, mass in atoms), np.zeros(n))  # M's atom part on the axis
     G, solved, fail_step = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool), np.full(n, -1)
 
     def ladder(idx):
-        G[idx], solved[idx], fail_step[idx] = _run_ladder(res_fn, depth, lams[idx], targets[idx], m1, work)
+        G[idx], ok, fail_step[idx] = _run_ladder(res_fn, depth, lams[idx], targets[idx], m1, work)
+        idx = idx[ok]  # on to the axis
+        G[idx], solved[idx], _ = _step(res_fn, depth, lams[idx], z[idx] * G[idx] - 1.0, work, _AXIS_TOL, drift=False)
 
     def seeded(idx):
         """Newton at idx from M interpolated in log lambda between the nearest solved points on either side."""
@@ -372,10 +375,10 @@ def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms, work: Count
         # one-sided or wider seeds took spurious roots on coarse grids: M = -1 below the support, real M in it
         use = (lo < idx) & (idx < hi) & (np.maximum(log_lam[idx] - log_lam[lo], log_lam[hi] - log_lam[idx]) <= 1.0)
         idx, lo, hi = idx[use], lo[use], hi[use]
-        M_free = z * G - 1.0 - poles
+        M_free = lams * G - 1.0 - poles
         t = (log_lam[idx] - log_lam[lo]) / (log_lam[hi] - log_lam[lo])
         M_seed = M_free[lo] + t * (M_free[hi] - M_free[lo]) + poles[idx]
-        G_new, ok, _ = _step(res_fn, depth, z[idx], M_seed, work)
+        G_new, ok, _ = _step(res_fn, depth, lams[idx], M_seed, work, _AXIS_TOL)
         G[idx[ok]], solved[idx[ok]] = G_new[ok], True
 
     i = np.arange(n)
@@ -396,18 +399,17 @@ def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms, work: Count
 def density(config: NetworkConfig, grid) -> SpectralDensity:
     """Squared-singular-value density of J J^T on the given lambda grid.
 
-    The continuum is read on the real axis, rho = -Im G(lambda + i0) / pi:
-    each point is laddered or seeded (module docstring) down to the stop
-    height min(1e-6, 1e-3 lambda), and one Newton at z = lambda, seeded from
-    there, finishes it.  The atoms are ``point_masses`` in closed form; a grid
-    point at an atom is dropped, since M has a pole there.  A lost point, or a
-    root on the axis off the physical branch (Newton unconverged within 8
-    iterations, or Im M above Newton's noise), raises BranchLossError naming
-    its lambda.  The metadata holds ``qstar``, the config, ``slope_nodes``
-    (terms of M(w) per residual evaluation), ``total_mass`` and the work tally
-    summed over points, ``WORK_COUNTS``: ``residual_evals``, ``newton_iters``
-    (both with the solve on the axis), ``continuation_steps`` (a seeded point
-    is one), ``rejected_steps``, ``anchor_points``, ``seeded_points`` and
+    The continuum is read on the real axis, rho = -Im G(lambda + i0) / pi,
+    after one Newton per point at z = lambda (module docstring).  The
+    atoms are ``point_masses`` in closed form; a grid point at an atom is
+    dropped, since M has a pole there.  A point lost on the ladder, or a
+    root on the axis off the physical branch (Newton unconverged, or Im M
+    above Newton's noise), raises BranchLossError naming its lambda.  The
+    metadata holds ``qstar``, the config, ``slope_nodes`` (terms of M(w)
+    per residual evaluation), ``total_mass`` and the work tally summed
+    over points, ``WORK_COUNTS``: ``residual_evals``, ``newton_iters``,
+    ``continuation_steps`` (a seeded point is one), ``rejected_steps``,
+    ``anchor_points``, ``seeded_points`` and
     ``fallback_points``.
     """
     grid = np.asarray(grid, dtype=float)
@@ -421,8 +423,6 @@ def density(config: NetworkConfig, grid) -> SpectralDensity:
     work = Counter()
     G, converged, fail_step = _solve_grid(res_fn, config.depth, grid, targets, m1, atoms, work)
     _require_branch(grid, converged, G, fail_step)
-    G, converged, _ = _step(res_fn, config.depth, grid, (grid + 1j * targets) * G - 1.0, work, _AXIS_TOL, drift=False)
-    _require_branch(grid, converged, G)
 
     meta = {
         "qstar": qstar,

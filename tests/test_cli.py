@@ -156,6 +156,7 @@ class TestLimitCommand:
 
     def test_smooth_edges_report(self, tmp_path):
         doc = provenance(run_cli(["limit", "--class", "smooth", "--sigma0-sq", "0.25"], tmp_path))
+        assert doc["config"]["grid"] == {"points": 1200}  # the default, echoed as used
         edges = doc["report"]["edges"]
         assert math.sqrt(edges["lambda_minus"]) == pytest.approx(0.567, abs=2e-3)
         assert math.sqrt(edges["lambda_plus"]) == pytest.approx(1.557, abs=2e-3)
@@ -365,6 +366,8 @@ class TestErrors:
             ("moments", ["--double-scaling.sigma0-sq", "0.25", "--depth", "0"], "depth must be >= 1, got 0"),
             ("moments", ["--double-scaling", "true"], "config['double_scaling'] must be a section of keys, got True"),
             ("moments", ["--ensemble", "orthogonal"], "config['ensemble'] must be a section of keys, got 'orthogonal'"),
+            ("limit", ["--grid.min", "5", "--grid.max", "6"], "from grid.points alone, got grid {'min': 5"),
+            ("limit", ["--grid.points", "40", "--grid.max", "6"], "from grid.points alone, got grid {'points': 40"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):

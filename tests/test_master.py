@@ -213,6 +213,17 @@ class TestDensity:
         # no atom, so every grid point is kept, the hard edges included
         np.testing.assert_array_equal(d.grid, grid)
 
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_point_on_a_square_root_edge(self, depth):
+        # the grid's top on the Fuss-Catalan edge (L+1)^{L+1}/L^L (4 at L = 1): dz/dG = 0 there, so
+        # Newton on the axis converges only linearly, in 11 (L = 1) and 9 (L = 4) iterations
+        edge = (depth + 1) ** (depth + 1) / depth**depth
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mass lost below the grid at L = 4: not what is checked here
+            d = density(_linear_gauss(depth), make_lambda_grid(edge, n=600))
+        assert d.grid[-1] == edge
+        assert d.rho[-1] <= 1e-6 * d.rho.max()
+
     def test_normalization_and_first_moment(self):
         # grid adequacy is the caller's job: the depth-2 projection product
         # has a hard edge at 4 that wants geometric refinement from below,
@@ -258,20 +269,20 @@ class TestDensity:
             with pytest.raises(BranchLossError, match=f"lambda={grid[0]:.6g} ") as err:
                 density(_linear_gauss(), grid)
         assert err.value.step_index >= 1
-        # one lost point of 100 is enough, seeded (37) or an anchor (40)
+        # one lost point of 100 is enough, seeded (37) or an anchor (40), at a ladder step or on the axis (-1)
         assert 37 % master._ANCHOR_STRIDE != 0 == 40 % master._ANCHOR_STRIDE
         solve = master._solve_grid
-        for lost in (37, 40):
+        for lost, step, where in ((37, 5, "step 5"), (40, 5, "step 5"), (37, -1, "on the real axis")):
 
             def lose_one(*args):
                 G, converged, fail_step = solve(*args)
-                converged[lost], fail_step[lost] = False, 5
+                converged[lost], fail_step[lost] = False, step
                 return G, converged, fail_step
 
             monkeypatch.setattr(master, "_solve_grid", lose_one)
-            with pytest.raises(BranchLossError, match=f"lambda={grid[lost]:.6g} .*1 of 100") as err:
+            with pytest.raises(BranchLossError, match=f"lambda={grid[lost]:.6g} \\({where}; 1 of 100") as err:
                 density(_linear_gauss(), grid)
-            assert err.value.step_index == 5
+            assert err.value.step_index == (None if step < 0 else step)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +366,11 @@ def _noise_envelope(lams, heights, G):
 
 
 def _solve(config, grid, newton=master._newton_batch, ladder=None):
-    """density() with the given Newton, and the noise envelope of the solve at the stop heights.
+    """density() with the given Newton, and the noise envelope of its grid solve.
 
-    With a ladder, that ladder solves the whole grid in place of the seeded grid solve;
-    the solve on the real axis follows either way.
+    With a ladder, that ladder solves the whole grid down to the stop heights in place of the
+    seeded grid solve, and one Newton at z = lambda finishes it, as the grid solve finishes
+    a laddered point.
     """
     solves = []
     grid_solve = master._solve_grid
@@ -367,7 +379,10 @@ def _solve(config, grid, newton=master._newton_batch, ladder=None):
         if ladder is None:
             out = grid_solve(res_fn, depth, lams, targets, m1, atoms, work)
         else:
-            out = ladder(res_fn, depth, lams, targets, m1, work)
+            G, converged, fail_step = ladder(res_fn, depth, lams, targets, m1, work)
+            M = (lams + 1j * targets) * G - 1.0
+            G, on_axis, _ = master._step(res_fn, depth, lams, M, work, master._AXIS_TOL, drift=False)
+            out = G, converged & on_axis, fail_step
         solves.append((lams, targets, out[0]))
         return out
 
@@ -620,19 +635,19 @@ def test_step_sign_check(config, lam_min):
 # the readout on the real axis against the readout at the stop height
 
 
-def _solve_at_height(config, grid, scale):
-    """Test-only: the seeded grid solve alone, at lambda + i scale*min(1e-6, 1e-3 lambda): G and its work tally."""
-    qstar, res_fn, _, m1 = master._prepare(config)
-    heights = scale * np.minimum(master._STOP_HEIGHT, master._STOP_HEIGHT_REL * grid)
-    work = Counter()
-    G, converged, _ = master._solve_grid(res_fn, config.depth, grid, heights, m1, point_masses(config, qstar), work)
-    assert converged.all()
-    return G, work
-
-
 def _readout_at_height(config, grid, scale):
-    """Test-only: the offset readout rho = -Im G / pi of ``_solve_at_height``."""
-    return -_solve_at_height(config, grid, scale)[0].imag / math.pi
+    """Test-only: the offset readout rho = -Im G / pi at z = lambda + i scale*min(1e-6, 1e-3 lambda).
+
+    The ladder over the whole grid reaches z; one Newton there at the axis tolerance takes the
+    readout's noise below the offset measured against it (at the ladder's tolerance the ratio of
+    the offsets at two heights strayed by 1% on ds-hard_tanh L256).
+    """
+    _, res_fn, _, m1 = master._prepare(config)
+    z = grid + 1j * scale * np.minimum(master._STOP_HEIGHT, master._STOP_HEIGHT_REL * grid)
+    G, converged, _ = master._run_ladder(res_fn, config.depth, grid, z.imag, m1, Counter())
+    G, polished, _ = master._step(res_fn, config.depth, z, z * G - 1.0, Counter(), master._AXIS_TOL, drift=False)
+    assert converged.all() and polished.all()
+    return -G.imag / math.pi
 
 
 def _default_density(config):
@@ -674,12 +689,24 @@ class TestOnAxisReadout:
         moved = _default_density(config)[1]
         assert np.max(np.abs(moved.rho - dens.rho)) <= 1e-9 * dens.rho.max()
 
-    def test_report_counts_the_solve_on_the_axis(self, on_axis):
-        # at least one residual evaluation per point, at its seed, and some iterations
+    def test_report_counts_the_solve_on_the_axis(self, on_axis, monkeypatch):
+        # every point ends with one Newton at z = lambda, and only laddered points (anchors and
+        # fallback) step off the axis; each solve evaluates the residual at least once, at its seed
         config, grid, dens = on_axis
-        _, at_height = _solve_at_height(config, grid, 1.0)
-        assert dens.metadata["residual_evals"] >= at_height["residual_evals"] + grid.size
-        assert dens.metadata["newton_iters"] > at_height["newton_iters"]
+        at_lam, off_axis, step = [], [], master._step
+
+        def spy(res_fn, depth, z, M_seed, work, *args, **kwargs):
+            (off_axis if np.any(np.imag(z)) else at_lam).append(np.real(z))
+            return step(res_fn, depth, z, M_seed, work, *args, **kwargs)
+
+        monkeypatch.setattr(master, "_step", spy)
+        meta = _default_density(config)[1].metadata
+        assert meta == dens.metadata
+        solved = np.concatenate(at_lam)
+        np.testing.assert_array_equal(np.unique(solved), grid)
+        assert solved.size == grid.size + meta["fallback_points"]
+        assert np.unique(np.concatenate(off_axis)).size == meta["anchor_points"] + meta["fallback_points"]
+        assert meta["residual_evals"] >= solved.size + np.concatenate(off_axis).size
 
     def test_tails_outside_the_support_read_zero(self):
         # ds-erf_sm L256 below its bulk and above its top edge: the root on
@@ -827,8 +854,10 @@ class TestSeededGrid:
         assert same
         meta = new.metadata
         assert meta["anchor_points"] + meta["seeded_points"] + meta["fallback_points"] == points
-        if not name.startswith("mc-"):  # 0.17-0.22 measured: a regression of the seeding shows without timing
-            assert meta["residual_evals"] <= 0.3 * ref.metadata["residual_evals"]
+        # 0.17-0.22 measured, 0.19-0.26 when a seeded point was solved twice: a regression of the seeding
+        # shows without timing
+        if not name.startswith("mc-"):
+            assert meta["residual_evals"] <= 0.23 * ref.metadata["residual_evals"]
 
     # coarse grids (lam_min None: linear) where seeds from one side, or from ends more than a factor 4
     # away, took spurious roots: M = -1 far below the support, or a real M inside it
