@@ -114,8 +114,8 @@ def _setting(cfg: dict, key: str, default=None, kind=float, least=None):
     if raw is None:
         return None
     try:
-        value = kind(raw)
-        whole = kind is float or isinstance(raw, str) or value == raw  # 1.5 is refused, not cut to 1
+        value = kind(raw)  # true and 1.5 are refused, not read as 1
+        whole = not isinstance(raw, bool) and (kind is float or isinstance(raw, str) or value == raw)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
@@ -275,7 +275,7 @@ def cmd_theory_spectrum(args, extra) -> int:
         cfg,
         _write_density(cfg, dens_out, "theory_spectrum.csv"),
         {
-            "grid_points": int(np.size(grid)),
+            "grid_points": dens.grid.size,  # a point at an atom is dropped
             "total_mass": dens.metadata["total_mass"],
             "atoms": [list(a) for a in dens_out.atoms],
             **{k: dens.metadata[k] for k in WORK_COUNTS},

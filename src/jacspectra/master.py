@@ -38,12 +38,16 @@ A ladder step, a seeded level and the solve after the ladder are each one
 residual evaluations, Newton iterations and steps from ``_step``, points per
 path from the grid solve.
 
-Newton uses the analytic dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one
-pass over the squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w)
-together, and the accepted line-search candidate hands its residual and
-derivative on to the next iteration, so an undamped step costs one
-evaluation.  z^{1/L} is taken once per continuation step, since z is fixed
-through its Newton iterations.  M(w) sums over ``slope_sq_law`` at the
+A density's time goes per numpy call more than per point: about 20 Newton
+batches and 100 residual calls, of about 50 points each.  So a Newton
+iteration gathers its open points once, evaluates all their full steps in one
+residual call, and halves only the steps that did not descend; the residual
+runs under the one np.errstate of its batch.  Newton uses the analytic
+dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one pass over the
+squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w) together, and the
+accepted candidate hands its residual and derivative on to the next
+iteration, so an undamped step costs one evaluation.  z^{1/L} is taken once
+per batch, since z is fixed through it.  M(w) sums over ``slope_sq_law`` at the
 default Gauss rule, the rule behind q* and chi too.  A squared slope even in
 the pre-activation (tanh, erf, arctan) folds that symmetric rule exactly
 onto its non-negative nodes (201 -> 101), and the nodes of weight below
@@ -113,7 +117,8 @@ def _residual_factory(config: NetworkConfig, qstar: float) -> tuple[Callable, in
     """(residual, node count of M's sum).
 
     The residual maps (G, z, z^{1/L}) to (R, dR/dG); with M = zG - 1,
-    dlog w/dM = -p/(M(1+M)), less 1/(1+M) for gaussian S.
+    dlog w/dM = -p/(M(1+M)), less 1/(1+M) for gaussian S.  Its caller opens
+    np.errstate, since poles and NaNs are the caller's to handle.
     """
     t, c = slope_sq_law(config.activation, qstar)
     t, ct = t.astype(complex), (c * t).astype(complex)  # cast once, not per call
@@ -124,15 +129,16 @@ def _residual_factory(config: NetworkConfig, qstar: float) -> tuple[Callable, in
 
     def res(G, z, z_root):
         M = z * G - 1.0
-        with np.errstate(all="ignore"):
-            S = inv_sw2 / (1.0 + M) if gaussian else inv_sw2
-            dlog_w = -p / (M * (1.0 + M)) - (1.0 / (1.0 + M) if gaussian else 0.0)
-            w = z_root * (S * ((1.0 + M) / M) ** p)
-            r = w[..., None] - t
-            np.reciprocal(r, out=r)
-            m = r @ ct
-            np.square(r, out=r)
-            return M - m, z * (1.0 + (r @ ct) * w * dlog_w)
+        M1 = 1.0 + M
+        dlog_w = -p / (M * M1)
+        if gaussian:
+            dlog_w -= 1.0 / M1
+        w = z_root * ((inv_sw2 / M1 if gaussian else inv_sw2) * (M1 / M) ** p)
+        r = w[..., None] - t
+        np.reciprocal(r, out=r)
+        m = r @ ct
+        np.square(r, out=r)
+        return M - m, z * (1.0 + (r @ ct) * w * dlog_w)
 
     return res, t.size
 
@@ -157,7 +163,8 @@ def master_residual(config: NetworkConfig, G, z):
     M = z * G - 1.0
     if np.any(M == 0) or np.any(M == -1.0):
         raise PoleError("master residual evaluated at a pole (zG-1 in {0,-1})")
-    out = res(G, z, z ** (1.0 / config.depth))[0]
+    with np.errstate(all="ignore"):
+        out = res(G, z, z ** (1.0 / config.depth))[0]
     return complex(out) if out.ndim == 0 else out
 
 
@@ -171,59 +178,51 @@ def _newton_tol(absM, tol):
 
 
 def _newton_batch(res_fn, z, z_root, G, tol, max_iter):
-    """Damped Newton on a batch of (z, G); res_fn(G, z, z_root) gives (R, dR/dG).  Returns (G, converged, niter)."""
+    """Damped Newton on a batch (module docstring); res_fn(G, z, z_root) gives (R, dR/dG).  Returns (G, converged, niter)."""
     n = G.shape[0]
-    converged = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-    iters = np.zeros(n, dtype=int)
-    G = G.copy()
-    R, dR = res_fn(G, z, z_root)
-    for it in range(max_iter):
-        idx = np.nonzero(alive & ~converged)[0]
-        if idx.size == 0:
-            break
-        Gi, zi, Ri = G[idx], z[idx], R[idx]
-        # tolerance relative to |M| = |zG-1|: the equation admits a pseudo
-        # zone near M = 0 where the absolute residual ~ |M|^(1-1/L) becomes
-        # arbitrarily small without M being a root; only the residual
-        # measured against M's own scale separates the physical branch.
-        # The (1+|M|)^2 term is the cancellation floor near atoms, where
-        # both sides of the equation blow up together.
-        absM = np.abs(zi * Gi - 1.0)
-        tol_eff = _newton_tol(absM, tol)
-        ok = np.abs(Ri) <= tol_eff
-        converged[idx[ok]] = True
-        idx = idx[~ok]
-        if idx.size == 0:
-            continue
-        Gi, zi, Ri, tol_eff = Gi[~ok], zi[~ok], Ri[~ok], tol_eff[~ok]
-        with np.errstate(all="ignore"):
-            step = -Ri / dR[idx]
-        nudge = _NUDGE * (absM[~ok] + 1e-12) / np.abs(zi)
-        step = np.where(np.isfinite(step), step, nudge)  # off poles/NaNs
-        # damped line search along the Newton direction
-        absR = np.abs(Ri)
-        absR[~np.isfinite(absR)] = np.inf
-        settled = np.zeros(idx.size, dtype=bool)
-        factor = np.ones(idx.size)
-        for _ in range(_DAMPING_HALVINGS + 1):
-            trial = np.nonzero(~settled)[0]
-            if trial.size == 0:
+    G, converged, iters = G.copy(), np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
+    idx, Gi, zi, zr = np.arange(n), G, z, z_root  # the open points and their state
+    with np.errstate(all="ignore"):
+        R, dR = res_fn(G, z, z_root)
+        for _ in range(max_iter):
+            # tolerance relative to |M| = |zG-1|: the equation admits a pseudo
+            # zone near M = 0 where the absolute residual ~ |M|^(1-1/L) becomes
+            # arbitrarily small without M being a root; only the residual
+            # measured against M's own scale separates the physical branch.
+            # The (1+|M|)^2 term is the cancellation floor near atoms, where
+            # both sides of the equation blow up together.
+            tol_eff = _newton_tol(np.abs(zi * Gi - 1.0), tol)
+            absR = np.abs(R)
+            ok = absR <= tol_eff
+            if ok.any():
+                converged[idx[ok]], G[idx], keep = True, Gi, ~ok
+                idx, Gi, zi, zr, R, dR, absR, tol_eff = (a[keep] for a in (idx, Gi, zi, zr, R, dR, absR, tol_eff))
+            if idx.size == 0:
                 break
-            cand = Gi[trial] + step[trial] * factor[trial]
-            Rc, dRc = res_fn(cand, zi[trial], z_root[idx[trial]])
-            better = np.abs(Rc) < absR[trial]
-            better &= np.isfinite(Rc)
-            won = idx[trial[better]]
-            G[won], R[won], dR[won] = cand[better], Rc[better], dRc[better]
-            settled[trial[better]] = True
-            factor[trial[~better]] *= 0.5
-        stuck = ~settled
-        # stagnation at the noise floor counts as converged, not branch loss
-        noise_ok = stuck & (absR <= 100.0 * tol_eff)
-        converged[idx[noise_ok]] = True
-        alive[idx[stuck & ~noise_ok]] = False  # no descent within 8 halvings
-        iters[idx] += 1
+            step = -R / dR
+            finite = np.isfinite(step)
+            if not finite.all():  # off poles/NaNs
+                step = np.where(finite, step, _NUDGE * (np.abs(zi * Gi - 1.0) + 1e-12) / np.abs(zi))
+            absR = np.fmin(absR, np.inf)  # any finite residual descends from a NaN one
+            cand = Gi + step
+            Rc, dRc = res_fn(cand, zi, zr)
+            better = np.abs(Rc) < absR
+            h, scale = (~better).nonzero()[0], 1.0  # damped line search along the Newton direction
+            for _ in range(_DAMPING_HALVINGS if h.size else 0):
+                scale *= 0.5
+                cand_h = Gi[h] + step[h] * scale
+                Rh, dRh = res_fn(cand_h, zi[h], zr[h])
+                won = np.abs(Rh) < absR[h]
+                cand[h[won]], Rc[h[won]], dRc[h[won]], better[h[won]] = cand_h[won], Rh[won], dRh[won], True
+                h = h[~won]
+                if h.size == 0:
+                    break
+            iters[idx] += 1
+            if h.size:  # no descent within 8 halvings: stagnation at the noise floor counts as converged
+                converged[idx[h[absR[h] <= 100.0 * tol_eff[h]]]], G[idx] = True, Gi
+                idx, zi, zr, cand, Rc, dRc = (a[better] for a in (idx, zi, zr, cand, Rc, dRc))
+            Gi, R, dR = cand, Rc, dRc
+        G[idx] = Gi
     return G, converged, iters
 
 
@@ -245,7 +244,8 @@ def _step(res_fn, depth: int, z, M_seed, work: Counter, tol=_NEWTON_TOL, drift=T
     ok = conv & (iters <= max_iters) & (M.imag < np.sqrt(_newton_tol(np.abs(M), _NEWTON_TOL)))
     if drift:  # a ladder step or seeded point: one continuation step, accepted or rejected
         ok &= np.abs(M - M_seed) <= _STEP_DRIFT * np.abs(M_seed)
-        work.update(continuation_steps=int(ok.sum()), rejected_steps=int((~ok).sum()))
+        accepted = int(np.count_nonzero(ok))
+        work.update(continuation_steps=accepted, rejected_steps=ok.size - accepted)
     return G, ok, iters
 
 
@@ -262,13 +262,11 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float, work: Counter)
     slope = 1.0 / (z * (z * G - 1.0))  # d(1/M)/dz, 1/m1 as z -> infinity
     ratio = np.full(n, _RATIO_MIN)
     steps = np.zeros(n, dtype=int)
-    failed = np.zeros(n, dtype=bool)
     fail_step = np.full(n, -1, dtype=int)
-    while True:
-        idx = np.nonzero((z.imag > eps_targets) & ~failed)[0]
-        if idx.size == 0:
-            break
-        z_from, z_to = z[idx], lams[idx] + 1j * np.maximum(z.imag[idx] / ratio[idx], eps_targets[idx])
+    idx = np.flatnonzero(z.imag > eps_targets)  # the points still above their targets and not lost
+    while idx.size:
+        z_from, ri, ei = z[idx], ratio[idx], eps_targets[idx]
+        z_to = lams[idx] + 1j * np.maximum(z_from.imag / ri, ei)
         # predictor: 1/M extrapolated linearly in z along the secant of the
         # last step, exact for a single atom (M = m a/(z - a)), ~z/m1 as
         # z -> infinity, ~constant near the real axis.  Seeding M, not G,
@@ -276,10 +274,9 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float, work: Counter)
         M_from = z_from * G[idx] - 1.0
         M_pred = 1.0 / (1.0 / M_from + (z_to - z_from) * slope[idx])
         G_to, ok, iters = _step(res_fn, depth, z_to, M_pred, work)
-        retry = ~ok & (ratio[idx] > _RATIO_MIN)
-        ratio[idx[retry]] = np.maximum(np.sqrt(ratio[idx[retry]]), _RATIO_MIN)
-        lost = idx[~ok & ~retry]
-        failed[lost] = True
+        retry = ~ok & (ri > _RATIO_MIN)
+        ratio[idx[retry]] = np.maximum(np.sqrt(ri[retry]), _RATIO_MIN)
+        lost = idx[~(ok | retry)]
         fail_step[lost] = steps[lost] + 1
         done = idx[ok]
         G[done], z[done] = G_to[ok], z_to[ok]
@@ -287,7 +284,8 @@ def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float, work: Counter)
         steps[done] += 1
         grow = idx[ok & (iters <= _STEP_GROW_ITERS)]
         ratio[grow] = np.minimum(ratio[grow] ** 2, _STEP_RATIO_MAX)
-    return G, ~failed, fail_step
+        idx = idx[retry | ok & (z_to.imag > ei)]
+    return G, fail_step < 0, fail_step
 
 
 def _require_branch(lams, converged, G, fail_step) -> None:
@@ -391,7 +389,8 @@ def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms, work: Count
         for stride in _ANCHOR_STRIDE >> np.arange(1, _ANCHOR_STRIDE.bit_length()):  # 4, 2, 1
             seeded(rest[level[rest] == stride])
         rest = rest[~solved[rest]]
-    ladder(rest)
+    if rest.size:  # a point fell back
+        ladder(rest)
     work.update(anchor_points=anchors.size, seeded_points=n - anchors.size - rest.size, fallback_points=rest.size)
     return G, solved, fail_step
 

@@ -96,6 +96,65 @@ def unpruned_slope_sq_law():
     return _unpruned_slope_sq_law
 
 
+def _newton_batch_reference(res_fn, z, z_root, G, tol, max_iter):
+    """``master._newton_batch`` before it kept the open points' state between iterations (same signature).
+
+    Every iteration finds the open points afresh, and the line search tries each unsettled point at its own
+    factor 1, 1/2, ..., 1/256; each residual call ran under its own np.errstate, here one for the batch.
+    """
+    n = G.shape[0]
+    converged = np.zeros(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    iters = np.zeros(n, dtype=int)
+    G = G.copy()
+    with np.errstate(all="ignore"):
+        R, dR = res_fn(G, z, z_root)
+        for it in range(max_iter):
+            idx = np.nonzero(alive & ~converged)[0]
+            if idx.size == 0:
+                break
+            Gi, zi, Ri = G[idx], z[idx], R[idx]
+            absM = np.abs(zi * Gi - 1.0)
+            tol_eff = master._newton_tol(absM, tol)
+            ok = np.abs(Ri) <= tol_eff
+            converged[idx[ok]] = True
+            idx = idx[~ok]
+            if idx.size == 0:
+                continue
+            Gi, zi, Ri, tol_eff = Gi[~ok], zi[~ok], Ri[~ok], tol_eff[~ok]
+            step = -Ri / dR[idx]
+            nudge = master._NUDGE * (absM[~ok] + 1e-12) / np.abs(zi)
+            step = np.where(np.isfinite(step), step, nudge)  # off poles/NaNs
+            absR = np.abs(Ri)
+            absR[~np.isfinite(absR)] = np.inf
+            settled = np.zeros(idx.size, dtype=bool)
+            factor = np.ones(idx.size)
+            for _ in range(master._DAMPING_HALVINGS + 1):
+                trial = np.nonzero(~settled)[0]
+                if trial.size == 0:
+                    break
+                cand = Gi[trial] + step[trial] * factor[trial]
+                Rc, dRc = res_fn(cand, zi[trial], z_root[idx[trial]])
+                better = np.abs(Rc) < absR[trial]
+                better &= np.isfinite(Rc)
+                won = idx[trial[better]]
+                G[won], R[won], dR[won] = cand[better], Rc[better], dRc[better]
+                settled[trial[better]] = True
+                factor[trial[~better]] *= 0.5
+            stuck = ~settled
+            noise_ok = stuck & (absR <= 100.0 * tol_eff)  # stagnation at the noise floor counts as converged
+            converged[idx[noise_ok]] = True
+            alive[idx[stuck & ~noise_ok]] = False
+            iters[idx] += 1
+    return G, converged, iters
+
+
+@pytest.fixture(scope="session")
+def newton_batch_reference():
+    """Reference for ``master._newton_batch`` (same signature): the same arithmetic, with more bookkeeping."""
+    return _newton_batch_reference
+
+
 def _solve_G_at(config, lam):
     """Resolvent at lambda + i (the stop height) by branch-tracked continuation: one point of ``master._run_ladder``.
 

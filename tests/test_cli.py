@@ -305,6 +305,19 @@ class TestZeroAtom:
         assert ks["th.json"] < ks["th_no_zero.json"]
 
 
+    def test_report_counts_the_points_solved(self, tmp_path):
+        # the top atom of critical hard_tanh orth L4 is the last of 60 grid points; density() drops
+        # that point, since M has a pole there, so the report and the CSV hold 59
+        top = 1.7003961470866042
+        args = ["theory-spectrum", "--activation.name", "hard_tanh", "--ensemble.kind", "orthogonal",
+                "--critical", "true", "--sigma-b", "0.2", "--depth", "4", "--grid.max", repr(top),
+                "--grid.points", "60", "--singular-domain", "false", "--out.density_csv", "th.csv"]
+        report = provenance(run_cli(args, tmp_path))["report"]
+        assert report["atoms"][-1][0] == top
+        assert report["grid_points"] == report["anchor_points"] + report["seeded_points"] + report["fallback_points"]
+        assert report["grid_points"] == read_csv(tmp_path / "th.csv").grid.size == 59
+
+
 class TestErrors:
     def test_unknown_command(self, tmp_path):
         proc = run_cli(["spectralize"], tmp_path)
@@ -368,6 +381,8 @@ class TestErrors:
             ("moments", ["--ensemble", "orthogonal"], "config['ensemble'] must be a section of keys, got 'orthogonal'"),
             ("limit", ["--grid.min", "5", "--grid.max", "6"], "from grid.points alone, got grid {'min': 5"),
             ("limit", ["--grid.points", "40", "--grid.max", "6"], "from grid.points alone, got grid {'points': 40"),
+            ("theory-spectrum", ["--depth", "true"], "depth must be an integer, got True"),  # not depth 1
+            ("theory-spectrum", ["--sigma-b", "true"], "sigma_b must be a number, got True"),  # not 1.0
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):

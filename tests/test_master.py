@@ -841,6 +841,27 @@ def _seeded_and_full(config, grid):
     return new, ref, same and bool(np.all(np.abs(new.rho - ref.rho) <= np.minimum(new_noise, ref_noise)))
 
 
+# coarse grids (lam_min None: linear) where seeds from one side, or from ends more than a factor 4
+# away, took spurious roots: M = -1 far below the support, or a real M inside it
+_COARSE_GRIDS = [
+    ("erf_main-gaussian-L1", 12, 1e-30),
+    ("erf_sm-gaussian-L1", 12, 1e-4),
+    ("erf_main-gaussian-L1", 20, None),
+    ("tanh-gaussian-L1", 50, 1e-30),
+    ("tanh-orthogonal-L16", 20, 1e-30),
+    ("leaky_relu-orthogonal-L16", 20, 1e-30),
+]
+
+
+def _coarse_grid(name, points, lam_min):
+    """(config, grid) of one of ``_COARSE_GRIDS``."""
+    config = dict(_sweep_configs())[name]
+    lam_max = default_lam_max(jacobian_moments(config))
+    if lam_min is None:
+        return config, np.linspace(lam_max / points, lam_max, points)
+    return config, make_lambda_grid(lam_max, lam_min=lam_min, n=points)
+
+
 class TestSeededGrid:
     def test_matches_full_ladder_across_units(self):
         differ = [name for name, config in _sweep_configs() if not _seeded_and_full(config, _sweep_grid(config))[2]]
@@ -859,27 +880,9 @@ class TestSeededGrid:
         if not name.startswith("mc-"):
             assert meta["residual_evals"] <= 0.23 * ref.metadata["residual_evals"]
 
-    # coarse grids (lam_min None: linear) where seeds from one side, or from ends more than a factor 4
-    # away, took spurious roots: M = -1 far below the support, or a real M inside it
-    @pytest.mark.parametrize(
-        "name,points,lam_min",
-        [
-            ("erf_main-gaussian-L1", 12, 1e-30),
-            ("erf_sm-gaussian-L1", 12, 1e-4),
-            ("erf_main-gaussian-L1", 20, None),
-            ("tanh-gaussian-L1", 50, 1e-30),
-            ("tanh-orthogonal-L16", 20, 1e-30),
-            ("leaky_relu-orthogonal-L16", 20, 1e-30),
-        ],
-    )
+    @pytest.mark.parametrize("name,points,lam_min", _COARSE_GRIDS)
     def test_matches_full_ladder_on_coarse_grids(self, name, points, lam_min):
-        config = dict(_sweep_configs())[name]
-        lam_max = default_lam_max(jacobian_moments(config))
-        if lam_min is None:
-            grid = np.linspace(lam_max / points, lam_max, points)
-        else:
-            grid = make_lambda_grid(lam_max, lam_min=lam_min, n=points)
-        assert _seeded_and_full(config, grid)[2]
+        assert _seeded_and_full(*_coarse_grid(name, points, lam_min))[2]
 
 
 def test_report_tallies_every_residual_evaluation(monkeypatch):
@@ -906,3 +909,121 @@ def test_report_tallies_every_residual_evaluation(monkeypatch):
         meta = density(config, grid).metadata
     assert meta["anchor_points"] > 0 and meta["seeded_points"] > 0 and meta["fallback_points"] == 1
     assert meta["residual_evals"] == evaluated["points"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the lean Newton batch against the one it replaced: the same arithmetic on every point, so the same bits
+
+
+def _assert_same_bits(config, grid, reference):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mass lost below the grid: not what is compared here
+        (new, _), (ref, _) = _solve(config, grid), _solve(config, grid, reference)
+    np.testing.assert_array_equal(new.grid, ref.grid)
+    assert new.rho.tobytes() == ref.rho.tobytes()
+    assert new.atoms == ref.atoms
+    assert {k: new.metadata[k] for k in master.WORK_COUNTS} == {k: ref.metadata[k] for k in master.WORK_COUNTS}
+
+
+def _floored(res_fn):
+    """res_fn with R rounded to a quantum set by Re z, then moved half a quantum off 0: a floor |R| cannot pass.
+
+    A quantum of 1e-14 lies below Newton's tolerance, so points converge; 1e-11 lies above it but within the
+    100x at which a stalled point counts as converged at the noise floor; at 1e-6 a stalled point dies.
+    """
+
+    def res(G, z, z_root):
+        R, dR = res_fn(G, z, z_root)
+        q = np.select([z.real > 7.0, z.real > 1.0], [1e-6, 1e-11], 1e-14)
+        return q * (np.round(R.real / q) + 0.5 + 1j * (np.round(R.imag / q) + 0.5)), dR
+
+    return res
+
+
+class TestLeanNewtonBatch:
+    @pytest.mark.parametrize("name", sorted(_WORKLOAD_CONFIGS))
+    def test_bit_identical_on_workloads(self, name, newton_batch_reference):
+        make, points = _WORKLOAD_CONFIGS[name]
+        config = make()
+        grid = make_lambda_grid(default_lam_max(jacobian_moments(config)), n=points)
+        _assert_same_bits(config, grid, newton_batch_reference)
+
+    @pytest.mark.parametrize("name,points,lam_min", _COARSE_GRIDS)
+    def test_bit_identical_on_coarse_grids(self, name, points, lam_min, newton_batch_reference):
+        _assert_same_bits(*_coarse_grid(name, points, lam_min), newton_batch_reference)
+
+    def test_one_batch_with_halvings_and_stalls(self, newton_batch_reference):
+        # 40 points on the axis, seeded 30% off their roots, under a residual with a floor: points
+        # halve their steps, converge, stall at the floor, die, or run out of iterations
+        config = _THEORY_CONFIGS["tanh-orth-L4"]()
+        _, res_fn, _, m1 = master._prepare(config)
+        lam = make_lambda_grid(8.0, n=40)
+        G_root, solved, _ = master._solve_grid(res_fn, 4, lam, master._STOP_HEIGHT_REL * lam, m1, (), Counter())
+        assert solved.all()
+        rng = np.random.default_rng(1)
+        seed = G_root * (1.0 + 0.3 * (rng.standard_normal(40) + 1j * rng.standard_normal(40)))
+        z, res, tol, max_iter = lam.astype(complex), _floored(res_fn), master._AXIS_TOL, 17
+        # NaN left of a cut just right of two seeds, as beside a pole: their first step is the nudge off it
+        cut = np.full(40, -np.inf)
+        cut[[5, 25]] = seed[[5, 25]].real + 1e-6 * np.abs(seed[[5, 25]])
+        calls = []
+
+        def counted(G, z, z_root):
+            calls.append(G.size)
+            R, dR = res(G, z, z_root)
+            return np.where(G.real < cut[np.searchsorted(lam, z.real)], np.nan, R), dR
+
+        new = master._newton_batch(counted, z, z**0.25, seed, tol, max_iter)
+        new_calls, calls[:] = calls[:], []
+        ref = newton_batch_reference(counted, z, z**0.25, seed, tol, max_iter)
+        for a, b in zip(new, ref):  # G, converged, iterations
+            assert a.tobytes() == b.tobytes()
+        assert new_calls == calls
+        G, converged, iters = new
+        with np.errstate(all="ignore"):
+            floor = np.abs(res(G, z, z**0.25)[0]) > master._newton_tol(np.abs(z * G - 1.0), tol)
+        assert len(calls) > 1 + iters.max()  # some steps were halved
+        assert np.all(iters[[5, 25]] > 1)  # past the nudge
+        assert np.any(converged & ~floor) and np.any(converged & floor)
+        assert np.any(~converged & (iters < max_iter)) and np.any(~converged & (iters == max_iter))
+
+    @pytest.mark.parametrize(
+        "name,res_calls,batches",
+        [
+            ("hard_tanh-orth-L16", 80, 20),
+            ("tanh-gauss-L16", 113, 25),
+            ("tanh-orth-L4", 90, 21),
+            ("erf_sm-orth-L64", 131, 26),
+            ("ds-erf_sm-L256", 102, 21),
+            ("ds-hard_tanh-L256", 70, 18),
+        ],
+    )
+    def test_call_budget(self, name, res_calls, batches, monkeypatch):
+        # the solve is bound by numpy calls, not by points: residual calls and Newton batches per
+        # density() stay within the counts of the batch this one replaced, and no batch is empty
+        make, points = _WORKLOAD_CONFIGS[name]
+        config = make()
+        grid = make_lambda_grid(default_lam_max(jacobian_moments(config)), n=points)
+        sizes, calls, factory, newton = [], Counter(), master._residual_factory, master._newton_batch
+
+        def counting_factory(config, qstar):
+            res, nodes = factory(config, qstar)
+
+            def counted(G, z, z_root):
+                calls["residual"] += 1
+                return res(G, z, z_root)
+
+            return counted, nodes
+
+        def counting_newton(res_fn, z, z_root, G, tol, max_iter):
+            sizes.append(G.size)
+            return newton(res_fn, z, z_root, G, tol, max_iter)
+
+        monkeypatch.setattr(master, "_residual_factory", counting_factory)
+        monkeypatch.setattr(master, "_newton_batch", counting_newton)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mass lost below the grid: not what is checked here
+            meta = density(config, grid).metadata
+        assert meta["fallback_points"] == 0
+        assert calls["residual"] <= res_calls and len(sizes) <= batches
+        assert min(sizes) > 0
