@@ -16,7 +16,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
 
 from .activations import ActivationSpec, get_activation, mu_k
 from .density import SpectralDensity, make_lambda_grid, to_singular_domain
-from .ensembles import WeightEnsemble, gaussian, orthogonal
+from .ensembles import WeightEnsemble
 from .limits import (
     bernoulli_G,
     bernoulli_density,

@@ -107,19 +107,24 @@ def _load_config(args, extra) -> dict:
 
 
 def _setting(cfg: dict, key: str, default=None, kind=float, least=None):
-    """The config value at a dotted key as a float, or a whole int, >= ``least``; ``default`` where absent."""
+    """The config value at a dotted key: a float, a whole int >= ``least``, or JSON true/false for kind=bool.
+
+    ``default`` where the key is absent; null counts as absent only where the default is None.
+    """
     raw = cfg
     for name in key.split("."):
         raw = raw.get(name, default) if isinstance(raw, dict) else default
-    if raw is None:
+    if raw is None and default is None:
         return None
     try:
-        value = kind(raw)  # true and 1.5 are refused, not read as 1
-        whole = not isinstance(raw, bool) and (kind is float or isinstance(raw, str) or value == raw)
+        value = kind(raw)
+        # a flag is true or false, not "no" read by truthiness; a number is not true, an integer not 1.5
+        ok = isinstance(raw, bool) == (kind is bool) and (kind is not int or isinstance(raw, str) or value == raw)
     except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise JacspectraError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}")
+        ok = False
+    if not ok:
+        what = "true or false" if kind is bool else "an integer" if kind is int else "a number"
+        raise JacspectraError(f"{key} must be {what}, got {raw!r}")
     if least is not None and value < least:
         raise JacspectraError(f"{key} must be >= {least}, got {raw!r}")
     return value
@@ -143,11 +148,11 @@ def _network_from(cfg: dict) -> NetworkConfig:
     qstar = _setting(cfg, "qstar")
     width = _setting(cfg, "width", kind=int)
     ds = _setting(cfg, "double_scaling.sigma0_sq")
-    crit = cfg.get("critical", False)
+    critical = _setting(cfg, "critical", False, bool)
     if ds is not None:
         qstar, sigma_w = double_scaling_qstar(activation, depth, ds)
         sigma_b = 0.0
-    elif crit:
+    elif critical:
         sigma_w, qstar = critical_sigma_w(activation, sigma_b)
     else:
         sigma_w = _setting(cfg, "sigma_w", 1.0)
@@ -162,21 +167,21 @@ def _network_from(cfg: dict) -> NetworkConfig:
     }
     cfg.update(resolved)
     try:
-        return NetworkConfig(activation, WeightEnsemble(kind, sigma_w), sigma_w, sigma_b, depth, width, qstar)
+        return NetworkConfig(activation, WeightEnsemble(kind), sigma_w, sigma_b, depth, width, qstar)
     except ValueError as exc:
         raise JacspectraError(f"bad network config: {exc}") from None
 
 
 def _grid_from(cfg: dict, lam_max_default: float) -> np.ndarray:
-    merged = dict(_GRID_DEFAULTS)
-    merged.update(cfg.get("grid", {}))
-    if merged["max"] is None:
-        merged["max"] = lam_max_default
-    cfg["grid"] = merged
+    cfg["grid"] = {**_GRID_DEFAULTS, **cfg.get("grid", {})}
+    if cfg["grid"]["max"] is None:
+        cfg["grid"]["max"] = lam_max_default
+    lam_max, lam_min = _setting(cfg, "grid.max", lam_max_default), _setting(cfg, "grid.min", GRID_LAM_MIN)
+    points = _setting(cfg, "grid.points", GRID_POINTS, int, least=1)
     try:
-        return make_lambda_grid(float(merged["max"]), lam_min=float(merged["min"]), n=int(merged["points"]))
+        return make_lambda_grid(lam_max, lam_min=lam_min, n=points)
     except ValueError as exc:
-        raise JacspectraError(f"bad grid {merged}: {exc}") from None
+        raise JacspectraError(f"bad grid {cfg['grid']}: {exc}") from None
 
 
 def _emit(command: str, cfg: dict, outputs: dict, report=None) -> None:
@@ -267,9 +272,10 @@ def cmd_theory_spectrum(args, extra) -> int:
     if "solver" in cfg:  # refused, so that an old config cannot run on the defaults without a word
         raise JacspectraError(f"the solver takes no settings; remove config['solver'] (got {cfg['solver']})")
     config = _network_from(cfg)
+    singular = _setting(cfg, "singular_domain", True, bool)
     grid = _grid_from(cfg, default_lam_max(jacobian_moments(config)))
     dens = density(config, grid)
-    dens_out = to_singular_domain(dens) if cfg.get("singular_domain", True) else dens
+    dens_out = to_singular_domain(dens) if singular else dens
     _emit(
         "theory-spectrum",
         cfg,

@@ -10,12 +10,13 @@ S-transform of W^T W:
 together with its first series coefficient s1 (0 and -1 respectively), which
 controls the depth growth of the Jacobian spectral variance.  The master
 residual (``master._residual_factory``) evaluates S itself; an ensemble only
-carries its kind, sigma_w and s1.
+carries its kind and s1.  sigma_w is a network setting: ``NetworkConfig``
+holds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 ORTHOGONAL = "orthogonal"
 GAUSSIAN = "gaussian"
@@ -26,22 +27,13 @@ _S1 = {ORTHOGONAL: 0.0, GAUSSIAN: -1.0}
 @dataclass(frozen=True)
 class WeightEnsemble:
     kind: str
-    sigma_w: float
+    # taken, never stored, from callers that still pass sigma_w second (bench/checks.py)
+    _sigma_w: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _sigma_w):
         if self.kind not in _S1:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if not self.sigma_w > 0:
-            raise ValueError("sigma_w must be positive")
 
     @property
     def s1(self) -> float:
         return _S1[self.kind]
-
-
-def orthogonal(sigma_w: float = 1.0) -> WeightEnsemble:
-    return WeightEnsemble(ORTHOGONAL, float(sigma_w))
-
-
-def gaussian(sigma_w: float = 1.0) -> WeightEnsemble:
-    return WeightEnsemble(GAUSSIAN, float(sigma_w))

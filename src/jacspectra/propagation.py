@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .activations import ActivationSpec, mu_k, phi_sq_mean
-from .ensembles import WeightEnsemble, orthogonal
+from .ensembles import ORTHOGONAL, WeightEnsemble
 from .errors import ActivationClassError, BracketError, ConvergenceError, JacspectraError
 from .special import bracket_root, eval_where
 
@@ -71,14 +71,12 @@ class NetworkConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.sigma_w <= 0:
+        if not self.sigma_w > 0:  # nan too
             raise ValueError("sigma_w must be positive")
         if self.sigma_b < 0:
             raise ValueError("sigma_b must be nonnegative")
         if self.width is not None and self.width < 2:
             raise ValueError("width must be >= 2 for simulation")
-        if abs(self.ensemble.sigma_w - self.sigma_w) > 1e-12 * (1 + self.sigma_w):
-            raise ValueError("ensemble.sigma_w must match config.sigma_w")
 
 
 def _variance_map(activation, sigma_w, sigma_b, q):
@@ -308,7 +306,7 @@ def critical_config(
     sigma_w, qstar = critical_sigma_w(activation, sigma_b)
     return NetworkConfig(
         activation=activation,
-        ensemble=WeightEnsemble(ensemble_kind, sigma_w),
+        ensemble=WeightEnsemble(ensemble_kind),
         sigma_w=sigma_w,
         sigma_b=sigma_b,
         depth=depth,
@@ -328,7 +326,7 @@ def double_scaled_config(
     qstar, sigma_w = double_scaling_qstar(activation, depth, sigma0_sq)
     return NetworkConfig(
         activation=activation,
-        ensemble=orthogonal(sigma_w),
+        ensemble=WeightEnsemble(ORTHOGONAL),
         sigma_w=sigma_w,
         sigma_b=0.0,
         depth=depth,

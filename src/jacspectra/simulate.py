@@ -212,18 +212,15 @@ def run_trials(
 ) -> EmpiricalSpectrum:
     """Pool Jacobian singular values over independent trials.
 
-    Trials are independent work units; results are merged by trial index so
-    the outcome does not depend on the execution schedule.
+    Trials are independent work units, run on a pool of ``threads`` workers
+    (one if None); results are merged by trial index so the outcome does not
+    depend on the execution schedule.
     """
     def one(trial: int) -> np.ndarray:
         return jacobian_singular_values(config, TrialStreams(seed, trial))
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(t) for t in range(trials)]
-    pooled = np.sort(np.concatenate(results))
+    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
+        pooled = np.sort(np.concatenate(list(pool.map(one, range(trials)))))
     return EmpiricalSpectrum(
         singular_values=pooled,
         width=config.width,

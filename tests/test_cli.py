@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import jacspectra
-from jacspectra.density import SINGULAR, SpectralDensity, read_csv
+from jacspectra.density import SINGULAR, SQUARED_SINGULAR, SpectralDensity, read_csv
 
 PY = [sys.executable, "-m", "jacspectra"]
 
@@ -315,7 +315,9 @@ class TestZeroAtom:
         report = provenance(run_cli(args, tmp_path))["report"]
         assert report["atoms"][-1][0] == top
         assert report["grid_points"] == report["anchor_points"] + report["seeded_points"] + report["fallback_points"]
-        assert report["grid_points"] == read_csv(tmp_path / "th.csv").grid.size == 59
+        written = read_csv(tmp_path / "th.csv")
+        assert report["grid_points"] == written.grid.size == 59
+        assert written.domain == SQUARED_SINGULAR  # --singular-domain false
 
 
 class TestErrors:
@@ -383,6 +385,16 @@ class TestErrors:
             ("limit", ["--grid.points", "40", "--grid.max", "6"], "from grid.points alone, got grid {'points': 40"),
             ("theory-spectrum", ["--depth", "true"], "depth must be an integer, got True"),  # not depth 1
             ("theory-spectrum", ["--sigma-b", "true"], "sigma_b must be a number, got True"),  # not 1.0
+            ("theory-spectrum", ["--depth", "4", "--sigma-w", "1.1", "--grid.points", "true"],
+             "grid.points must be an integer, got True"),  # not a 2-point grid
+            ("theory-spectrum", ["--depth", "4", "--sigma-w", "1.1", "--grid.max", "true"],
+             "grid.max must be a number, got True"),  # not lambda_max = 1
+            ("theory-spectrum", ["--depth", "4", "--sigma-w", "1.1", "--singular-domain", "no"],
+             "singular_domain must be true or false, got 'no'"),  # not read as true
+            ("moments", ["--critical", "yes"], "critical must be true or false, got 'yes'"),
+            ("theory-spectrum", ["--depth", "4", "--sigma-w", "1.1", "--grid.points", "0"],
+             "grid.points must be >= 1, got 0"),
+            ("moments", ["--sigma-w", "null"], "sigma_w must be a number, got None"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):
@@ -543,22 +555,26 @@ class TestImports:
         get.argtypes, get.restype = [], ctypes.c_int
         assert get() == 1
 
-    def test_benchmark_hooks_resolve(self):
-        # bench/layers.py wraps package functions by name; a renamed or
-        # deleted one must fail here, not only in a benchmark run
+    @staticmethod
+    def _bench_modules(*names):
+        """The bench/ modules ``names`` and the package modules bench/run.py hands to them."""
         bench = Path(__file__).resolve().parent.parent / "bench"
         mods = {}
-        for name in ("tracing", "layers"):
+        for name in names:
             spec = importlib.util.spec_from_file_location(f"_bench_{name}", bench / f"{name}.py")
             mods[name] = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
             try:
                 spec.loader.exec_module(mods[name])
             finally:
                 del sys.modules[spec.name]
-        # the modules bench/run.py hands to layers.install
         names = ("cli", "propagation", "activations", "moments", "master", "limits", "simulate", "density",
                  "ensembles")
-        ns = SimpleNamespace(**{m: importlib.import_module(f"jacspectra.{m}") for m in names})
+        return mods, SimpleNamespace(**{m: importlib.import_module(f"jacspectra.{m}") for m in names})
+
+    def test_benchmark_hooks_resolve(self):
+        # bench/layers.py wraps package functions by name; a renamed or
+        # deleted one must fail here, not only in a benchmark run
+        mods, ns = self._bench_modules("tracing", "layers")
         tracer = mods["tracing"].Tracer()
         try:
             mods["layers"].install(tracer, ns)
@@ -566,3 +582,17 @@ class TestImports:
         finally:
             tracer.uninstall()
         assert not hasattr(ns.master.probe_atom, "__wrapped__")
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "gaussian"])
+    def test_benchmark_reads_the_network_config(self, kind):
+        # the traced benchmark reads the ensemble kind off a config, and its checks rebuild the
+        # config the CLI echoed; a change to NetworkConfig or WeightEnsemble must fail here first
+        mods, ns = self._bench_modules("layers", "checks")
+        config = ns.propagation.NetworkConfig(
+            ns.activations.get_activation("tanh"), ns.ensembles.WeightEnsemble(kind), 1.1, 0.0, depth=4, width=8
+        )
+        info = mods["layers"]._run_trials_info(None, (config, 3), {"threads": 2}, None)
+        assert info == {"width": 8, "depth": 4, "trials": 3, "threads": 2, "orthogonal": kind == "orthogonal"}
+        echoed = {"activation": {"name": "tanh"}, "ensemble": {"kind": kind}, "sigma_w": 1.1, "sigma_b": 0.0,
+                  "depth": 4, "qstar": None}
+        assert mods["checks"]._exact_m1(ns, echoed) == ns.moments.jacobian_moments(config).m1

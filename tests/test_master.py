@@ -7,7 +7,7 @@ import pytest
 
 from jacspectra.activations import get_activation
 from jacspectra.density import make_lambda_grid
-from jacspectra.ensembles import gaussian, orthogonal
+from jacspectra.ensembles import WeightEnsemble
 from jacspectra.errors import BranchLossError, PoleError
 from jacspectra import master
 from jacspectra.master import (
@@ -22,20 +22,20 @@ from jacspectra.propagation import NetworkConfig, critical_config, double_scaled
 
 
 def _linear_orth(depth=8):
-    return NetworkConfig(get_activation("linear"), orthogonal(1.0), 1.0, 0.0, depth=depth, qstar=1.0)
+    return NetworkConfig(get_activation("linear"), WeightEnsemble("orthogonal"), 1.0, 0.0, depth=depth, qstar=1.0)
 
 
 def _linear_gauss(depth=1):
-    return NetworkConfig(get_activation("linear"), gaussian(1.0), 1.0, 0.0, depth=depth, qstar=1.0)
+    return NetworkConfig(get_activation("linear"), WeightEnsemble("gaussian"), 1.0, 0.0, depth=depth, qstar=1.0)
 
 
 def _relu_orth(depth=1):
     sw = math.sqrt(2.0)
-    return NetworkConfig(get_activation("relu"), orthogonal(sw), sw, 0.0, depth=depth, qstar=1.0)
+    return NetworkConfig(get_activation("relu"), WeightEnsemble("orthogonal"), sw, 0.0, depth=depth, qstar=1.0)
 
 
-def _leaky_relu(ensemble):
-    return NetworkConfig(get_activation("leaky_relu"), ensemble(1.2), 1.2, 0.0, depth=1, qstar=1.0)
+def _leaky_relu(kind):
+    return NetworkConfig(get_activation("leaky_relu"), WeightEnsemble(kind), 1.2, 0.0, depth=1, qstar=1.0)
 
 
 def mp_density(lam):
@@ -44,6 +44,40 @@ def mp_density(lam):
     m = (lam > 0) & (lam < 4)
     out[m] = np.sqrt(lam[m] * (4.0 - lam[m])) / (2 * math.pi * lam[m])
     return out
+
+
+def fuss_catalan_density(depth, lam):
+    """The Fuss-Catalan density FC_L (moments C((L+1)k, k)/(Lk + 1)) of J J^T for L linear Gaussian layers.
+
+    Haagerup and Moeller's parametrisation, phi in (0, pi/(L+1)):
+        lam(phi) = sin^{L+1}((L+1) phi) / (sin(phi) sin^L(L phi)),
+        rho(phi) = sin^2(phi) sin^{L-1}(L phi) / (pi sin^L((L+1) phi)),
+    with lam falling from the edge (L+1)^{L+1}/L^L at phi = 0 to 0.  Each lam is bisected in phi on
+    log lam to the last float, and rho formed from logs, so that L = 1024 does not underflow; 0 off
+    the support.
+    """
+    L, lam = depth, np.asarray(lam, dtype=float)
+
+    def log_sines(phi):
+        return np.log(np.sin(phi)), np.log(np.sin(L * phi)), np.log(np.sin((L + 1) * phi))
+
+    def log_lam(phi):
+        s, s_l, s_l1 = log_sines(phi)
+        return (L + 1) * s_l1 - s - L * s_l
+
+    inside = np.log(lam) < (L + 1) * math.log(L + 1) - L * math.log(L)
+    target = np.log(lam[inside])
+    lo, hi = np.zeros_like(target), np.full_like(target, math.pi / (L + 1))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid <= lo) | (mid >= hi)):
+            break
+        right = log_lam(mid) > target  # lam falls with phi: the root lies right of mid
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    s, s_l, s_l1 = log_sines(0.5 * (lo + hi))
+    rho = np.zeros_like(lam)
+    rho[inside] = np.exp(2.0 * s + (L - 1) * s_l - L * s_l1) / math.pi
+    return rho
 
 
 class TestMasterResidual:
@@ -110,7 +144,7 @@ def _rule(config):
 _PROBE_CONFIGS = [
     _linear_orth(),
     _relu_orth(1),
-    _leaky_relu(orthogonal),
+    _leaky_relu("orthogonal"),
     _hard_tanh("orthogonal", 4),
     double_scaled_config(get_activation("hard_tanh"), 16, 0.25),
     double_scaled_config(get_activation("hard_tanh"), 1024, 0.25),
@@ -133,10 +167,10 @@ class TestAtoms:
         assert _rule(cfg) == ((0.0, pytest.approx(zero_slope, rel=1e-12)),)
 
     def test_leaky_relu_has_no_zero_atom(self):
-        assert _rule(_leaky_relu(gaussian)) == ()
+        assert _rule(_leaky_relu("gaussian")) == ()
         a2 = (1.2 * dict(get_activation("leaky_relu").params)["alpha"]) ** 2
         expected = ((pytest.approx(a2, rel=1e-12), 0.5), (pytest.approx(1.44, rel=1e-12), 0.5))
-        assert _rule(_leaky_relu(orthogonal)) == expected
+        assert _rule(_leaky_relu("orthogonal")) == expected
 
     def test_smooth_units_have_no_atoms(self):
         for name in ("tanh", "erf_sm", "arctan"):
@@ -223,6 +257,24 @@ class TestDensity:
             d = density(_linear_gauss(depth), make_lambda_grid(edge, n=600))
         assert d.grid[-1] == edge
         assert d.rho[-1] <= 1e-6 * d.rho.max()
+
+    def test_fuss_catalan_oracle_at_depth_1(self):
+        # FC_1 is the Marchenko-Pastur law
+        lam = np.linspace(1e-6, 4.5, 1001)
+        np.testing.assert_allclose(fuss_catalan_density(1, lam), mp_density(lam), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("depth", [1, 4, 64, 256, 1024])
+    def test_fuss_catalan_at_depth(self, depth):
+        # an exact oracle at any depth: linear Gaussian layers at sigma_w = 1 give FC_L
+        edge = (depth + 1) ** (depth + 1) / depth**depth
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mass lost below the grid's 1e-4: not what is checked here
+            d = density(_linear_gauss(depth), make_lambda_grid(1.2 * edge))
+        exact = fuss_catalan_density(depth, d.grid)
+        top = exact.max()
+        bulk = exact > 1e-6 * top
+        assert np.max(np.abs(d.rho[bulk] / exact[bulk] - 1.0)) <= 1e-8
+        assert np.max(d.rho[d.grid > edge]) <= 1e-15 * top
 
     def test_normalization_and_first_moment(self):
         # grid adequacy is the caller's job: the depth-2 projection product
@@ -438,10 +490,10 @@ class TestAgainstCentralDifferenceNewton:
 
 
 @pytest.mark.parametrize("name", ["hard_tanh", "tanh", "silu"])
-@pytest.mark.parametrize("ensemble", [orthogonal, gaussian])
+@pytest.mark.parametrize("ensemble", ["orthogonal", "gaussian"])
 def test_analytic_derivative_matches_central_difference(name, ensemble):
     sw = 1.3
-    config = NetworkConfig(get_activation(name), ensemble(sw), sw, 0.1, depth=8, qstar=0.9)
+    config = NetworkConfig(get_activation(name), WeightEnsemble(ensemble), sw, 0.1, depth=8, qstar=0.9)
     res, _ = master._residual_factory(config, 0.9)
     rng = np.random.default_rng(5)
     z = rng.uniform(0.1, 5.0, 50) + 1j * rng.uniform(0.05, 2.0, 50)
@@ -731,12 +783,12 @@ _SCALE_FREE_SIGMA_W = {"relu": 1.42, "leaky_relu": 1.35, "linear": 1.01}
 
 
 def _sweep_configs():
-    for kind, ensemble in (("orthogonal", orthogonal), ("gaussian", gaussian)):
+    for kind in ("orthogonal", "gaussian"):
         for depth in (1, 16, 256):
             for name in _CRITICAL_UNITS:
                 yield f"{name}-{kind}-L{depth}", critical_config(get_activation(name), kind, 0.2, depth)
             for name, sw in _SCALE_FREE_SIGMA_W.items():
-                config = NetworkConfig(get_activation(name), ensemble(sw), sw, 0.0, depth=depth, qstar=1.0)
+                config = NetworkConfig(get_activation(name), WeightEnsemble(kind), sw, 0.0, depth=depth, qstar=1.0)
                 yield f"{name}-{kind}-L{depth}", config
 
 
@@ -796,12 +848,12 @@ class TestPrunedSlopeLaw:
         assert ref.metadata["slope_nodes"] == (101 if smooth else 2)
 
     @pytest.mark.parametrize("name", ["tanh", "erf_sm", "erf_main", "arctan", "silu"])
-    @pytest.mark.parametrize("ensemble", [orthogonal, gaussian])
+    @pytest.mark.parametrize("ensemble", ["orthogonal", "gaussian"])
     def test_residual_within_rounding(self, name, ensemble, unpruned_slope_sq_law, monkeypatch):
         # (R, dR/dG) with and without the dropped nodes, at random (G, z) and,
         # for orthogonal weights, at G placing w within 1e-6 of a dropped node
         sw, q, L = 1.3, 0.9, 8
-        config = NetworkConfig(get_activation(name), ensemble(sw), sw, 0.1, depth=L, qstar=q)
+        config = NetworkConfig(get_activation(name), WeightEnsemble(ensemble), sw, 0.1, depth=L, qstar=q)
         res, nodes = master._residual_factory(config, q)
         with monkeypatch.context() as mp:
             mp.setattr(master, "slope_sq_law", unpruned_slope_sq_law)
@@ -813,7 +865,7 @@ class TestPrunedSlopeLaw:
         z = rng.uniform(0.1, 5.0, 400) + 1j * rng.uniform(1e-6, 2.0, 400)
         z_root = z ** (1.0 / L)
         M = rng.uniform(-2.0, 2.0, 400) + 1j * rng.choice([-1.0, 1.0], 400) * rng.uniform(1e-3, 2.0, 400)
-        if ensemble is orthogonal:
+        if ensemble == "orthogonal":
             # w = z^{1/L} S ((1+M)/M)^p solved for M at w = t + delta, |delta| <= 1e-6
             p = 1.0 - 1.0 / L
             t = rng.choice(dropped, 200)

@@ -6,7 +6,7 @@ import pytest
 import jacspectra.activations as activations
 import jacspectra.propagation as propagation
 from jacspectra.activations import get_activation, mu_k, phi_sq_mean, registry_names
-from jacspectra.ensembles import orthogonal
+from jacspectra.ensembles import WeightEnsemble
 from jacspectra.errors import ActivationClassError, BracketError, ConvergenceError, JacspectraError
 from jacspectra.master import density
 from jacspectra.moments import jacobian_moments
@@ -379,17 +379,16 @@ class TestDegeneracy:
 
 class TestNetworkConfig:
     def test_validation(self):
-        from jacspectra.ensembles import orthogonal
-
-        act = get_activation("linear")
+        act, orth = get_activation("linear"), WeightEnsemble("orthogonal")
         with pytest.raises(ValueError):
-            NetworkConfig(act, orthogonal(1.0), 1.0, 0.0, depth=0)
+            NetworkConfig(act, orth, 1.0, 0.0, depth=0)
         with pytest.raises(ValueError):
-            NetworkConfig(act, orthogonal(1.0), 1.0, -0.1, depth=2)
+            NetworkConfig(act, orth, 1.0, -0.1, depth=2)
         with pytest.raises(ValueError):
-            NetworkConfig(act, orthogonal(1.0), 1.0, 0.0, depth=2, width=1)
-        with pytest.raises(ValueError):
-            NetworkConfig(act, orthogonal(2.0), 1.0, 0.0, depth=2)
+            NetworkConfig(act, orth, 1.0, 0.0, depth=2, width=1)
+        for sigma_w in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="sigma_w must be positive"):
+                NetworkConfig(act, orth, sigma_w, 0.0, depth=2)
 
 
 class TestResolveQstar:
@@ -397,7 +396,7 @@ class TestResolveQstar:
 
     @staticmethod
     def _config(name, sigma_w, sigma_b, qstar=None):
-        return NetworkConfig(get_activation(name), orthogonal(sigma_w), sigma_w, sigma_b, depth=2, width=8, qstar=qstar)
+        return NetworkConfig(get_activation(name), WeightEnsemble("orthogonal"), sigma_w, sigma_b, depth=2, width=8, qstar=qstar)
 
     @pytest.mark.parametrize(
         "run",
