@@ -15,9 +15,10 @@ which the master solver evaluates as a finite sum over the law returned by
 Piecewise-linear activations have a discrete squared-slope distribution, so
 both quantities are evaluated exactly by splitting the Gaussian at the kink
 locations (Gaussian CDF masses per constant-slope piece); smooth activations
-use the one Gauss rule ``special.default_rule``, with closed-form mu_k for
-the two erf scalings.  ``slope_sq_law`` alone also takes another rule, so
-that its sum can be checked against finer ones.
+use the one Gauss rule ``special.default_rule``, except for the two erf
+scalings, whose mu_k and integral Dh phi^2 have closed forms.
+``slope_sq_law`` alone also takes another rule, so that its sum can be
+checked against finer ones.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class ActivationSpec:
     params: tuple = ()
     pieces: Optional[tuple] = None
     mu_closed: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    phi_sq_closed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # (q.tobytes(), CDF) of the last _piece_cdf: phi_sq_mean and mu_k at one q evaluate it once
     _last_cdf: list = field(default_factory=lambda: [(None, None)], init=False, repr=False, compare=False)
 
@@ -92,7 +94,12 @@ def _piece_cdf(spec: ActivationSpec, q: np.ndarray) -> np.ndarray:
     """Gaussian CDF at the piece ends over sqrt(q): a row per end, a column per q > 0 of a 1-D array."""
     key, last = q.tobytes(), spec._last_cdf[0]
     if last[0] != key:
-        last = spec._last_cdf[0] = (key, norm_cdf(spec.piece_table[0] / np.sqrt(q)))
+        edges = spec.piece_table[0]
+        finite = np.isfinite(edges[:, 0])
+        cdf = np.repeat((edges > 0.0).astype(float), q.size, axis=1)  # exactly 0 at -inf and 1 at +inf
+        if finite.any():
+            cdf[finite] = norm_cdf(edges[finite] / np.sqrt(q))
+        last = spec._last_cdf[0] = (key, cdf)
     return last[1]
 
 
@@ -125,6 +132,8 @@ def phi_sq_mean(spec: ActivationSpec, qstar):
         e1 = pdf[:-1] - pdf[1:]  # integral h dN over each piece
         e2 = mass + zpdf[:-1] - zpdf[1:]  # integral h^2 dN over each piece
         total = sum(cc * mass + cs2 * rq * e1 + ss * x * e2, 0.0)  # pieces added in order
+    elif spec.phi_sq_closed is not None:
+        total = spec.phi_sq_closed(x)
     else:
         rule = default_rule()
         vals = np.asarray(spec.phi(rq[:, None] * rule.nodes), dtype=float)
@@ -252,6 +261,11 @@ def _make_shifted_relu() -> ActivationSpec:
     )
 
 
+def _erf_sq_mean(a2):
+    """E[erf(a h)^2] for h ~ N(0, 1) at a^2 = a2: (2/pi) arcsin(2a^2/(1 + 2a^2)), taken as an arctan (Williams 1997)."""
+    return (2.0 / math.pi) * np.arctan(2.0 * a2 / np.sqrt(1.0 + 4.0 * a2))
+
+
 def _make_erf_main() -> ActivationSpec:
     c = math.sqrt(math.pi) / 2.0
     return ActivationSpec(
@@ -259,6 +273,7 @@ def _make_erf_main() -> ActivationSpec:
         phi=lambda x: erf_vec(c * np.asarray(x, dtype=float)),
         dphi=lambda x: np.exp(-math.pi * np.asarray(x, dtype=float) ** 2 / 4.0),
         mu_closed=lambda q, k: 1.0 / np.sqrt(1.0 + math.pi * k * q),
+        phi_sq_closed=lambda q: _erf_sq_mean(0.25 * math.pi * q),
     )
 
 
@@ -269,6 +284,7 @@ def _make_erf_sm() -> ActivationSpec:
         phi=lambda x: amp * erf_vec(np.asarray(x, dtype=float) / _SQRT2),
         dphi=lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
         mu_closed=lambda q, k: 1.0 / np.sqrt(1.0 + 2.0 * k * q),
+        phi_sq_closed=lambda q: 0.5 * math.pi * _erf_sq_mean(0.5 * q),
     )
 
 

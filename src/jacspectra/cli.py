@@ -12,6 +12,7 @@ limit, moments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -149,9 +150,14 @@ def _network_from(cfg: dict) -> NetworkConfig:
     width = _setting(cfg, "width", kind=int)
     ds = _setting(cfg, "double_scaling.sigma0_sq")
     critical = _setting(cfg, "critical", False, bool)
+    # a setting that another one would override is refused, not dropped; only sigma_w is left beside critical
+    # and double scaling, because the echo carries the resolved sigma_w and a replayed document must still run
+    if ds is not None and critical:
+        raise JacspectraError("critical and double_scaling.sigma0_sq each set sigma_w and q*; give one of them")
+    if ds is not None and sigma_b != 0.0:
+        raise JacspectraError(f"double scaling runs at sigma_b = 0, got sigma_b {sigma_b!r}")
     if ds is not None:
         qstar, sigma_w = double_scaling_qstar(activation, depth, ds)
-        sigma_b = 0.0
     elif critical:
         sigma_w, qstar = critical_sigma_w(activation, sigma_b)
     else:
@@ -193,8 +199,7 @@ def _emit(command: str, cfg: dict, outputs: dict, report=None) -> None:
     }
     if report is not None:
         doc["report"] = report
-    json.dump(doc, sys.stdout, sort_keys=True, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, default=str) + "\n")  # the C encoder: json.dump's bytes
 
 
 def _write_density(cfg: dict, dens, default_csv: str) -> dict:
@@ -259,10 +264,9 @@ def cmd_phase_grid(args, extra) -> int:
     degenerate = fixed_point_is_degenerate(activation, grid.sigma_w, grid.sigma_b)
     grid = replace(grid, qstar=np.where(degenerate, 0.0, grid.qstar))  # as the fixed-point command writes it
     path = cfg.get("out", {}).get("grid_csv", "phase_grid.csv")
+    rows = (f"{sw!r},{sb!r},{q!r},{c!r},{str(ok).lower()}\n" for sw, sb, q, c, ok in grid.rows())
     with open(path, "w") as fh:
-        fh.write("sigma_w,sigma_b,qstar,chi,converged\n")
-        for row in grid.rows():
-            fh.write(f"{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r},{str(row[4]).lower()}\n")
+        fh.write("".join(["sigma_w,sigma_b,qstar,chi,converged\n", *rows]))
     _emit("phase-grid", cfg, {"grid_csv": path})
     return 0
 
@@ -420,9 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # argparse keeps no state between parses: one parser serves the process
+
+
 def main(argv=None) -> int:
     try:
-        args, extra = build_parser().parse_known_args(argv)
+        args, extra = _parser().parse_known_args(argv)
         return _COMMANDS[args.command](args, extra)
     except JacspectraError as exc:
         print(f"error: {exc}", file=sys.stderr)

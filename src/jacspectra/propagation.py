@@ -17,12 +17,14 @@ by q* (Poole et al. 2016, arXiv 1606.05340) as sigma_w(q)^2 = 1/mu_1(q) and
 sigma_b(q)^2 = q - integral Dh phi(sqrt(q) h)^2 / mu_1(q); and the
 variance-matched depth schedule mu_2(q*)/mu_1(q*)^2 = 1 + s0sq/L, which pins
 the Jacobian spectral variance to s0sq at every depth (orthogonal weights)
-and drives q* -> 0, sigma_w -> 1 as L grows.  Scale-free units (every kink
-at 0, zero intercepts) have V(q) = chi q + sigma_b^2 with chi independent of
-q, so their fixed point and critical point are closed forms.  Gaussian
-expectations are those of ``activations``, at its one default Gauss rule.
-``resolve_qstar`` hands every spectral computation its q* and is the one
-place that refuses a q* with no spectrum.
+and drives q* -> 0, sigma_w -> 1 as L grows.  All three walk a factor-2
+bracket out of q = 1 and hand the root solve f at the bracket's ends, which
+it then does not evaluate again.  Scale-free units (every kink at 0, zero
+intercepts) have V(q) = chi q + sigma_b^2 with chi independent of q, so their
+fixed point and critical point are closed forms.  Gaussian expectations are
+those of ``activations``, at its one default Gauss rule.  ``resolve_qstar``
+hands every spectral computation its q* and is the one place that refuses a
+q* with no spectrum.
 """
 
 from __future__ import annotations
@@ -95,20 +97,24 @@ _TINY_Q = 1e-300
 def _walk(f, f1, up, live=True, args=()):
     """Factor-2 steps out of q = 1, where f = f1, until f changes sign; elementwise over ``live``.
 
-    Returns brackets (lo, hi); where a walk leaves [1e-300, 1e8], hi is nan and lo its last q.
+    Returns brackets (lo, hi) and f at their ends, for ``bracket_root``; where
+    a walk leaves [1e-300, 1e8], hi is nan and lo its last q.
     """
-    q = np.ones(np.shape(f1))
+    q, fq = np.ones(np.shape(f1)), f1
     step, sign = np.where(up, 2.0, 0.5), np.copysign(1.0, f1)
     lo, hi = q, np.full(q.shape, math.nan)
+    flo, fhi = hi, hi
     while True:
         live = live & (_TINY_Q <= q) & (q <= _Q_CEILING)
         if not live.any():
-            return np.where(np.isnan(hi), q, lo), hi
+            return np.where(np.isnan(hi), q, lo), hi, flo, fhi
         nxt = step * q
-        hit = live & (sign * eval_where(f, nxt, live, args) <= 0.0)
+        fnxt = eval_where(f, nxt, live, args)
+        hit = live & (sign * fnxt <= 0.0)
         lo, hi = np.where(hit, np.minimum(q, nxt), lo), np.where(hit, np.maximum(q, nxt), hi)
+        flo, fhi = np.where(hit, np.where(up, fq, fnxt), flo), np.where(hit, np.where(up, fnxt, fq), fhi)
         live = live & ~hit
-        q = np.where(live, nxt, q)
+        q, fq = np.where(live, nxt, q), np.where(live, fnxt, fq)
 
 
 def _fixed_points(activation: ActivationSpec, sigma_w, sigma_b):
@@ -139,11 +145,11 @@ def _fixed_points(activation: ActivationSpec, sigma_w, sigma_b):
     slope0 = float(activation.dphi(np.array(0.0)))
     ordered = down & (eval_where(gap, np.zeros(sw.shape), down, (cells,)) == 0.0) & ((sw * slope0) ** 2 <= 1.0)
     walk = walk & ~ordered
-    lo, hi = _walk(gap, g1, up, walk, (cells,))
+    lo, hi, flo, fhi = _walk(gap, g1, up, walk, (cells,))
     left = walk & np.isnan(hi)  # past the ceiling, or below 1e-300: the ordered phase
     converged = ~(left & up)
     inside = walk & ~left
-    solved = bracket_root(gap, lo, hi, (cells,), inside) if inside.any() else q
+    solved = bracket_root(gap, lo, hi, (cells,), inside, (flo, fhi)) if inside.any() else q
     q = np.where(inside, solved, np.where(left & up, lo, q))
     residual = np.abs(gap(q, cells))
     if not activation.is_scale_free:  # chi at q*, one call for every converged cell
@@ -209,14 +215,14 @@ def critical_sigma_w(activation: ActivationSpec, sigma_b: float) -> tuple[float,
         return q - phi_sq_mean(activation, q) / mu_k(activation, q, 1) - sigma_b * sigma_b
 
     f1 = excess(1.0)
-    lo, hi = _walk(excess, f1, f1 < 0.0)
+    lo, hi, flo, fhi = _walk(excess, f1, f1 < 0.0)
     if np.isnan(hi):
         raise BracketError(f"no critical point for {name} at sigma_b={sigma_b} with q* in [1e-300, 1e8]")
-    q = bracket_root(excess, lo, hi)
+    q = bracket_root(excess, lo, hi, f_ends=(flo, fhi))
     sigma_w = 1.0 / math.sqrt(mu_k(activation, q, 1))
     # chi = 1 gives V'(q*) = 1 + sigma_w^2 E[phi phi'']; the recursion settles at q* only if V'(q*) < 1
     d = 1e-4 * q
-    rise = [_variance_map(activation, sigma_w, sigma_b, q + s) for s in (-d, d)]
+    rise = _variance_map(activation, sigma_w, sigma_b, q + np.array([-d, d]))
     if rise[1] - rise[0] >= 2.0 * d:
         raise BracketError(f"{name} at sigma_b={sigma_b}: the critical fixed point q*={q:.7g} is unstable")
     return sigma_w, q
@@ -225,10 +231,12 @@ def critical_sigma_w(activation: ActivationSpec, sigma_b: float) -> tuple[float,
 def double_scaling_qstar(activation: ActivationSpec, depth: int, sigma0_sq: float) -> tuple[float, float]:
     """q*(L) pinning the Jacobian spectral variance to sigma0_sq (orthogonal).
 
-    Solves mu_2(q*)/mu_1(q*)^2 = 1 + sigma0_sq/depth by ``bracket_root`` on
-    q* in [1e-12, 1e2]; returns (q*, critical sigma_w = mu_1(q*)^{-1/2}).
-    The ratio is flat near its root at large depth, so q* is defined only to
-    about eps/|d ratio/dq| (some thousand floats at depth 1024).
+    Solves mu_2(q*)/mu_1(q*)^2 = 1 + sigma0_sq/depth by ``bracket_root`` on a
+    factor-2 bracket walked out of q = 1, as the fixed point and the critical
+    line do; returns (q*, critical sigma_w = mu_1(q*)^{-1/2}).  The ratio is
+    flat near its root at large depth, so q* is defined only to about
+    eps/|d ratio/dq| (some thousand floats at depth 1024).  Raises
+    BracketError when no q* in [1e-300, 1e8] solves.
     """
     if activation.is_scale_free:
         raise ActivationClassError(
@@ -240,10 +248,11 @@ def double_scaling_qstar(activation: ActivationSpec, depth: int, sigma0_sq: floa
     def h(q: float) -> float:
         return mu_k(activation, q, 2) / mu_k(activation, q, 1) ** 2 - target
 
-    try:
-        q = bracket_root(h, 1e-12, 1e2)
-    except BracketError as exc:
-        raise BracketError(f"{activation.name}: no q* gives the variance ratio {target}; {exc}") from None
+    f1 = h(1.0)
+    lo, hi, flo, fhi = _walk(h, f1, f1 < 0.0)
+    if np.isnan(hi):
+        raise BracketError(f"{activation.name}: no q* in [1e-300, 1e8] gives the variance ratio {target}")
+    q = bracket_root(h, lo, hi, f_ends=(flo, fhi))
     return q, 1.0 / math.sqrt(mu_k(activation, q, 1))
 
 
@@ -276,14 +285,8 @@ class PhaseGrid:
     converged: np.ndarray
 
     def rows(self):
-        for i in range(self.sigma_w.size):
-            yield (
-                float(self.sigma_w[i]),
-                float(self.sigma_b[i]),
-                float(self.qstar[i]),
-                float(self.chi[i]),
-                bool(self.converged[i]),
-            )
+        """(sigma_w, sigma_b, q*, chi, converged) per cell, as Python floats and bools."""
+        return zip(*(a.tolist() for a in (self.sigma_w, self.sigma_b, self.qstar, self.chi, self.converged)))
 
 
 def phase_grid(activation: ActivationSpec, sigma_w_values, sigma_b_values) -> PhaseGrid:

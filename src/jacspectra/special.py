@@ -70,7 +70,7 @@ def eval_where(f, x, where, args=()):
     return out
 
 
-def bracket_root(f, lo, hi, args=(), where=True):
+def bracket_root(f, lo, hi, args=(), where=True, f_ends=None):
     """Root of f on [lo, hi] by regula falsi until no float lies between the ends.
 
     A step takes the secant point through weighted f at the ends and scales
@@ -84,13 +84,15 @@ def bracket_root(f, lo, hi, args=(), where=True):
     with one call f(x, *args) per step on the elements still open; each
     element takes the steps of its own scalar solve and returns an iterate
     where f is 0, or else the end with the smaller |f| (nan outside
-    ``where``).  A scalar call is the 0-d case and returns a float.  Raises
-    BracketError when f has one strict sign at both ends.
+    ``where``).  A scalar call is the 0-d case and returns a float.  A caller
+    that holds f at the ends, as a bracket search does, passes them as
+    ``f_ends`` = (f(lo), f(hi)) and saves two calls; the steps are the same.
+    Raises BracketError when f has one strict sign at both ends.
     """
     arrays = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), where, *args)
     lo, hi, where, *args = (a if a.ndim else a.item() for a in arrays)  # Python scalars for a scalar call
     array = np.ndim(lo) > 0
-    flo, fhi = eval_where(f, lo, where, args), eval_where(f, hi, where, args)
+    flo, fhi = f_ends if f_ends is not None else (eval_where(f, lo, where, args), eval_where(f, hi, where, args))
     bad = where & ((flo > 0.0) == (fhi > 0.0)) & (flo != 0.0) & (fhi != 0.0)
     if bad.any() if array else bad:
         ends = (float(np.ravel(a)[np.argmax(bad)]) for a in (lo, hi, flo, fhi))

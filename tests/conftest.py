@@ -34,17 +34,18 @@ def _pick(cond, a, b):
     return np.where(cond, a, b) if getattr(cond, "ndim", 0) else (a if cond else b)
 
 
-def _bisect_reference(f, lo, hi, args=(), where=True):
+def _bisect_reference(f, lo, hi, args=(), where=True, f_ends=None):
     """Bisection until no float lies between the ends: the package's root solver before regula falsi.
 
     Same contract as ``special.bracket_root``: ``lo``, ``hi``, ``where`` and
     ``args`` broadcast, one call f(x, *args) per step on the open elements,
-    and each returns a midpoint where f is 0, or else the end with the
+    ``f_ends`` (f at the ends, where the caller holds it) saves the first two
+    calls, and each returns a midpoint where f is 0, or else the end with the
     smaller |f|.
     """
     arrays = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), where, *args)
     lo, hi, where, *args = (a if a.ndim else a.item() for a in arrays)
-    flo, fhi = eval_where(f, lo, where, args), eval_where(f, hi, where, args)
+    flo, fhi = f_ends if f_ends is not None else (eval_where(f, lo, where, args), eval_where(f, hi, where, args))
     bad = where & ((flo > 0.0) == (fhi > 0.0)) & (flo != 0.0) & (fhi != 0.0)
     if bad.any() if getattr(bad, "ndim", 0) else bad:
         ends = (float(np.ravel(a)[np.argmax(bad)]) for a in (lo, hi, flo, fhi))

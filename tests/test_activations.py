@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import jacspectra.activations as activations
 from jacspectra.activations import (
     get_activation,
     mu_k,
@@ -11,7 +12,7 @@ from jacspectra.activations import (
     slope_distribution,
     slope_sq_law,
 )
-from jacspectra.special import default_rule
+from jacspectra.special import default_rule, norm_cdf
 
 
 def m_d2(spec, qstar, z, rule=None):
@@ -53,6 +54,7 @@ def arctan_m_d2_closed(qstar: float, z):
 
 
 ALL_NAMES = registry_names()
+PIECEWISE_NAMES = tuple(n for n in ALL_NAMES if get_activation(n).is_piecewise)
 
 
 def _off_kink_points(spec, n=10_000):
@@ -318,3 +320,49 @@ class TestPhiSqMean:
             exact = phi_sq_mean(spec, q)
             ref = float(np.trapezoid(np.clip(math.sqrt(q) * h, -1, 1) ** 2 * weight, h))
             assert exact == pytest.approx(ref, abs=1e-10)
+
+
+class TestPieceCdf:
+    @pytest.mark.parametrize("name", PIECEWISE_NAMES)
+    def test_infinite_ends_are_exact(self, name, monkeypatch):
+        # the CDF is taken at the finite piece ends only; the old table took it at +-inf too, where it is 0 and 1
+        qs = np.geomspace(1e-300, 1e8, 37)
+
+        def laws(spec):
+            out = [phi_sq_mean(spec, qs), *(mu_k(spec, qs, k) for k in (1, 2, 3)), *slope_distribution(spec, qs)]
+            for q in qs[::6]:
+                out += [phi_sq_mean(spec, float(q)), mu_k(spec, float(q), 2), *slope_distribution(spec, float(q))]
+            return out
+
+        new = laws(get_activation(name))
+        monkeypatch.setattr(activations, "_piece_cdf", lambda spec, q: norm_cdf(spec.piece_table[0] / np.sqrt(q)))
+        ref = laws(get_activation(name))
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(new, ref, strict=True))
+
+
+class TestErfClosedForms:
+    @pytest.mark.parametrize("name", ["erf_main", "erf_sm"])
+    def test_phi_sq_mean_against_quad(self, name):
+        from scipy.integrate import quad
+
+        spec = get_activation(name)
+        for q in np.geomspace(1e-4, 1e2, 25):
+            def integrand(h):
+                return 2.0 * float(spec.phi(math.sqrt(q) * h)) ** 2 * math.exp(-0.5 * h * h) / math.sqrt(2 * math.pi)
+
+            ref = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+            assert phi_sq_mean(spec, q) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_fixed_point_at_large_q(self):
+        # the 201-node rule missed E[phi^2] by 2 % at q = 100 and put q* at 91.14; the exact q* is 92.81
+        from scipy.integrate import quad
+
+        from jacspectra.propagation import qstar_fixed_point
+
+        spec = get_activation("erf_main")
+        fp = qstar_fixed_point(spec, 10.0, 0.5)
+        c = math.sqrt(math.pi) / 2.0
+        mean = quad(lambda h: 2.0 * math.erf(c * math.sqrt(fp.qstar) * h) ** 2 * math.exp(-0.5 * h * h),
+                    0.0, math.inf, epsabs=0.0, epsrel=2e-14, limit=200)[0] / math.sqrt(2 * math.pi)
+        assert fp.converged and fp.qstar == pytest.approx(100.0 * mean + 0.25, rel=1e-12)
+        assert fp.qstar == pytest.approx(92.81, abs=0.01)

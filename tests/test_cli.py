@@ -2,6 +2,7 @@ import ast
 import ctypes
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -124,6 +125,48 @@ class TestMoments:
         )
         assert set(doc["report"]) == {"m1", "m2", "variance", "chi", "qstar"}
         assert doc["report"]["variance"] == pytest.approx(8.0, abs=1e-9)
+
+    def test_critical_echo_replays(self, tmp_path):
+        # sigma_w beside critical stays allowed: the echo carries the resolved sigma_w, and it must run again
+        doc = provenance(
+            run_cli(["moments", "--activation.name", "tanh", "--critical", "true", "--sigma-b", "0.2",
+                     "--depth", "4"], tmp_path)
+        )
+        assert doc["config"]["critical"] is True and doc["config"]["sigma_w"] > 1.0
+        (tmp_path / "echo.json").write_text(json.dumps(doc["config"]))
+        assert provenance(run_cli(["moments", "--config", "echo.json"], tmp_path)) == doc
+
+
+class TestInProcess:
+    ARGV = ["moments", "--activation.name", "hard_tanh", "--critical", "true", "--sigma-b", "0.2", "--depth", "4"]
+
+    def test_repeat_calls_print_the_same_bytes(self, capsys):
+        from jacspectra import cli
+
+        assert cli.main(self.ARGV) == 0
+        first = capsys.readouterr()
+        assert first.err == ""
+        assert cli.main(["moments", "--depth", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: depth must be >= 1")
+        assert cli.main(self.ARGV) == 0
+        assert capsys.readouterr() == first
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["spectralize"])
+        assert exit_.value.code == 2 and "invalid choice" in capsys.readouterr().err
+        assert cli.main(self.ARGV) == 0
+        assert capsys.readouterr() == first
+
+    def test_emit_writes_json_dump_bytes(self, capsys):
+        from jacspectra import cli
+
+        cfg = {"sigma_w": np.float64(1.5), "depth": 4, "name": "tanh", "nested": {"b": [1.0, math.inf], "a": None}}
+        report = {"path": Path("x.csv"), "count": np.int64(3), "flag": np.bool_(True), "value": 0.1 + 0.2}
+        doc = {"command": "moments", "version": jacspectra.__version__, "config": cfg,
+               "outputs": {"report_json": None}, "report": report}
+        expected = io.StringIO()
+        json.dump(doc, expected, sort_keys=True, default=str)  # the pure-Python encoder
+        cli._emit("moments", cfg, {"report_json": None}, report)
+        assert capsys.readouterr().out == expected.getvalue() + "\n"
 
 
 class TestLimitCommand:
@@ -395,6 +438,10 @@ class TestErrors:
             ("theory-spectrum", ["--depth", "4", "--sigma-w", "1.1", "--grid.points", "0"],
              "grid.points must be >= 1, got 0"),
             ("moments", ["--sigma-w", "null"], "sigma_w must be a number, got None"),
+            ("moments", ["--critical", "true", "--sigma-b", "0.2", "--double-scaling.sigma0-sq", "0.25",
+                         "--depth", "4"], "critical and double_scaling.sigma0_sq each set sigma_w"),
+            ("moments", ["--sigma-b", "0.2", "--double-scaling.sigma0-sq", "0.25", "--depth", "4"],
+             "double scaling runs at sigma_b = 0, got sigma_b 0.2"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):

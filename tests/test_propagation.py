@@ -276,6 +276,33 @@ class TestDoubleScaling:
             assert L * (ratio - 1.0) == pytest.approx(0.5, rel=1e-8)
             assert sw * sw * mu_k(act, q, 1) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("name", registry_names())
+    def test_walk_finds_the_fixed_bracket_root(self, name):
+        # the walk out of q = 1 finds the root that regula falsi found on the fixed bracket [1e-12, 1e2]
+        act = get_activation(name)
+        for depth in (1, 4, 16, 64, 256, 1024, 4096):
+            for s0sq in (0.25, 1.0, 4.0):
+                def ratio(q, target=1.0 + s0sq / depth):
+                    return mu_k(act, q, 2) / mu_k(act, q, 1) ** 2 - target
+
+                new = outcome(double_scaling_qstar, act, depth, s0sq)
+                if act.is_scale_free:
+                    assert new[0] is ActivationClassError
+                    continue
+                ref = outcome(bracket_root, ratio, 1e-12, 1e2)
+                if isinstance(ref, tuple):
+                    assert new[0] is ref[0] is BracketError, (depth, s0sq)
+                    continue
+                assert_same_root(new[0], ref, ratio, 1.0)
+
+    def test_hard_tanh_work_guard(self, monkeypatch):
+        # one mu_k pair per walk and regula falsi step (the fixed bracket [1e-12, 1e2] took 83 calls)
+        calls = []
+        counted = propagation.mu_k
+        monkeypatch.setattr(propagation, "mu_k", lambda *a: calls.append(a) or counted(*a))
+        double_scaling_qstar(get_activation("hard_tanh"), 256, 0.25)
+        assert len(calls) <= 30
+
     def test_relu_scale_degenerate(self):
         with pytest.raises(ActivationClassError):
             double_scaling_qstar(get_activation("relu"), 8, 0.25)
@@ -318,9 +345,9 @@ class TestPhaseGrid:
         sigma_b = [0.0, 0.2, 0.5, 1.0]
         bracketed = []
 
-        def spy(f, lo, hi, args=(), where=True):  # records the cells that the root solve runs on
+        def spy(f, lo, hi, args=(), where=True, f_ends=None):  # records the cells that the root solve runs on
             bracketed.append(np.broadcast_to(where, np.shape(lo)))
-            return bracket_root(f, lo, hi, args, where)
+            return bracket_root(f, lo, hi, args, where, f_ends)
 
         monkeypatch.setattr(propagation, "bracket_root", spy)
         grid = phase_grid(act, sigma_w, sigma_b)

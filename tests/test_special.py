@@ -129,6 +129,28 @@ class TestElementwiseBisection:
         assert roots[0] == bracket_root(lambda x: x - 0.3, 0.0, 1.0) and math.isnan(roots[1])
         assert set(calls) == {1}
 
+    def test_given_end_values_change_nothing(self):
+        # f at the ends, handed in by a caller that holds it, gives the same float with two calls fewer
+        targets = np.array([0.75, 0.3, -0.2, 1.0, 0.0])
+        lo, hi = np.array([0.0, 0.0, -1.0, 0.0, -3.0]), np.array([1.0, 2.0, 1.0, 1.0, 0.5])
+
+        def g(x, t):
+            return np.tanh(4.0 * x) - np.tanh(4.0 * t)
+
+        for where in (True, np.array([True, True, False, True, False])):
+            f, calls = self.counted(g)
+            ref, ref_calls = self.counted(g)
+            got = bracket_root(f, lo, hi, (targets,), where, (g(lo, targets), g(hi, targets)))
+            assert np.array_equal(got, bracket_root(ref, lo, hi, (targets,), where), equal_nan=True)
+            assert sum(calls) == sum(ref_calls) - 2 * np.count_nonzero(np.broadcast_to(where, lo.shape))
+        f, calls = self.counted(lambda x: x * x - 2.0)
+        ref, ref_calls = self.counted(lambda x: x * x - 2.0)
+        root = bracket_root(f, 1.0, 2.0, f_ends=(np.array(-1.0), 2.0))
+        assert type(root) is float and root == bracket_root(ref, 1.0, 2.0)
+        assert len(calls) == len(ref_calls) - 2
+        with pytest.raises(BracketError, match=r"no sign change on \[1\.0, 2\.0\]"):
+            bracket_root(f, 1.0, 2.0, f_ends=(1.0, 2.0))
+
     def test_one_bad_bracket_refuses_the_call(self):
         with pytest.raises(BracketError, match=r"no sign change on \[2\.0, 3\.0\]"):
             bracket_root(lambda x: x - 0.5, [0.0, 2.0], [1.0, 3.0])
