@@ -4,7 +4,8 @@ In the variance-matched deep limit (spectral variance pinned to s0sq,
 orthogonal weights) the squared-singular-value law converges to one of two
 universal laws, fixed by the squared-slope law of the nonlinearity as
 q* -> 0.  ``bernoulli_G`` and ``smooth_G`` give the resolvents off the real
-axis; the densities solve exact parametrisations z(w) = lambda by Newton.
+axis; the densities solve exact parametrisations log z(w) = log lambda by
+``special.newton``, the Newton that solves ``master``'s equation for w.
 
   * {0,1}-valued squared slope ("Bernoulli" class, e.g. saturating units):
     G(z) = s0sq / (z (s0sq + W(-s0sq/z))), W the principal Lambert W.  On
@@ -33,12 +34,10 @@ import numpy as np
 
 from .density import SQUARED_SINGULAR, SpectralDensity
 from .errors import ConvergenceError, PoleError
-from .special import _newton_rlambert, bracket_root, lambert_w0, r_lambert
+from .special import _newton_rlambert, bracket_root, lambert_w0, newton, r_lambert
 
 BERNOULLI = "bernoulli"
 SMOOTH = "smooth"
-
-_NEWTON_MAX = 50
 
 
 def bernoulli_G(sigma0_sq: float, z) -> complex:
@@ -100,25 +99,18 @@ _BERNOULLI_SEEDS = (np.sqrt(1.0 - np.append(1.0, bernoulli_log_ratio(_THETA))),
                     np.append(-1.0, -_THETA / np.tan(_THETA) + 1j * _THETA))
 
 
-def _newton(log_z, dlog_z, log_lam, x, seeds) -> np.ndarray:
-    """w with log z(w) = log_lam, by Newton from np.interp(x, *seeds); a point stops after the step
-    on which its residual is within 1e-14 (1 + |log_lam|) with Im w > 0."""
-    w = np.interp(x, *seeds)
-    todo = np.arange(w.size)
-    for _ in range(_NEWTON_MAX):
-        wt = w[todo]
-        f = log_z(wt) - log_lam[todo]
-        w[todo] = wt = wt - f / dlog_z(wt)
-        todo = todo[~((np.abs(f) <= 1e-14 * (1.0 + np.abs(log_lam[todo]))) & (wt.imag > 0.0))]
-        if todo.size == 0:
-            return w
-    raise ConvergenceError(f"{todo.size} of {w.size} points unsolved by Newton", last_iterate=w[todo])
+def _solve(fdf, log_lam, x, seeds) -> np.ndarray:
+    """w with log z(w) = log_lam, by ``special.newton`` from np.interp(x, *seeds); fdf gives (log z, its w-derivative)."""
+    w, ok, _ = newton(fdf, np.interp(x, *seeds), log_lam)
+    if not ok.all():
+        raise ConvergenceError(f"{np.count_nonzero(~ok)} of {w.size} points unsolved by Newton", last_iterate=w[~ok])
+    return w
 
 
 def bernoulli_w(sigma0_sq: float, lam) -> np.ndarray:
     """W(-s0sq/lambda) above its cut for lambda in (0, lambda1), by Newton on log(z/s0sq) = -w - log(-w)."""
     target = np.log(np.atleast_1d(np.asarray(lam, dtype=float)) / sigma0_sq)
-    return _newton(lambda w: -w - np.log(-w), lambda w: -1.0 - 1.0 / w, target, np.sqrt(1.0 - target), _BERNOULLI_SEEDS)
+    return _solve(lambda w: (-w - np.log(-w), -1.0 - 1.0 / w), target, np.sqrt(1.0 - target), _BERNOULLI_SEEDS)
 
 
 def smooth_edges(sigma0_sq: float) -> tuple[float, float]:
@@ -149,8 +141,8 @@ def smooth_w(sigma0_sq: float, lam) -> np.ndarray:
     """Arch point w with z(w) = lambda in (lambda_-, lambda_+), by Newton on log z from an arch seed."""
     arch, arch_lam = smooth_arch(sigma0_sq)
     log_lam = np.log(np.atleast_1d(np.asarray(lam, dtype=float)))
-    return _newton(lambda w: w - sigma0_sq + np.log(w) - np.log(w - sigma0_sq),
-                   lambda w: 1.0 + 1.0 / w - 1.0 / (w - sigma0_sq), log_lam, log_lam, (np.log(arch_lam), arch))
+    return _solve(lambda w: (w - sigma0_sq + np.log(w) - np.log(w - sigma0_sq), 1.0 + 1.0 / w - 1.0 / (w - sigma0_sq)),
+                  log_lam, log_lam, (np.log(arch_lam), arch))
 
 
 def bernoulli_density(sigma0_sq: float, grid) -> SpectralDensity:

@@ -10,65 +10,60 @@ point and S is the weight ensemble's S-transform.  Principal branches are
 used for both fractional powers; the choice is validated against Monte Carlo
 spectra rather than argued analytically.
 
-The ladder tracks the root of each lambda from z = lambda + i 1.5^40 down to
-the stop height lambda + i min(1e-6, 1e-3 lambda).  Each lambda has its own
-height and step ratio (Allgower & Georg, "Numerical Continuation Methods"):
-a step divides the height by the ratio, predicts
-M = zG - 1 by extrapolating 1/M linearly in z, and corrects by damped Newton.
-The step test accepts it when Newton converges within 8 iterations, within
-25% of the predicted M, with Im M < 0 up to Newton's noise.  An easy step (at
-most 3 iterations) squares the ratio, up to 100; a rejected one retries at
-its square root, down to 1.5; a step rejected at 1.5 loses its point.  All
-lambdas march as one vectorized batch.
+The equation is explicit in w = z^{1/L} F(x): x = zG - 1 = M(w) = sum c t/(w - t)
+over the squared-slope law, and
 
-On a grid, ``density`` ladders every 8th point, the last, and any whose
-level's neighbours lie beyond a factor 4, then takes each to the real axis by
-one Newton at z = lambda + 0i.  The rest go at strides 4, 2, 1, one Newton
-batch per level at z = lambda, seeded in log lambda between points already on
-the axis (atom poles aside), under the step test; failures take the ladder
-(BranchLossError if lost).  So each point ends with one solve on the axis,
-where the density is read as rho = -Im G(lambda + i0) / pi: no offset biases
-it, and atoms leave no tail on their neighbours.  Newton converges only
-linearly at a square-root edge, where dz/dG = 0, so the solve after the ladder
-(no drift test) may take twice the step's 8 iterations.
+    f(w) = log w + g log(1 + x) - p Log((1 + x)/x) = (log z)/L - 2 log sigma_w,
 
-A ladder step, a seeded level and the solve after the ladder are each one
-``_step``: seed G = (1 + M)/z, Newton, step test.  Their work goes into one
-``collections.Counter`` that ``density`` makes and writes into its metadata:
-residual evaluations, Newton iterations and steps from ``_step``, points per
-path from the grid solve.
+with p = 1 - 1/L, and g = 1 for gaussian weights (S = 1/(sigma_w^2 (1 + x)))
+and 0 for orthogonal ones.  So each point is the root of one analytic
+function of one variable, with f' = 1/w + (g - p) x'/(1 + x) + p x'/x in
+closed form, and lambda enters only as (log lambda)/L: a chi^L far from 1 is
+a shift.  1 + x is formed as w sum c/(w - t) (sum c = 1), which does not
+cancel far below the support, and the logs take their arguments on the
+physical side of the cuts, Im w >= +0 and Im x <= -0 with signed zeros kept,
+where log(1 + x) - log x is the principal Log of the ratio.  At L = 1 the p
+term is left out, since p = 0 would meet Log((1 + x)/x) = inf.
 
-A density's time goes per numpy call more than per point: about 20 Newton
-batches and 100 residual calls, of about 50 points each.  So a Newton
-iteration gathers its open points once, evaluates all their full steps in one
-residual call, and halves only the steps that did not descend; the residual
-runs under the one np.errstate of its batch.  Newton uses the analytic
-dR/dG = z (1 - M'(w) w dlog w/dx) at x = zG - 1: one pass over the
-squared-slope nodes gives M(w) = sum c t/(w - t) and M'(w) together, and the
-accepted candidate hands its residual and derivative on to the next
-iteration, so an undamped step costs one evaluation.  z^{1/L} is taken once
-per batch, since z is fixed through it.  M(w) sums over ``slope_sq_law`` at the
-default Gauss rule, the rule behind q* and chi too.  A squared slope even in
-the pre-activation (tanh, erf, arctan) folds that symmetric rule exactly
-onto its non-negative nodes (201 -> 101), and the nodes of weight below
-1e-30 are dropped (101 -> 51; 201 -> 101 for silu): a dropped term is at
-most c t / |Im w|, below the rounding of a sum of order one.
+Every root is found by ``special.newton``, the damped Newton that ``limits``
+uses too: f has real coefficients, so an iterate below the real axis is
+replaced by its conjugate.  ``density`` solves a grid in four steps:
 
-Point masses are not read from the ladder: they follow in closed form from
+  1. The anchors, every 16th point, the last, and any whose level's
+     neighbours lie beyond a factor 4 in lambda, are marched down in height
+     in one batch: z = lambda + i h, with h geometric from 100 max(lambda,
+     e (L+1) chi^L) down to 0.1 lambda by factors of at most 16, then h = 0.
+     Each step's Newton is seeded by extrapolating log w in log z from up
+     to three roots above it, the first by the large-z limit w = z /
+     (sigma_w^{2L} mu^{L-1}), mu = sum c t (x ~ chi^L/z).  Above the axis a
+     root only seeds the next step, so it is solved to 1e-4; on the axis to
+     1e-14.  Each march starts above its own point and above the spectrum's
+     scale chi^L, so a chi^L far from 1 costs steps, not points.
+  2. The rest are seeded level by level (strides 8, 4, 2, 1, one Newton
+     batch each) by log w interpolated in log lambda between the solved
+     points on either side.
+  3. A point whose seed fails is marched in height, as an anchor is.
+  4. rho = -Im x / (pi lambda) at each root.
+
+A seed between two real roots is real, and Newton from it stays on the real
+line: where the support has an island between the two, the seed fails and
+the point is marched.  On a square-root edge, where f' = 0, Newton converges
+only linearly, so it may take 24 iterations.  A point lost on its march
+raises BranchLossError.
+
+Point masses are not read from the march: they follow in closed form from
 the atom rule for free multiplicative convolution (Belinschi 2003, "The
 atoms of the free multiplicative convolution of two probability
 distributions"), applied to the discrete squared-slope law of a piecewise
 unit; see ``point_masses``.  ``probe_atom`` reads eps * |Im G| at a location,
-off the axis, as a numerical check of that rule.
+off the axis on the same march, as a numerical check of that rule.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections import Counter
-from typing import Callable
 
 import numpy as np
 
@@ -78,6 +73,7 @@ from .ensembles import ORTHOGONAL
 from .errors import BranchLossError, PoleError
 from .moments import MomentSummary
 from .propagation import NetworkConfig, resolve_qstar
+from .special import newton
 
 __all__ = [
     "master_residual",
@@ -87,68 +83,104 @@ __all__ = [
     "probe_atom",
 ]
 
-_NUDGE = 1e-4  # step off a pole or NaN, relative to |M|/|z|
-_EPS = float(np.finfo(float).eps)
+_NEWTON_TOL = 1e-14  # |f - target| <= 1e-14 (1 + |target|)
+_MARCH_TOL = 1e-4  # a march's tolerance above the heights it reads, where a root only seeds the next
+_NEWTON_ITERS = 24  # a root on a square-root edge, where f' = 0, converges only linearly
 _DAMPING_HALVINGS = 8
-_RATIO_MIN = 1.5  # smallest step ratio: a step rejected at it loses its point
-_START_RUNGS = 40  # every continuation starts at height _RATIO_MIN ** _START_RUNGS
-_STEP_GROW_ITERS = 3  # a step solved in this many Newton iterations squares its ratio
-_STEP_MAX_ITERS = 8  # a step needing more is rejected, so Newton stops one iteration later
-_STEP_DRIFT = 0.25  # a step is rejected when |M - M_pred| > 0.25 |M_pred|
-_STEP_RATIO_MAX = 100.0
-_ANCHOR_STRIDE = 8  # density() ladders every 8th grid point and seeds the rest from solved neighbours
+_MARCH_RATIO = 16.0  # a march divides the height by at most this per step, from start_height down to _MARCH_END lambda
+_MARCH_END = 0.1
+_ANCHOR_STRIDE = 16  # density() marches every 16th grid point and seeds the rest from solved neighbours
 _SEED_REACH = 4.0  # a seed's two solved ends lie within this factor of its lambda
-_NEWTON_TOL = 1e-11  # a ladder step stops at a residual of this times |M|, plus _newton_tol's floor
-# a laddered grid point stops at height min(_STOP_HEIGHT, _STOP_HEIGHT_REL * lambda) on its way to the axis,
-# and probe_atom reads at _STOP_HEIGHT: below ~1e-6 the residual noise eps_mach |M| ~ eps_mach mass / eps swamps an atom
+# probe_atom reads at _STOP_HEIGHT: below ~1e-6 the rounding of x ~ mass / eps swamps an atom
 _STOP_HEIGHT = 1e-6
-_STOP_HEIGHT_REL = 1e-3  # tiny lambdas stop proportionally lower, to resolve heavy bottom tails
-# Newton's tol on the real axis, where it sets rho's noise: at _NEWTON_TOL, a tenfold
-# change of the stop height moved rho by up to 2.4e-9 max rho, at 1e-13 by 2e-10
-_AXIS_TOL = 1e-13
+_PROBE_RATIO = 1.5
 _ATOM_SPREAD_TOL = 0.02
 _ATOM_MASS_MIN = 1e-3
 # density()'s work, summed over points, in its metadata and the theory-spectrum report
-WORK_COUNTS = ("residual_evals", "newton_iters", "continuation_steps", "rejected_steps",
-               "anchor_points", "seeded_points", "fallback_points")
+WORK_COUNTS = ("residual_evals", "newton_iters", "anchor_points", "seeded_points", "fallback_points")
 
 
-def _residual_factory(config: NetworkConfig, qstar: float) -> tuple[Callable, int]:
-    """(residual, node count of M's sum).
+class _Solver:
+    """f(w) of the module docstring for one config, and the Newton, march and readout on it."""
 
-    The residual maps (G, z, z^{1/L}) to (R, dR/dG); with M = zG - 1,
-    dlog w/dM = -p/(M(1+M)), less 1/(1+M) for gaussian S.  Its caller opens
-    np.errstate, since poles and NaNs are the caller's to handle.
-    """
-    t, c = slope_sq_law(config.activation, qstar)
-    t, ct = t.astype(complex), (c * t).astype(complex)  # cast once, not per call
-    inv_sw2 = config.sigma_w**-2.0
-    gaussian = config.ensemble.kind != ORTHOGONAL
-    L = config.depth
-    p = 1.0 - 1.0 / L
+    def __init__(self, config: NetworkConfig):
+        fp = resolve_qstar(config)
+        self.qstar, self.depth = fp.qstar, config.depth
+        t, c = slope_sq_law(config.activation, fp.qstar)
+        self.nodes, self.t = t.size, t
+        self.c, self.ct = c.astype(complex), (c * t).astype(complex)  # cast once, not per call
+        self.log_sw2 = 2.0 * math.log(config.sigma_w)
+        # log chi^L and the first seed's log(sigma_w^{2L} mu^{L-1})
+        log_mu = math.log(math.fsum(c * t))  # correctly rounded: the same with or without the nodes below 1e-30
+        self.log_m1 = config.depth * (self.log_sw2 + log_mu)
+        self.log_seed = self.log_m1 - log_mu
+        self.gaussian = config.ensemble.kind != ORTHOGONAL
+        self.work = Counter()
 
-    def res(G, z, z_root):
-        M = z * G - 1.0
-        M1 = 1.0 + M
-        dlog_w = -p / (M * M1)
-        if gaussian:
-            dlog_w -= 1.0 / M1
-        w = z_root * ((inv_sw2 / M1 if gaussian else inv_sw2) * (M1 / M) ** p)
-        r = w[..., None] - t
+    def x(self, w):
+        """(x, 1 + x, 1/(w - t)): x = sum c t/(w - t) and 1 + x = w sum c/(w - t), both with Im <= -0."""
+        r = w[:, None] - self.t
         np.reciprocal(r, out=r)
-        m = r @ ct
-        np.square(r, out=r)
-        return M - m, z * (1.0 + (r @ ct) * w * dlog_w)
+        s, x = r @ self.c, r @ self.ct
+        one_x = w * s
+        x.imag, one_x.imag = -np.abs(x.imag), -np.abs(one_x.imag)
+        return x, one_x, r
 
-    return res, t.size
+    def fdf(self, w):
+        """(f, f') at w, taken with Im w >= +0."""
+        self.work["residual_evals"] += w.size
+        x, one_x, r = self.x(w)
+        dx = -(np.square(r, out=r) @ self.ct)
+        log_1x, d_1x = np.log(one_x), dx / one_x
+        f, df = np.log(w), 1.0 / w
+        if self.gaussian:
+            f, df = f + log_1x, df + d_1x
+        if self.depth > 1:
+            p = 1.0 - 1.0 / self.depth
+            f, df = f - p * (log_1x - np.log(x)), df - p * (d_1x - dx / x)
+        return f, df
+
+    def solve(self, w, z, tol=_NEWTON_TOL):
+        """Newton at z from the seeds w: (w, accepted)."""
+        w, ok, iters = newton(self.fdf, w, np.log(z) / self.depth - self.log_sw2, tol, _NEWTON_ITERS, _DAMPING_HALVINGS)
+        self.work["newton_iters"] += int(iters.sum())
+        return w, ok
+
+    def march(self, lam, heights, read=1):
+        """w down the heights (rows) at each lam (columns), one Newton batch per row, each seeded by extrapolating
+        log w in log z from up to three roots above it, the first from the large-z limit w = z/(sigma_w^{2L}
+        mu^{L-1}); the last ``read`` rows are solved to _NEWTON_TOL.  Returns (w at every height, the row at which
+        each column was lost or -1)."""
+        z = lam + 1j * heights
+        log_z, log_w = np.log(z), np.log(z) - self.log_seed
+        lost, live = np.full(z.shape[1], -1), np.arange(z.shape[1])
+        for k in range(z.shape[0]):
+            if k:
+                above = slice(max(k - 3, 0), k)
+                log_w[k, live] = _lagrange(log_z[k, live], log_z[above, live], log_w[above, live])
+            w, ok = self.solve(np.exp(log_w[k, live]), z[k, live], _NEWTON_TOL if k >= z.shape[0] - read else _MARCH_TOL)
+            log_w[k:, live] = np.log(w)  # a lost column keeps its last iterate to the end
+            lost[live[~ok]] = k + 1
+            live = live[ok]
+        return np.exp(log_w), lost
+
+    def start_height(self, lam):
+        """100 max(lam, e (L+1) chi^L): far enough above the spectrum for the large-z seed."""
+        log_top = np.maximum(np.log(lam), 1.0 + math.log(self.depth + 1.0) + self.log_m1)
+        return np.exp(np.minimum(math.log(100.0) + log_top, 690.0))
 
 
-def _prepare(config: NetworkConfig):
-    """(q*, residual, node count, m1) for one config; m1 = chi^L, with overflow guards, only seeds the ladder."""
-    fp = resolve_qstar(config)
-    log_m1 = config.depth * math.log(max(fp.chi, 1e-300))
-    m1 = math.exp(min(max(log_m1, -300.0), 300.0))
-    return fp.qstar, *_residual_factory(config, fp.qstar), m1
+def _lagrange(u, us, vs):
+    """Value at u of the polynomial through the points (us[j], vs[j]); through one point, the line of slope 1
+    (log w = log z + const, w's large-z form)."""
+    if len(us) == 1:
+        return vs[0] + u - us[0]
+    return sum(v * math.prod((u - uk) / (uj - uk) for k, uk in enumerate(us) if k != j) for j, (uj, v) in enumerate(zip(us, vs)))
+
+
+def _heights(start, stop, steps: int):
+    """steps + 1 heights per column, geometric from start down to stop."""
+    return start * (stop / start) ** (np.arange(steps + 1.0)[:, None] / steps)
 
 
 def master_residual(config: NetworkConfig, G, z):
@@ -157,148 +189,27 @@ def master_residual(config: NetworkConfig, G, z):
     Zero exactly when G solves the equation.  Raises PoleError at the
     excluded points zG - 1 in {0, -1}.
     """
-    res = _prepare(config)[1]
+    t, c = slope_sq_law(config.activation, resolve_qstar(config).qstar)
     G = np.asarray(G, dtype=complex)
     z = np.asarray(z, dtype=complex)
     M = z * G - 1.0
     if np.any(M == 0) or np.any(M == -1.0):
         raise PoleError("master residual evaluated at a pole (zG-1 in {0,-1})")
+    M1, inv_sw2, p = 1.0 + M, config.sigma_w**-2.0, 1.0 - 1.0 / config.depth
     with np.errstate(all="ignore"):
-        out = res(G, z, z ** (1.0 / config.depth))[0]
+        w = z ** (1.0 / config.depth) * ((inv_sw2 / M1 if config.ensemble.kind != ORTHOGONAL else inv_sw2) * (M1 / M) ** p)
+        out = M - (1.0 / (w[..., None] - t.astype(complex))) @ (c * t).astype(complex)
     return complex(out) if out.ndim == 0 else out
 
 
-# ---------------------------------------------------------------------------
-# vectorized Newton continuation
-
-
-def _newton_tol(absM, tol):
-    """Residual at which Newton stops: tol relative to |M|, plus the cancellation floor near atoms."""
-    return tol * absM + 64.0 * _EPS * (1.0 + absM) ** 2
-
-
-def _newton_batch(res_fn, z, z_root, G, tol, max_iter):
-    """Damped Newton on a batch (module docstring); res_fn(G, z, z_root) gives (R, dR/dG).  Returns (G, converged, niter)."""
-    n = G.shape[0]
-    G, converged, iters = G.copy(), np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
-    idx, Gi, zi, zr = np.arange(n), G, z, z_root  # the open points and their state
-    with np.errstate(all="ignore"):
-        R, dR = res_fn(G, z, z_root)
-        for _ in range(max_iter):
-            # tolerance relative to |M| = |zG-1|: the equation admits a pseudo
-            # zone near M = 0 where the absolute residual ~ |M|^(1-1/L) becomes
-            # arbitrarily small without M being a root; only the residual
-            # measured against M's own scale separates the physical branch.
-            # The (1+|M|)^2 term is the cancellation floor near atoms, where
-            # both sides of the equation blow up together.
-            tol_eff = _newton_tol(np.abs(zi * Gi - 1.0), tol)
-            absR = np.abs(R)
-            ok = absR <= tol_eff
-            if ok.any():
-                converged[idx[ok]], G[idx], keep = True, Gi, ~ok
-                idx, Gi, zi, zr, R, dR, absR, tol_eff = (a[keep] for a in (idx, Gi, zi, zr, R, dR, absR, tol_eff))
-            if idx.size == 0:
-                break
-            step = -R / dR
-            finite = np.isfinite(step)
-            if not finite.all():  # off poles/NaNs
-                step = np.where(finite, step, _NUDGE * (np.abs(zi * Gi - 1.0) + 1e-12) / np.abs(zi))
-            absR = np.fmin(absR, np.inf)  # any finite residual descends from a NaN one
-            cand = Gi + step
-            Rc, dRc = res_fn(cand, zi, zr)
-            better = np.abs(Rc) < absR
-            h, scale = (~better).nonzero()[0], 1.0  # damped line search along the Newton direction
-            for _ in range(_DAMPING_HALVINGS if h.size else 0):
-                scale *= 0.5
-                cand_h = Gi[h] + step[h] * scale
-                Rh, dRh = res_fn(cand_h, zi[h], zr[h])
-                won = np.abs(Rh) < absR[h]
-                cand[h[won]], Rc[h[won]], dRc[h[won]], better[h[won]] = cand_h[won], Rh[won], dRh[won], True
-                h = h[~won]
-                if h.size == 0:
-                    break
-            iters[idx] += 1
-            if h.size:  # no descent within 8 halvings: stagnation at the noise floor counts as converged
-                converged[idx[h[absR[h] <= 100.0 * tol_eff[h]]]], G[idx] = True, Gi
-                idx, zi, zr, cand, Rc, dRc = (a[better] for a in (idx, zi, zr, cand, Rc, dRc))
-            Gi, R, dR = cand, Rc, dRc
-        G[idx] = Gi
-    return G, converged, iters
-
-
-def _step(res_fn, depth: int, z, M_seed, work: Counter, tol=_NEWTON_TOL, drift=True):
-    """Newton from M_seed at each z, z^{1/L} taken once, its work added to ``work``: (G, step test passed, iters).
-
-    Failing the step test, a root has hopped to a spurious or mirror root.  ``drift=False``, the solve after the
-    ladder, skips the drift test (at an edge its root lies rightly far from its seed) and allows twice the iterations.
-    """
-
-    def counted(G, z, z_root):
-        work["residual_evals"] += G.size
-        return res_fn(G, z, z_root)
-
-    max_iters = _STEP_MAX_ITERS if drift else 2 * _STEP_MAX_ITERS
-    G, conv, iters = _newton_batch(counted, z, z ** (1.0 / depth), (1.0 + M_seed) / z, tol, max_iters + 1)
-    work["newton_iters"] += int(iters.sum())
-    M = z * G - 1.0
-    ok = conv & (iters <= max_iters) & (M.imag < np.sqrt(_newton_tol(np.abs(M), _NEWTON_TOL)))
-    if drift:  # a ladder step or seeded point: one continuation step, accepted or rejected
-        ok &= np.abs(M - M_seed) <= _STEP_DRIFT * np.abs(M_seed)
-        accepted = int(np.count_nonzero(ok))
-        work.update(continuation_steps=accepted, rejected_steps=ok.size - accepted)
-    return G, ok, iters
-
-
-def _run_ladder(res_fn, depth: int, lams, eps_targets, m1: float, work: Counter):
-    """(G, converged, fail_step) at z = lams + i eps_targets, the ladder's work added to ``work``."""
-    lams = np.asarray(lams, dtype=float)
-    eps_targets = np.asarray(eps_targets, dtype=float)
-    n = lams.size
-    z = lams + 1j * _RATIO_MIN**_START_RUNGS
-    # seed on the physical branch: G ~ (1 + m1/z)/z.  M = zG - 1 = 0 solves
-    # the equation identically (w -> infinity), so seeding at exactly 1/z
-    # would hand Newton the spurious branch
-    G = (1.0 + m1 / z) / z
-    slope = 1.0 / (z * (z * G - 1.0))  # d(1/M)/dz, 1/m1 as z -> infinity
-    ratio = np.full(n, _RATIO_MIN)
-    steps = np.zeros(n, dtype=int)
-    fail_step = np.full(n, -1, dtype=int)
-    idx = np.flatnonzero(z.imag > eps_targets)  # the points still above their targets and not lost
-    while idx.size:
-        z_from, ri, ei = z[idx], ratio[idx], eps_targets[idx]
-        z_to = lams[idx] + 1j * np.maximum(z_from.imag / ri, ei)
-        # predictor: 1/M extrapolated linearly in z along the secant of the
-        # last step, exact for a single atom (M = m a/(z - a)), ~z/m1 as
-        # z -> infinity, ~constant near the real axis.  Seeding M, not G,
-        # keeps the seed off the (1+M)/M branch cut
-        M_from = z_from * G[idx] - 1.0
-        M_pred = 1.0 / (1.0 / M_from + (z_to - z_from) * slope[idx])
-        G_to, ok, iters = _step(res_fn, depth, z_to, M_pred, work)
-        retry = ~ok & (ri > _RATIO_MIN)
-        ratio[idx[retry]] = np.maximum(np.sqrt(ri[retry]), _RATIO_MIN)
-        lost = idx[~(ok | retry)]
-        fail_step[lost] = steps[lost] + 1
-        done = idx[ok]
-        G[done], z[done] = G_to[ok], z_to[ok]
-        slope[done] = ((1.0 / (z_to * G_to - 1.0) - 1.0 / M_from) / (z_to - z_from))[ok]
-        steps[done] += 1
-        grow = idx[ok & (iters <= _STEP_GROW_ITERS)]
-        ratio[grow] = np.minimum(ratio[grow] ** 2, _STEP_RATIO_MAX)
-        idx = idx[retry | ok & (z_to.imag > ei)]
-    return G, fail_step < 0, fail_step
-
-
-def _require_branch(lams, converged, G, fail_step) -> None:
-    """Raise BranchLossError naming the first lambda whose solve lost the branch: at a ladder step, else on the axis."""
+def _require_branch(lams, converged, w, fail_step) -> None:
+    """Raise BranchLossError naming the first lambda whose march lost the branch, and the step it was lost at."""
     lost = np.flatnonzero(~converged)
     if lost.size:
         i = lost[0]
-        step = int(fail_step[i]) if fail_step[i] >= 0 else None
-        where = "on the real axis" if step is None else f"step {step}"
         raise BranchLossError(
-            f"continuation lost the branch at lambda={lams[i]:.6g} "
-            f"({where}; {lost.size} of {converged.size} points lost)",
-            step_index=step, last_iterate=complex(G[i]),
+            f"march lost the branch at lambda={lams[i]:.6g} (step {fail_step[i]}; {lost.size} of {converged.size} points lost)",
+            step_index=int(fail_step[i]), last_iterate=complex(w[i]),
         )
 
 
@@ -306,22 +217,24 @@ def probe_atom(config: NetworkConfig, location: float):
     """Residue probe at a location: a numerical check of ``point_masses``.
 
     eps * |Im G(location + i eps)| tends to the atom mass as eps -> 0.  It is
-    read off the axis, at the ladder's stop height eps = 1e-6 and at the four
-    heights 1.5^{40-j} just above it, and returns (mass, is_atom): the values
-    must agree to a relative spread of 2% on a mass above 1e-3 for the point
-    to count as an atom; drifting values indicate an integrable divergence.
-    Beside a continuum that diverges at the location the reading stays above
-    the mass by eps * integral rho eps / (lambda^2 + eps^2), which can pass
-    the test.
+    read off the axis, on the march in height that ``density`` takes to its
+    anchors, here by factors of 1.5 down to eps = 1e-6, at the last five
+    heights.  It returns (mass, is_atom): the values must agree to a relative
+    spread of 2% on a mass above 1e-3 for the point to count as an atom;
+    drifting values indicate an integrable divergence.  Beside a continuum
+    that diverges at the location the reading stays above the mass by
+    eps * integral rho eps / (lambda^2 + eps^2), which can pass the test.
     """
-    _, res_fn, _, m1 = _prepare(config)
-    eps = _STOP_HEIGHT
-    b, N = _RATIO_MIN, _START_RUNGS
-    k = next(k for k in itertools.count(1) if b ** (N - k) <= eps)  # b^{N-k} is the first at or below eps
-    heights = np.array([b ** (N - j) for j in range(k - 4, k)] + [eps])
-    G, converged, _ = _run_ladder(res_fn, config.depth, np.full(5, float(location)), heights, m1, Counter())
-    vals = heights * np.abs(G.imag)
-    if not converged.all() or np.any(vals <= 0.0):
+    solver = _Solver(config)
+    loc = float(location)
+    start = solver.start_height(max(loc, _STOP_HEIGHT))
+    heights = _heights(start, _STOP_HEIGHT, math.ceil(math.log(start / _STOP_HEIGHT) / math.log(_PROBE_RATIO)))
+    w, lost = solver.march(np.array([loc]), heights, read=5)
+    if lost[0] >= 0:
+        return 0.0, False
+    w, h = w[-5:, 0], heights[-5:, 0]
+    vals = h * np.abs((solver.x(w)[1] / (loc + 1j * h)).imag)
+    if np.any(vals <= 0.0):
         return 0.0, False
     spread = (vals.max() - vals.min()) / vals.mean()
     mass = min(float(vals[-1]), 1.0)  # finite-eps probe bias can overshoot by O(eps)
@@ -353,91 +266,85 @@ def point_masses(config: NetworkConfig, qstar: float) -> tuple:
     return tuple(atoms)
 
 
-def _solve_grid(res_fn, depth: int, lams, targets, m1: float, atoms, work: Counter):
-    """(G, converged, fail_step) at z = lams + 0i, points per path in ``work``; fail_step -1: lost on the axis."""
-    n, z = lams.size, lams + 1j * targets  # z: where the ladder stops
-    log_lam = np.log(np.maximum(lams, 1e-300)) / math.log(_SEED_REACH)  # log base _SEED_REACH
-    poles = sum((mass * loc / (lams - loc) for loc, mass in atoms), np.zeros(n))  # M's atom part on the axis
-    G, solved, fail_step = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool), np.full(n, -1)
+def _solve_grid(solver: _Solver, lams):
+    """(w, converged, fail_step) at z = lams + 0i, points per path in the solver's work; fail_step: the march step
+    at which a point was lost, -1 where solved."""
+    n = lams.size
+    log_lam = np.log(lams)
+    reach = log_lam / math.log(_SEED_REACH)
+    w, solved, fail_step = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool), np.full(n, -1)
 
-    def ladder(idx):
-        G[idx], ok, fail_step[idx] = _run_ladder(res_fn, depth, lams[idx], targets[idx], m1, work)
-        idx = idx[ok]  # on to the axis
-        G[idx], solved[idx], _ = _step(res_fn, depth, lams[idx], z[idx] * G[idx] - 1.0, work, _AXIS_TOL, drift=False)
-
-    def seeded(idx):
-        """Newton at idx from M interpolated in log lambda between the nearest solved points on either side."""
-        done = np.flatnonzero(solved)
-        j = np.searchsorted(done, idx)
-        lo, hi = done[np.maximum(j - 1, 0)], done[np.minimum(j, done.size - 1)]
-        # one-sided or wider seeds took spurious roots on coarse grids: M = -1 below the support, real M in it
-        use = (lo < idx) & (idx < hi) & (np.maximum(log_lam[idx] - log_lam[lo], log_lam[hi] - log_lam[idx]) <= 1.0)
-        idx, lo, hi = idx[use], lo[use], hi[use]
-        M_free = lams * G - 1.0 - poles
-        t = (log_lam[idx] - log_lam[lo]) / (log_lam[hi] - log_lam[lo])
-        M_seed = M_free[lo] + t * (M_free[hi] - M_free[lo]) + poles[idx]
-        G_new, ok, _ = _step(res_fn, depth, lams[idx], M_seed, work, _AXIS_TOL)
-        G[idx[ok]], solved[idx[ok]] = G_new[ok], True
+    def march(idx):
+        """March the points idx down in height, then onto the axis."""
+        start, stop = solver.start_height(lams[idx]), _MARCH_END * lams[idx]
+        steps = math.ceil(np.log(start / stop).max() / math.log(_MARCH_RATIO))
+        heights = np.vstack([_heights(start, stop, steps), np.zeros(idx.size)])
+        path, fail_step[idx] = solver.march(lams[idx], heights)
+        w[idx], solved[idx] = path[-1], fail_step[idx] < 0
 
     i = np.arange(n)
     level = i & -i  # largest power of 2 dividing i: below _ANCHOR_STRIDE, the stride i is seeded at
-    gap = np.maximum(log_lam - log_lam[i - level], log_lam[np.minimum(i + level, n - 1)] - log_lam)
+    gap = np.maximum(reach - reach[i - level], reach[np.minimum(i + level, n - 1)] - reach)
     anchors = np.flatnonzero((level % _ANCHOR_STRIDE == 0) | (i == n - 1) | (gap > 1.0))  # out of reach too
-    ladder(anchors)
+    march(anchors)
     rest = np.setdiff1d(i, anchors)
-    if solved.any():
-        for stride in _ANCHOR_STRIDE >> np.arange(1, _ANCHOR_STRIDE.bit_length()):  # 4, 2, 1
-            seeded(rest[level[rest] == stride])
-        rest = rest[~solved[rest]]
-    if rest.size:  # a point fell back
-        ladder(rest)
-    work.update(anchor_points=anchors.size, seeded_points=n - anchors.size - rest.size, fallback_points=rest.size)
-    return G, solved, fail_step
+    for stride in _ANCHOR_STRIDE >> np.arange(1, _ANCHOR_STRIDE.bit_length() if solved.any() else 0):  # 8, 4, 2, 1
+        idx = rest[level[rest] == stride]
+        done = np.flatnonzero(solved)
+        j = np.searchsorted(done, idx)
+        lo, hi = done[np.maximum(j - 1, 0)], done[np.minimum(j, done.size - 1)]
+        use = (lo < idx) & (idx < hi) & (np.maximum(reach[idx] - reach[lo], reach[hi] - reach[idx]) <= 1.0)
+        idx, lo, hi = idx[use], lo[use], hi[use]  # the others are marched
+        seed = _lagrange(log_lam[idx], (log_lam[lo], log_lam[hi]), (np.log(w[lo]), np.log(w[hi])))
+        w[idx], solved[idx] = solver.solve(np.exp(seed), lams[idx])
+    fallback = rest[~solved[rest]]
+    if fallback.size:
+        march(fallback)
+    solver.work.update(anchor_points=anchors.size, seeded_points=rest.size, fallback_points=fallback.size)
+    return w, solved, fail_step
 
 
 def density(config: NetworkConfig, grid) -> SpectralDensity:
     """Squared-singular-value density of J J^T on the given lambda grid.
 
-    The continuum is read on the real axis, rho = -Im G(lambda + i0) / pi,
-    after one Newton per point at z = lambda (module docstring).  The
-    atoms are ``point_masses`` in closed form; a grid point at an atom is
-    dropped, since M has a pole there.  A point lost on the ladder, or a
-    root on the axis off the physical branch (Newton unconverged, or Im M
-    above Newton's noise), raises BranchLossError naming its lambda.  The
-    metadata holds ``qstar``, the config, ``slope_nodes`` (terms of M(w)
-    per residual evaluation), ``total_mass`` and the work tally summed
-    over points, ``WORK_COUNTS``: ``residual_evals``, ``newton_iters``,
-    ``continuation_steps`` (a seeded point is one), ``rejected_steps``,
-    ``anchor_points``, ``seeded_points`` and
-    ``fallback_points``.
+    The continuum is read on the real axis, rho = -Im x(w) / (pi lambda) at
+    the root w of f(w) = (log lambda)/L - 2 log sigma_w (module docstring).
+    The atoms are ``point_masses`` in closed form; a grid point at an atom is
+    dropped, since x has a pole there.  A point lost on its march in height
+    (the axis is the march's last step) raises BranchLossError naming its
+    lambda and the step.  The metadata holds ``qstar``, the config, ``slope_nodes`` (terms
+    of x(w) per residual evaluation), ``total_mass`` and the work tally
+    summed over points, ``WORK_COUNTS``: ``residual_evals`` (points at which
+    f and f' were evaluated), ``newton_iters``, ``anchor_points`` (points
+    marched in height), ``seeded_points`` (the rest) and ``fallback_points``
+    (seeded points marched after their seed failed).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
-        raise ValueError("grid must be a strictly increasing positive 1-D array")  # M = -1, a pole, at z = 0
-    qstar, res_fn, slope_nodes, m1 = _prepare(config)
-    atoms = point_masses(config, qstar)
+        raise ValueError("grid must be a strictly increasing positive 1-D array")  # x = -1, a pole, at z = 0
+    solver = _Solver(config)
+    atoms = point_masses(config, solver.qstar)
     grid = grid[~np.isin(grid, [loc for loc, _ in atoms])]
-    targets = np.minimum(_STOP_HEIGHT, np.maximum(grid * _STOP_HEIGHT_REL, 1e-280))
 
-    work = Counter()
-    G, converged, fail_step = _solve_grid(res_fn, config.depth, grid, targets, m1, atoms, work)
-    _require_branch(grid, converged, G, fail_step)
+    w, converged, fail_step = _solve_grid(solver, grid)
+    _require_branch(grid, converged, w, fail_step)
+    x = solver.x(w)[0]
 
     meta = {
-        "qstar": qstar,
+        "qstar": solver.qstar,
         "depth": config.depth,
         "sigma_w": config.sigma_w,
         "sigma_b": config.sigma_b,
         "activation": config.activation.name,
         "activation_params": dict(config.activation.params),
         "ensemble": config.ensemble.kind,
-        "slope_nodes": slope_nodes,
-        **{key: work[key] for key in WORK_COUNTS},
+        "slope_nodes": solver.nodes,
+        **{key: solver.work[key] for key in WORK_COUNTS},
     }
     dens = SpectralDensity(
         domain=SQUARED_SINGULAR,
         grid=grid,
-        rho=np.maximum(-G.imag, 0.0) / math.pi,
+        rho=np.maximum(-x.imag, 0.0) / (math.pi * grid),
         atoms=atoms,
         metadata=meta,
     )

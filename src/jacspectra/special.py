@@ -12,6 +12,10 @@ The solvers are kept self-contained:
 
   * ``bracket_root`` -- regula falsi, elementwise over arrays, behind every
     solve in ``propagation`` and ``limits.smooth_arch``.
+  * ``newton`` -- Newton on an analytic f(w) = target, elementwise over
+    arrays, with the conjugate taken of any iterate below the real axis and
+    an optional damped line search: the one root tracker of ``master`` and
+    ``limits``.
   * ``lambert_w0`` -- principal branch of W, where W(x) e^{W(x)} = x,
     by Halley iteration from a seed chosen by region (Maclaurin series for
     small argument, branch-point series near -1/e, log asymptotics for large
@@ -123,6 +127,62 @@ def bracket_root(f, lo, hi, args=(), where=True, f_ends=None):
         open_ = open_ & (fx != 0.0)  # x is now an end with f = 0, the one returned
     root = _pick(where, _pick(abs(flo) <= abs(fhi), lo, hi), math.nan)
     return root if array else float(root)
+
+
+def _upper(w):
+    """w in place, with its conjugate where Im w < 0 or is -0."""
+    return np.conjugate(w, out=w, where=np.signbit(w.imag))
+
+
+def newton(fdf, w, target, tol=1e-14, max_iter=50, halvings=0):
+    """Roots of f(w) = target by Newton, elementwise over the 1-D arrays ``w`` (the seeds) and ``target``.
+
+    ``fdf(w)`` gives (f, f') at an array of points, one call per iteration on the points still open.  f has
+    real coefficients, so an iterate below the real axis is replaced by its conjugate: each root is taken
+    with Im w >= +0.  A point stops after the step on which |f - target| <= tol (1 + |target|), so its last
+    step costs no call.  With ``halvings`` > 0, a step that does not lower |f - target| is halved up to that
+    many times; a point that still finds no descent stops where it is, converged if its residual is within
+    100 times its tolerance (the rounding floor) and failed otherwise.  A step that is not finite (at a pole
+    or NaN) is replaced by a nudge of 1e-4 |w| up the imaginary axis.  Returns (w, converged, iterations).
+    """
+    w = _upper(np.array(w, dtype=complex))
+    converged, iters = np.zeros(w.size, dtype=bool), np.full(w.size, max_iter)
+    idx, wi, ti = np.arange(w.size), w.copy(), np.asarray(target)  # the open points and their state
+    tol_i = tol * (1.0 + np.abs(ti))
+    with np.errstate(all="ignore"):
+        f, df = fdf(wi)
+        for k in range(1, max_iter + 1):
+            res = f - ti
+            absr = np.fmin(np.abs(res), np.inf)  # any finite residual descends from a NaN one
+            step = -res / df
+            bad = ~np.isfinite(step)
+            if bad.any():
+                step[bad] = 1e-4j * np.abs(wi[bad])
+            cand, done = _upper(wi + step), absr <= tol_i
+            if done.any():  # these stop after this step
+                w[idx[done]], converged[idx[done]], iters[idx[done]], keep = cand[done], True, k, ~done
+                idx, wi, ti, tol_i, absr, step, cand = (a[keep] for a in (idx, wi, ti, tol_i, absr, step, cand))
+                if idx.size == 0:
+                    break
+            f, df = fdf(cand)
+            h = np.flatnonzero(~(np.abs(f - ti) < absr)) if halvings else idx[:0]
+            for _ in range(halvings if h.size else 0):  # damped line search along the Newton step
+                step[h] *= 0.5
+                cand[h] = _upper(wi[h] + step[h])
+                f[h], df[h] = fdf(cand[h])
+                h = h[~(np.abs(f[h] - ti[h]) < absr[h])]
+                if h.size == 0:
+                    break
+            if h.size:  # no descent: these stop where they are
+                w[idx[h]], converged[idx[h]], iters[idx[h]] = wi[h], absr[h] <= 100.0 * tol_i[h], k
+                keep = np.ones(idx.size, dtype=bool)
+                keep[h] = False
+                idx, ti, tol_i, cand, f, df = (a[keep] for a in (idx, ti, tol_i, cand, f, df))
+            wi = cand
+            if idx.size == 0:
+                break
+        w[idx] = wi
+    return w, converged, iters
 
 
 def _w0_seed(z: complex) -> complex:

@@ -3,7 +3,6 @@ from jacspectra import master
 
 import json
 import math
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -97,76 +96,68 @@ def unpruned_slope_sq_law():
     return _unpruned_slope_sq_law
 
 
-def _newton_batch_reference(res_fn, z, z_root, G, tol, max_iter):
-    """``master._newton_batch`` before it kept the open points' state between iterations (same signature).
+def _newton_reference(fdf, w, target, tol=1e-14, max_iter=50, halvings=0):
+    """``special.newton`` without its bookkeeping (same signature and arithmetic).
 
-    Every iteration finds the open points afresh, and the line search tries each unsettled point at its own
-    factor 1, 1/2, ..., 1/256; each residual call ran under its own np.errstate, here one for the batch.
+    Every iteration finds the open points afresh and evaluates its candidates at all of them, and the line
+    search tries each unsettled point at its own factor 1/2, 1/4, ...  Conjugates are taken where the sign
+    bit of Im w is set.
     """
-    n = G.shape[0]
-    converged = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-    iters = np.zeros(n, dtype=int)
-    G = G.copy()
+
+    def upper(v):
+        return np.where(np.signbit(v.imag), v.conj(), v)
+
+    w, target = upper(np.array(w, dtype=complex)), np.asarray(target)
+    converged, alive, iters = np.zeros(w.size, dtype=bool), np.ones(w.size, dtype=bool), np.full(w.size, max_iter)
+    tol_all = tol * (1.0 + np.abs(target))
     with np.errstate(all="ignore"):
-        R, dR = res_fn(G, z, z_root)
-        for it in range(max_iter):
-            idx = np.nonzero(alive & ~converged)[0]
+        f, df = fdf(w)
+        for k in range(1, max_iter + 1):
+            idx = np.flatnonzero(alive)
+            res = f[idx] - target[idx]
+            absr = np.abs(res)
+            absr[np.isnan(absr)] = np.inf
+            step = -res / df[idx]
+            bad = ~np.isfinite(step)
+            step[bad] = 1e-4j * np.abs(w[idx][bad])
+            cand = upper(w[idx] + step)
+            done = absr <= tol_all[idx]
+            w[idx[done]], converged[idx[done]], iters[idx[done]], alive[idx[done]] = cand[done], True, k, False
+            idx, step, absr, cand = idx[~done], step[~done], absr[~done], cand[~done]
             if idx.size == 0:
                 break
-            Gi, zi, Ri = G[idx], z[idx], R[idx]
-            absM = np.abs(zi * Gi - 1.0)
-            tol_eff = master._newton_tol(absM, tol)
-            ok = np.abs(Ri) <= tol_eff
-            converged[idx[ok]] = True
-            idx = idx[~ok]
-            if idx.size == 0:
-                continue
-            Gi, zi, Ri, tol_eff = Gi[~ok], zi[~ok], Ri[~ok], tol_eff[~ok]
-            step = -Ri / dR[idx]
-            nudge = master._NUDGE * (absM[~ok] + 1e-12) / np.abs(zi)
-            step = np.where(np.isfinite(step), step, nudge)  # off poles/NaNs
-            absR = np.abs(Ri)
-            absR[~np.isfinite(absR)] = np.inf
-            settled = np.zeros(idx.size, dtype=bool)
+            f[idx], df[idx] = fdf(cand)
+            settled = (np.abs(f[idx] - target[idx]) < absr) if halvings else np.ones(idx.size, dtype=bool)
             factor = np.ones(idx.size)
-            for _ in range(master._DAMPING_HALVINGS + 1):
-                trial = np.nonzero(~settled)[0]
+            for _ in range(halvings):
+                trial = np.flatnonzero(~settled)
                 if trial.size == 0:
                     break
-                cand = Gi[trial] + step[trial] * factor[trial]
-                Rc, dRc = res_fn(cand, zi[trial], z_root[idx[trial]])
-                better = np.abs(Rc) < absR[trial]
-                better &= np.isfinite(Rc)
-                won = idx[trial[better]]
-                G[won], R[won], dR[won] = cand[better], Rc[better], dRc[better]
-                settled[trial[better]] = True
-                factor[trial[~better]] *= 0.5
-            stuck = ~settled
-            noise_ok = stuck & (absR <= 100.0 * tol_eff)  # stagnation at the noise floor counts as converged
-            converged[idx[noise_ok]] = True
-            alive[idx[stuck & ~noise_ok]] = False
-            iters[idx] += 1
-    return G, converged, iters
+                factor[trial] *= 0.5
+                cand[trial] = upper(w[idx[trial]] + step[trial] * factor[trial])
+                f[idx[trial]], df[idx[trial]] = fdf(cand[trial])
+                settled[trial] = np.abs(f[idx[trial]] - target[idx[trial]]) < absr[trial]
+            stuck = ~settled  # no descent: stop where it is
+            converged[idx[stuck]], iters[idx[stuck]], alive[idx[stuck]] = absr[stuck] <= 100.0 * tol_all[idx[stuck]], k, False
+            w[idx[settled]] = cand[settled]
+    return w, converged, iters
 
 
 @pytest.fixture(scope="session")
-def newton_batch_reference():
-    """Reference for ``master._newton_batch`` (same signature): the same arithmetic, with more bookkeeping."""
-    return _newton_batch_reference
+def newton_reference():
+    """Reference for ``special.newton`` (same signature): the same arithmetic, with more bookkeeping."""
+    return _newton_reference
 
 
 def _solve_G_at(config, lam):
-    """Resolvent at lambda + i (the stop height) by branch-tracked continuation: one point of ``master._run_ladder``.
+    """Resolvent at lambda + i0 by ``master.density``'s solve of a one-point grid (a march in height).
 
-    The ladder's work tally is dropped.  Raises BranchLossError, as ``master.density`` does, when the
-    continuation loses the branch.
+    Raises BranchLossError, as ``master.density`` does, when the march loses the branch.
     """
-    _, res_fn, _, m1 = master._prepare(config)
-    lams = np.array([lam], dtype=float)
-    G, converged, fail_step = master._run_ladder(res_fn, config.depth, lams, [master._STOP_HEIGHT], m1, Counter())
-    master._require_branch(lams, converged, G, fail_step)
-    return complex(G[0])
+    solver, lams = master._Solver(config), np.array([lam], dtype=float)
+    w, converged, fail_step = master._solve_grid(solver, lams)
+    master._require_branch(lams, converged, w, fail_step)
+    return complex(solver.x(w)[1][0] / lam)
 
 
 @pytest.fixture(scope="session")

@@ -237,7 +237,8 @@ class TestParametrisedReadout:
         assert np.all(inside > 0.0)
 
     def test_unconverged_point_raises(self, monkeypatch):
-        monkeypatch.setattr(limits, "_NEWTON_MAX", 1)
+        newton = limits.newton
+        monkeypatch.setattr(limits, "newton", lambda fdf, w, target: newton(fdf, w, target, max_iter=1))
         lo, hi = smooth_edges(0.25)
         with pytest.raises(ConvergenceError):
             smooth_density(0.25, np.linspace(lo, hi, 7))
@@ -361,12 +362,12 @@ class TestBernoulliInverse:
     @pytest.mark.parametrize("s0sq", [0.25, 1.0, 4.0])
     def test_benchmark_grid_in_few_passes(self, klass, s0sq, monkeypatch, tmp_path):
         # the 1,200-point grids of the limit command: at most 8 Newton passes (the bisection took ~55 steps)
-        passes, newton = [], limits._newton
+        passes, newton = [], limits.newton
 
-        def counted(log_z, *rest):
-            return newton(lambda w: passes.append(w.size) or log_z(w), *rest)
+        def counted(fdf, *rest):
+            return newton(lambda w: passes.append(w.size) or fdf(w), *rest)
 
-        monkeypatch.setattr(limits, "_newton", counted)
+        monkeypatch.setattr(limits, "newton", counted)
         out = tmp_path / "limit.csv"
         assert cli.main(["limit", "--class", klass, "--sigma0-sq", str(s0sq), "--out.density_csv", str(out)]) == 0
         assert 0 < len(passes) <= 8 and passes[0] > 600
