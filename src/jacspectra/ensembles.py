@@ -9,7 +9,7 @@ S-transform of W^T W:
 
 together with its first series coefficient s1 (0 and -1 respectively), which
 controls the depth growth of the Jacobian spectral variance.  The master
-residual (``master._residual_factory``) evaluates S itself; an ensemble only
+equation's f(w) (``master._Solver.fdf``) evaluates S itself; an ensemble only
 carries its kind and s1.  sigma_w is a network setting: ``NetworkConfig``
 holds it.
 """

