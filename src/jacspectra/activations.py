@@ -12,9 +12,11 @@ and the squared-slope moment generating transform
 which the master solver evaluates as a finite sum over the law returned by
 ``slope_sq_law``.
 
-Piecewise-linear activations have a discrete squared-slope distribution, so
-both quantities are evaluated exactly by splitting the Gaussian at the kink
-locations (Gaussian CDF masses per constant-slope piece); smooth activations
+A piecewise-linear unit is given once, by its kinks and one line
+(intercept, slope) per piece between them; phi, phi' and the squared-slope
+law all follow from those.  At a kink phi' is the smaller of the two slopes.
+The law is discrete, so both quantities are evaluated exactly by splitting
+the Gaussian at the kinks (Gaussian CDF masses per piece); smooth activations
 use the one Gauss rule ``special.default_rule``, except for the two erf
 scalings, whose mu_k and integral Dh phi^2 have closed forms.
 ``slope_sq_law`` alone also takes another rule, so that its sum can be
@@ -202,7 +204,6 @@ def slope_sq_law(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None
 # ---------------------------------------------------------------------------
 # registry
 
-_INF = math.inf
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -210,55 +211,26 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _make_linear() -> ActivationSpec:
-    return ActivationSpec(
-        name="linear",
-        phi=lambda x: np.asarray(x, dtype=float),
-        dphi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        pieces=(AffinePiece(-_INF, _INF, 0.0, 1.0),),
-    )
+def _piecewise(name: str, kinks: tuple, lines, **params) -> ActivationSpec:
+    """A piecewise-affine unit from its kinks k_1 < ... < k_n and one line (c, s) per piece.
 
+    phi = c + s x on each of [-inf, k_1], ..., (k_n, inf]; a flat piece (s = 0) is its c, never c + 0 x,
+    so phi stays finite at +-inf.  phi' is s inside a piece and, at a kink, the smaller of the two slopes.
+    NaN sorts past +inf, onto a last line of NaNs.
+    """
+    ends = (-math.inf, *kinks, math.inf)
+    pieces = tuple(AffinePiece(lo, hi, float(c), float(s)) for lo, hi, (c, s) in zip(ends, ends[1:], lines))
+    cuts = np.array(ends[1:])
+    c, s = np.array([(p.intercept, p.slope) for p in pieces] + [(math.nan, math.nan)]).T
 
-def _make_relu() -> ActivationSpec:
-    return ActivationSpec(
-        name="relu",
-        phi=lambda x: np.maximum(x, 0.0),
-        dphi=lambda x: (np.asarray(x) > 0).astype(float),
-        pieces=(AffinePiece(-_INF, 0.0, 0.0, 0.0), AffinePiece(0.0, _INF, 0.0, 1.0)),
-    )
+    def phi(x):
+        i = np.searchsorted(cuts, x)  # phi is continuous: a kink may take the line below it
+        return c[i] + s[i] * np.where(s[i] == 0.0, 0.0, x)
 
+    def dphi(x):
+        return np.fmin(s[np.searchsorted(cuts, x)], s[np.searchsorted(cuts, x, side="right")])
 
-def _make_leaky_relu(alpha: float = 0.3) -> ActivationSpec:
-    a = float(alpha)
-    return ActivationSpec(
-        name="leaky_relu",
-        phi=lambda x: np.where(np.asarray(x) > 0, x, a * np.asarray(x)),
-        dphi=lambda x: np.where(np.asarray(x) > 0, 1.0, a),
-        params=(("alpha", a),),
-        pieces=(AffinePiece(-_INF, 0.0, 0.0, a), AffinePiece(0.0, _INF, 0.0, 1.0)),
-    )
-
-
-def _make_hard_tanh() -> ActivationSpec:
-    return ActivationSpec(
-        name="hard_tanh",
-        phi=lambda x: np.clip(x, -1.0, 1.0),
-        dphi=lambda x: (np.abs(np.asarray(x)) < 1.0).astype(float),
-        pieces=(
-            AffinePiece(-_INF, -1.0, -1.0, 0.0),
-            AffinePiece(-1.0, 1.0, 0.0, 1.0),
-            AffinePiece(1.0, _INF, 1.0, 0.0),
-        ),
-    )
-
-
-def _make_shifted_relu() -> ActivationSpec:
-    return ActivationSpec(
-        name="shifted_relu",
-        phi=lambda x: np.maximum(np.asarray(x) + 0.5, 0.0) - 0.5,
-        dphi=lambda x: (np.asarray(x) > -0.5).astype(float),
-        pieces=(AffinePiece(-_INF, -0.5, -0.5, 0.0), AffinePiece(-0.5, _INF, 0.0, 1.0)),
-    )
+    return ActivationSpec(name, phi, dphi, params=tuple((k, float(v)) for k, v in params.items()), pieces=pieces)
 
 
 def _erf_sq_mean(a2):
@@ -326,11 +298,11 @@ def _make_silu(beta: float = 1.0) -> ActivationSpec:
 
 
 _REGISTRY: dict[str, Callable[..., ActivationSpec]] = {
-    "linear": _make_linear,
-    "relu": _make_relu,
-    "leaky_relu": _make_leaky_relu,
-    "hard_tanh": _make_hard_tanh,
-    "shifted_relu": _make_shifted_relu,
+    "linear": lambda: _piecewise("linear", (), [(0.0, 1.0)]),
+    "relu": lambda: _piecewise("relu", (0.0,), [(0.0, 0.0), (0.0, 1.0)]),
+    "leaky_relu": lambda alpha=0.3: _piecewise("leaky_relu", (0.0,), [(0.0, alpha), (0.0, 1.0)], alpha=alpha),
+    "hard_tanh": lambda: _piecewise("hard_tanh", (-1.0, 1.0), [(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]),
+    "shifted_relu": lambda: _piecewise("shifted_relu", (-0.5,), [(-0.5, 0.0), (0.0, 1.0)]),
     "erf_main": _make_erf_main,
     "erf_sm": _make_erf_sm,
     "tanh": _make_tanh,

@@ -117,6 +117,15 @@ def _walk(f, f1, up, live=True, args=()):
         q, fq = np.where(live, nxt, q), np.where(live, fnxt, fq)
 
 
+def _solve_out_of_one(f, no_bracket: str) -> float:
+    """Root of the scalar f on the bracket that ``_walk`` finds out of q = 1; BracketError(no_bracket) if none."""
+    f1 = f(1.0)
+    lo, hi, flo, fhi = _walk(f, f1, f1 < 0.0)
+    if np.isnan(hi):
+        raise BracketError(no_bracket)
+    return bracket_root(f, lo, hi, f_ends=(flo, fhi))
+
+
 def _fixed_points(activation: ActivationSpec, sigma_w, sigma_b):
     """``qstar_fixed_point`` on every cell of (sigma_w, sigma_b) at once, as arrays of the cells' shape.
 
@@ -214,11 +223,7 @@ def critical_sigma_w(activation: ActivationSpec, sigma_b: float) -> tuple[float,
     def excess(q: float) -> float:  # sigma_b(q)^2 - sigma_b^2; piecewise units evaluate their piece CDFs once
         return q - phi_sq_mean(activation, q) / mu_k(activation, q, 1) - sigma_b * sigma_b
 
-    f1 = excess(1.0)
-    lo, hi, flo, fhi = _walk(excess, f1, f1 < 0.0)
-    if np.isnan(hi):
-        raise BracketError(f"no critical point for {name} at sigma_b={sigma_b} with q* in [1e-300, 1e8]")
-    q = bracket_root(excess, lo, hi, f_ends=(flo, fhi))
+    q = _solve_out_of_one(excess, f"no critical point for {name} at sigma_b={sigma_b} with q* in [1e-300, 1e8]")
     sigma_w = 1.0 / math.sqrt(mu_k(activation, q, 1))
     # chi = 1 gives V'(q*) = 1 + sigma_w^2 E[phi phi'']; the recursion settles at q* only if V'(q*) < 1
     d = 1e-4 * q
@@ -248,11 +253,7 @@ def double_scaling_qstar(activation: ActivationSpec, depth: int, sigma0_sq: floa
     def h(q: float) -> float:
         return mu_k(activation, q, 2) / mu_k(activation, q, 1) ** 2 - target
 
-    f1 = h(1.0)
-    lo, hi, flo, fhi = _walk(h, f1, f1 < 0.0)
-    if np.isnan(hi):
-        raise BracketError(f"{activation.name}: no q* in [1e-300, 1e8] gives the variance ratio {target}")
-    q = bracket_root(h, lo, hi, f_ends=(flo, fhi))
+    q = _solve_out_of_one(h, f"{activation.name}: no q* in [1e-300, 1e8] gives the variance ratio {target}")
     return q, 1.0 / math.sqrt(mu_k(activation, q, 1))
 
 

@@ -144,7 +144,8 @@ def newton(fdf, w, target, tol=1e-14, max_iter=50, halvings=0):
     step costs no call.  With ``halvings`` > 0, a step that does not lower |f - target| is halved up to that
     many times; a point that still finds no descent stops where it is, converged if its residual is within
     100 times its tolerance (the rounding floor) and failed otherwise.  A step that is not finite (at a pole
-    or NaN) is replaced by a nudge of 1e-4 |w| up the imaginary axis.  Returns (w, converged, iterations).
+    or NaN) is replaced by a nudge of 1e-4 |w| up the imaginary axis, except at a point already within its
+    tolerance (f' = 0 at a double root), which is returned as it is.  Returns (w, converged, iterations).
     """
     w = _upper(np.array(w, dtype=complex))
     converged, iters = np.zeros(w.size, dtype=bool), np.full(w.size, max_iter)
@@ -155,11 +156,11 @@ def newton(fdf, w, target, tol=1e-14, max_iter=50, halvings=0):
         for k in range(1, max_iter + 1):
             res = f - ti
             absr = np.fmin(np.abs(res), np.inf)  # any finite residual descends from a NaN one
-            step = -res / df
+            step, done = -res / df, absr <= tol_i
             if not np.isfinite(step).all():
                 bad = ~np.isfinite(step)
-                step[bad] = 1e-4j * np.abs(wi[bad])
-            cand, done = _upper(wi + step), absr <= tol_i
+                step[bad] = np.where(done[bad], 0.0, 1e-4j * np.abs(wi[bad]))
+            cand = _upper(wi + step)
             if done.any():  # these stop after this step
                 w[idx[done]], converged[idx[done]], iters[idx[done]], keep = cand[done], True, k, ~done
                 idx, wi, ti, tol_i, absr, step, cand = (a[keep] for a in (idx, wi, ti, tol_i, absr, step, cand))

@@ -118,10 +118,11 @@ def _newton_reference(fdf, w, target, tol=1e-14, max_iter=50, halvings=0):
             absr = np.abs(res)
             absr[np.isnan(absr)] = np.inf
             step = -res / df[idx]
-            bad = ~np.isfinite(step)
-            step[bad] = 1e-4j * np.abs(w[idx][bad])
-            cand = upper(w[idx] + step)
             done = absr <= tol_all[idx]
+            bad = ~np.isfinite(step)
+            step[bad & ~done] = 1e-4j * np.abs(w[idx][bad & ~done])
+            step[bad & done] = 0.0  # a converged point stays where it is
+            cand = upper(w[idx] + step)
             w[idx[done]], converged[idx[done]], iters[idx[done]], alive[idx[done]] = cand[done], True, k, False
             idx, step, absr, cand = idx[~done], step[~done], absr[~done], cand[~done]
             if idx.size == 0:

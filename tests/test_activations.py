@@ -110,6 +110,44 @@ class TestRegistry:
         assert np.max(spec.dphi(np.linspace(-8.0, 8.0, 200001)) ** 2) > 1.0
 
 
+# textbook phi and phi' of each piecewise unit at its default parameters; phi' at a kink is the smaller slope
+_TEXTBOOK = {
+    "linear": (lambda x: x, np.ones_like),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(float)),
+    "leaky_relu": (lambda x: np.where(x > 0.0, x, 0.3 * x), lambda x: np.where(x > 0.0, 1.0, 0.3)),
+    "hard_tanh": (lambda x: np.clip(x, -1.0, 1.0), lambda x: (np.abs(x) < 1.0).astype(float)),
+    "shifted_relu": (lambda x: np.maximum(x, -0.5), lambda x: (x > -0.5).astype(float)),
+}
+
+
+class TestPiecewiseUnits:
+    def test_every_piecewise_unit_has_a_textbook_formula(self):
+        assert set(_TEXTBOOK) == set(PIECEWISE_NAMES)
+
+    @pytest.mark.parametrize("name", sorted(_TEXTBOOK))
+    def test_phi_and_dphi_are_the_textbook_formulas(self, name):
+        spec = get_activation(name)
+        # every kink, +-inf, and points between and beyond them
+        between = np.random.default_rng(3).normal(0.0, 2.0, 1000)
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 49), between, [-np.inf, np.inf]])
+        assert set(spec.kinks) <= set(xs)
+        phi, dphi = _TEXTBOOK[name]
+        np.testing.assert_array_equal(spec.phi(xs), phi(xs))
+        np.testing.assert_array_equal(spec.dphi(xs), dphi(xs))
+        assert float(spec.phi(np.array(0.0))) == float(phi(np.array(0.0)))
+        assert float(spec.dphi(np.array(0.0))) == float(dphi(np.array(0.0)))
+        assert np.isnan(spec.phi(np.array([np.nan]))).all() and np.isnan(spec.dphi(np.array([np.nan]))).all()
+
+    @pytest.mark.parametrize("name", PIECEWISE_NAMES)
+    def test_adjacent_lines_meet_at_every_kink(self, name):
+        pieces = get_activation(name).pieces
+        assert pieces[0].lo == -math.inf and pieces[-1].hi == math.inf
+        for below, above in zip(pieces, pieces[1:]):
+            k = below.hi
+            assert above.lo == k
+            assert below.intercept + below.slope * k == above.intercept + above.slope * k
+
+
 class TestMuK:
     def test_linear_is_one(self):
         spec = get_activation("linear")

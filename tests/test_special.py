@@ -10,6 +10,7 @@ from jacspectra.special import (
     erf_vec,
     gauss_normal_rule,
     lambert_w0,
+    newton,
     norm_cdf,
     r_lambert,
 )
@@ -178,6 +179,13 @@ class TestElementwiseBisection:
         ref, ref_calls = self.counted(lambda x: x * x - 2.0)
         assert bracket_root(f, 1.0, 2.0) == bisection(ref, 1.0, 2.0)
         assert len(calls) <= 12 < 50 <= len(ref_calls)
+
+
+class TestNewton:
+    def test_converged_point_with_no_finite_step_stays_put(self):
+        # f' = 0 exactly at the double root: the step is not finite, yet the residual is already 0
+        w, converged, iters = newton(lambda w: ((w - 1) ** 2, 2 * (w - 1)), np.array([1 + 0j]), np.array([0.0]))
+        assert w[0] == 1 + 0j and converged[0] and iters[0] == 1
 
 
 class TestLambertW:
