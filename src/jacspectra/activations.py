@@ -216,10 +216,12 @@ def _piecewise(name: str, kinks: tuple, lines, **params) -> ActivationSpec:
 
     phi = c + s x on each of [-inf, k_1], ..., (k_n, inf]; a flat piece (s = 0) is its c, never c + 0 x,
     so phi stays finite at +-inf.  phi' is s inside a piece and, at a kink, the smaller of the two slopes.
-    NaN sorts past +inf, onto a last line of NaNs.
+    NaN sorts past +inf, onto a last line of NaNs.  A line with a non-finite intercept or slope raises ValueError.
     """
     ends = (-math.inf, *kinks, math.inf)
     pieces = tuple(AffinePiece(lo, hi, float(c), float(s)) for lo, hi, (c, s) in zip(ends, ends[1:], lines))
+    if not all(math.isfinite(p.intercept) and math.isfinite(p.slope) for p in pieces):
+        raise ValueError(f"{name} needs a finite intercept and slope on every piece")
     cuts = np.array(ends[1:])
     c, s = np.array([(p.intercept, p.slope) for p in pieces] + [(math.nan, math.nan)]).T
 

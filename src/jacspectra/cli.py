@@ -1,9 +1,15 @@
 """Command-line driver: reproducible runs from JSON configs.
 
-Every command reads a single JSON config (``--config``), applies dotted
-flag overrides (``--grid.min 1e-8`` targets config["grid"]["min"]),
-materializes all defaults, runs, writes its CSV/JSON outputs, and prints
-the fully resolved provenance document to stdout.
+``main`` reads a single JSON config (``--config``) once, applies dotted
+flag overrides (``--grid.min 1e-8`` targets config["grid"]["min"]), and
+hands it to the command.  Every setting is read through one reader,
+``_setting``: a number, a whole number, true/false, or a string (a path or
+a name; a number given for one is refused, not opened as a file
+descriptor).  A command materializes its defaults, runs, writes its
+CSV/JSON outputs, and ends in one ``_emit``: a command that has a report
+(every one but phase-grid) writes it to ``out.report_json`` where one is
+named, and the fully resolved provenance document goes to stdout.  The
+network settings are echoed as ``NetworkConfig.settings()`` writes them.
 
 Subcommands: fixed-point, phase-grid, theory-spectrum, simulate, compare,
 limit, moments.
@@ -24,7 +30,7 @@ import numpy as np
 from . import __version__
 from .activations import get_activation
 from .density import GRID_LAM_MIN, GRID_POINTS, make_lambda_grid, read_csv, read_json, to_singular_domain
-from .ensembles import WeightEnsemble
+from .ensembles import ORTHOGONAL, WeightEnsemble
 from .errors import JacspectraError
 from .limits import BERNOULLI, SMOOTH, bernoulli_density, bernoulli_edges_atoms, smooth_density, smooth_edges
 from .master import WORK_COUNTS, default_lam_max, density
@@ -40,8 +46,6 @@ from .propagation import (
 from .simulate import EmpiricalSpectrum, empirical_density, ks_distance, run_trials
 
 THREADS_ENV = "JACSPECTRA_THREADS"
-
-_GRID_DEFAULTS = {"min": GRID_LAM_MIN, "max": None, "points": GRID_POINTS}
 
 
 def _thread_count(text: str, source: str = "--threads") -> int:
@@ -63,35 +67,8 @@ def _threads(args) -> int:
     return _thread_count(env, THREADS_ENV) if env else os.cpu_count() or 1
 
 
-def _deep_update(dst: dict, path: list, value) -> None:
-    cur = dst
-    for key in path[:-1]:
-        cur = cur.setdefault(key, {})
-    cur[path[-1]] = value
-
-
-def _parse_overrides(pairs) -> list:
-    """--a.b-c VALUE pairs -> ([a, b_c], parsed value)."""
-    out = []
-    i = 0
-    while i < len(pairs):
-        key = pairs[i]
-        if not key.startswith("--"):
-            raise JacspectraError(f"unexpected argument {key!r}")
-        if i + 1 >= len(pairs):
-            raise JacspectraError(f"flag {key!r} needs a value")
-        raw = pairs[i + 1]
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        path = [p.replace("-", "_") for p in key[2:].split(".")]
-        out.append((path, value))
-        i += 2
-    return out
-
-
 def _load_config(args, extra) -> dict:
+    """The --config document with each --a.b-c VALUE set at config[a][b_c], VALUE read as JSON where it parses."""
     cfg = {}
     if args.config:
         try:
@@ -99,8 +76,22 @@ def _load_config(args, extra) -> dict:
                 cfg = json.load(fh)
         except (OSError, ValueError) as exc:
             raise JacspectraError(f"cannot read config {args.config!r}: {exc}") from None
-    for path, value in _parse_overrides(extra):
-        _deep_update(cfg, path, value)
+    for i in range(0, len(extra), 2):
+        if not extra[i].startswith("--"):
+            raise JacspectraError(f"unexpected argument {extra[i]!r}")
+        if i + 1 == len(extra):
+            raise JacspectraError(f"flag {extra[i]!r} needs a value")
+        try:
+            value = json.loads(extra[i + 1])
+        except json.JSONDecodeError:
+            value = extra[i + 1]
+        *sections, name = (p.replace("-", "_") for p in extra[i][2:].split("."))
+        section = cfg
+        for key in sections:
+            section = section.setdefault(key, {})
+            if not isinstance(section, dict):
+                raise JacspectraError(f"config['{key}'] must be a section of keys, got {section!r}")
+        section[name] = value
     for key in ("ensemble", "double_scaling", "grid", "out", "empirical", "theory"):
         if not isinstance(cfg.get(key, {}), dict):
             raise JacspectraError(f"config['{key}'] must be a section of keys, got {cfg[key]!r}")
@@ -108,7 +99,7 @@ def _load_config(args, extra) -> dict:
 
 
 def _setting(cfg: dict, key: str, default=None, kind=float, least=None):
-    """The config value at a dotted key: a float, a whole int >= ``least``, or JSON true/false for kind=bool.
+    """The config value at a dotted key: a float, a whole int >= ``least``, JSON true/false for kind=bool, or a string.
 
     ``default`` where the key is absent; null counts as absent only where the default is None.
     """
@@ -119,12 +110,14 @@ def _setting(cfg: dict, key: str, default=None, kind=float, least=None):
         return None
     try:
         value = kind(raw)
-        # a flag is true or false, not "no" read by truthiness; a number is not true, an integer not 1.5
+        # a flag is true or false, not "no" read by truthiness; a number is not true, an integer not 1.5;
+        # a path or a name is a string, not a number (a number opens as a file descriptor)
         ok = isinstance(raw, bool) == (kind is bool) and (kind is not int or isinstance(raw, str) or value == raw)
+        ok = isinstance(raw, str) if kind is str else ok
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        what = "true or false" if kind is bool else "an integer" if kind is int else "a number"
+        what = {bool: "true or false", int: "an integer", str: "a string"}.get(kind, "a number")
         raise JacspectraError(f"{key} must be {what}, got {raw!r}")
     if least is not None and value < least:
         raise JacspectraError(f"{key} must be >= {least}, got {raw!r}")
@@ -137,13 +130,13 @@ def _activation_from(cfg: dict):
     params = spec.get("params", {}) if isinstance(spec, dict) else {}
     try:
         return get_activation(name, **params)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise JacspectraError(f"bad activation {spec!r}: {exc.args[0]}") from None
 
 
 def _network_from(cfg: dict) -> NetworkConfig:
     activation = _activation_from(cfg)
-    kind = cfg.get("ensemble", {}).get("kind", "orthogonal")
+    kind = _setting(cfg, "ensemble.kind", ORTHOGONAL, str)
     depth = _setting(cfg, "depth", 1, int, least=1)
     sigma_b = _setting(cfg, "sigma_b", 0.0)
     qstar = _setting(cfg, "qstar")
@@ -152,38 +145,30 @@ def _network_from(cfg: dict) -> NetworkConfig:
     critical = _setting(cfg, "critical", False, bool)
     # a setting that another one would override is refused, not dropped; only sigma_w is left beside critical
     # and double scaling, because the echo carries the resolved sigma_w and a replayed document must still run
-    if ds is not None and critical:
-        raise JacspectraError("critical and double_scaling.sigma0_sq each set sigma_w and q*; give one of them")
-    if ds is not None and sigma_b != 0.0:
-        raise JacspectraError(f"double scaling runs at sigma_b = 0, got sigma_b {sigma_b!r}")
     if ds is not None:
+        if critical:
+            raise JacspectraError("critical and double_scaling.sigma0_sq each set sigma_w and q*; give one of them")
+        if sigma_b != 0.0:
+            raise JacspectraError(f"double scaling runs at sigma_b = 0, got sigma_b {sigma_b!r}")
+        if kind != ORTHOGONAL:  # its q* pins the variance of orthogonal layers only
+            raise JacspectraError(f"double scaling runs on {ORTHOGONAL} weights, got ensemble.kind {kind!r}")
         qstar, sigma_w = double_scaling_qstar(activation, depth, ds)
     elif critical:
         sigma_w, qstar = critical_sigma_w(activation, sigma_b)
     else:
         sigma_w = _setting(cfg, "sigma_w", 1.0)
-    resolved = {
-        "activation": {"name": activation.name, "params": dict(activation.params)},
-        "ensemble": {"kind": kind},
-        "sigma_w": sigma_w,
-        "sigma_b": sigma_b,
-        "depth": depth,
-        "width": width,
-        "qstar": qstar,
-    }
-    cfg.update(resolved)
     try:
-        return NetworkConfig(activation, WeightEnsemble(kind), sigma_w, sigma_b, depth, width, qstar)
+        config = NetworkConfig(activation, WeightEnsemble(kind), sigma_w, sigma_b, depth, width, qstar)
     except ValueError as exc:
         raise JacspectraError(f"bad network config: {exc}") from None
+    cfg.update(config.settings())
+    return config
 
 
 def _grid_from(cfg: dict, lam_max_default: float) -> np.ndarray:
-    cfg["grid"] = {**_GRID_DEFAULTS, **cfg.get("grid", {})}
-    if cfg["grid"]["max"] is None:
-        cfg["grid"]["max"] = lam_max_default
     lam_max, lam_min = _setting(cfg, "grid.max", lam_max_default), _setting(cfg, "grid.min", GRID_LAM_MIN)
     points = _setting(cfg, "grid.points", GRID_POINTS, int, least=1)
+    cfg["grid"] = {"min": lam_min, "max": lam_max, "points": points}  # echoed as used
     try:
         return make_lambda_grid(lam_max, lam_min=lam_min, n=points)
     except ValueError as exc:
@@ -191,6 +176,7 @@ def _grid_from(cfg: dict, lam_max_default: float) -> np.ndarray:
 
 
 def _emit(command: str, cfg: dict, outputs: dict, report=None) -> None:
+    """Write ``report`` to out.report_json where one is named, then print the provenance document."""
     doc = {
         "command": command,
         "version": __version__,
@@ -198,35 +184,31 @@ def _emit(command: str, cfg: dict, outputs: dict, report=None) -> None:
         "outputs": outputs,
     }
     if report is not None:
-        doc["report"] = report
+        path = _setting(cfg, "out.report_json", kind=str)
+        if path:
+            with open(path, "w") as fh:
+                json.dump(report, fh, sort_keys=True, default=str)
+        doc["outputs"], doc["report"] = {**outputs, "report_json": path}, report
     sys.stdout.write(json.dumps(doc, sort_keys=True, default=str) + "\n")  # the C encoder: json.dump's bytes
 
 
 def _write_density(cfg: dict, dens, default_csv: str) -> dict:
     """Write ``dens`` to out.density_csv (``default_csv`` if unnamed) and to out.density_json if named."""
-    out = cfg.get("out", {})
-    paths = {"density_csv": out.get("density_csv", default_csv), "density_json": out.get("density_json")}
+    paths = {
+        "density_csv": _setting(cfg, "out.density_csv", default_csv, str),
+        "density_json": _setting(cfg, "out.density_json", kind=str),
+    }
     dens.write_csv(paths["density_csv"])
     if paths["density_json"]:
         dens.write_json(paths["density_json"])
     return paths
 
 
-def _emit_report(command: str, cfg: dict, report: dict) -> None:
-    """Write ``report`` to config out.report_json where one is named, then emit the provenance."""
-    out = cfg.get("out", {}).get("report_json")
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, sort_keys=True)
-    _emit(command, cfg, {"report_json": out}, report)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_fixed_point(args, extra) -> int:
-    cfg = _load_config(args, extra)
+def cmd_fixed_point(args, cfg: dict) -> int:
     activation = _activation_from(cfg)
     sigma_w = _setting(cfg, "sigma_w", 1.0)
     sigma_b = _setting(cfg, "sigma_b", 0.0)
@@ -240,7 +222,7 @@ def cmd_fixed_point(args, extra) -> int:
         "residual": fp.residual,
         "critical_degenerate": degenerate,
     }
-    _emit_report("fixed-point", cfg, report)
+    _emit("fixed-point", cfg, {}, report)
     return 0 if fp.converged else 1
 
 
@@ -255,15 +237,14 @@ def _grid_axis(cfg: dict, key: str, default: list, positive: bool) -> np.ndarray
     return np.linspace(float(spec[0]), float(spec[1]), spec[2])
 
 
-def cmd_phase_grid(args, extra) -> int:
-    cfg = _load_config(args, extra)
+def cmd_phase_grid(args, cfg: dict) -> int:
     activation = _activation_from(cfg)
     sigma_w = _grid_axis(cfg, "sigma_w_range", [0.5, 3.0, 26], positive=True)
     sigma_b = _grid_axis(cfg, "sigma_b_range", [0.0, 1.0, 11], positive=False)
+    path = _setting(cfg, "out.grid_csv", "phase_grid.csv", str)
     grid = phase_grid(activation, sigma_w, sigma_b)
     degenerate = fixed_point_is_degenerate(activation, grid.sigma_w, grid.sigma_b)
     grid = replace(grid, qstar=np.where(degenerate, 0.0, grid.qstar))  # as the fixed-point command writes it
-    path = cfg.get("out", {}).get("grid_csv", "phase_grid.csv")
     rows = (f"{sw!r},{sb!r},{q!r},{c!r},{str(ok).lower()}\n" for sw, sb, q, c, ok in grid.rows())
     with open(path, "w") as fh:
         fh.write("".join(["sigma_w,sigma_b,qstar,chi,converged\n", *rows]))
@@ -271,8 +252,7 @@ def cmd_phase_grid(args, extra) -> int:
     return 0
 
 
-def cmd_theory_spectrum(args, extra) -> int:
-    cfg = _load_config(args, extra)
+def cmd_theory_spectrum(args, cfg: dict) -> int:
     if "solver" in cfg:  # refused, so that an old config cannot run on the defaults without a word
         raise JacspectraError(f"the solver takes no settings; remove config['solver'] (got {cfg['solver']})")
     config = _network_from(cfg)
@@ -294,28 +274,29 @@ def cmd_theory_spectrum(args, extra) -> int:
     return 0
 
 
-def cmd_simulate(args, extra) -> int:
-    cfg = _load_config(args, extra)
+def cmd_simulate(args, cfg: dict) -> int:
     config = _network_from(cfg)
     if config.width is None:
         raise JacspectraError("simulate requires config['width']")
     trials = _setting(cfg, "trials", 30, int, least=1)
     seed = _setting(cfg, "seed", 0, int)
     cfg["trials"], cfg["seed"] = trials, seed
+    csv_path = _setting(cfg, "out.spectrum_csv", "spectrum.csv", str)
+    paths = {
+        "spectrum_csv": csv_path,
+        "sidecar_json": _setting(cfg, "out.sidecar_json", csv_path.rsplit(".", 1)[0] + ".json", str),
+        "histogram_csv": _setting(cfg, "out.histogram_csv", kind=str),
+    }
     spectrum = run_trials(config, trials, seed, threads=_threads(args))
-    out = cfg.get("out", {})
-    csv_path = out.get("spectrum_csv", "spectrum.csv")
     spectrum.write_csv(csv_path)
-    sidecar_path = out.get("sidecar_json", csv_path.rsplit(".", 1)[0] + ".json")
-    with open(sidecar_path, "w") as fh:
+    with open(paths["sidecar_json"], "w") as fh:
         json.dump(spectrum.sidecar(), fh, sort_keys=True)
-    hist_path = out.get("histogram_csv")
-    if hist_path:
-        empirical_density(spectrum, bins=_setting(cfg, "bins", 200, int)).write_csv(hist_path)
+    if paths["histogram_csv"]:
+        empirical_density(spectrum, bins=_setting(cfg, "bins", 200, int)).write_csv(paths["histogram_csv"])
     _emit(
         "simulate",
         cfg,
-        {"spectrum_csv": csv_path, "sidecar_json": sidecar_path, "histogram_csv": hist_path},
+        paths,
         {
             "mean_squared": spectrum.mean_squared(),
             "var_squared": spectrum.var_squared(),
@@ -325,14 +306,11 @@ def cmd_simulate(args, extra) -> int:
     return 0
 
 
-def cmd_compare(args, extra) -> int:
-    cfg = _load_config(args, extra)
-    try:
-        spectrum_csv, sidecar_json = cfg["empirical"]["spectrum_csv"], cfg["empirical"]["sidecar_json"]
-        theory_path = str(cfg["theory"]["density"])
-    except KeyError as exc:
-        keys = "empirical.spectrum_csv, empirical.sidecar_json and theory.density"
-        raise JacspectraError(f"compare requires config keys {keys} (missing {exc})") from None
+def cmd_compare(args, cfg: dict) -> int:
+    keys = ("empirical.spectrum_csv", "empirical.sidecar_json", "theory.density")
+    spectrum_csv, sidecar_json, theory_path = (_setting(cfg, key, kind=str) for key in keys)
+    if None in (spectrum_csv, sidecar_json, theory_path):
+        raise JacspectraError(f"compare requires config keys {', '.join(keys)}")
     try:
         spectrum = EmpiricalSpectrum.read_csv(spectrum_csv, sidecar_json)
         theory = (read_json if theory_path.endswith(".json") else read_csv)(theory_path)
@@ -350,13 +328,12 @@ def cmd_compare(args, extra) -> int:
         "theory_mean_squared": th_m1,
         "mean_squared_delta": float(np.mean(sq)) - th_m1,
     }
-    _emit_report("compare", cfg, report)
+    _emit("compare", cfg, {}, report)
     return 0
 
 
-def cmd_limit(args, extra) -> int:
-    cfg = _load_config(args, extra)
-    klass = cfg.get("class", BERNOULLI)
+def cmd_limit(args, cfg: dict) -> int:
+    klass = _setting(cfg, "class", BERNOULLI, str)
     s0sq = _setting(cfg, "sigma0_sq", 0.25)
     if not 0.0 < s0sq < math.inf:
         raise JacspectraError(f"sigma0_sq must be positive and finite, got {s0sq!r}")
@@ -389,12 +366,9 @@ def cmd_limit(args, extra) -> int:
     return 0
 
 
-def cmd_moments(args, extra) -> int:
-    cfg = _load_config(args, extra)
+def cmd_moments(args, cfg: dict) -> int:
     config = _network_from(cfg)
-    summary = jacobian_moments(config)
-    report = asdict(summary)
-    _emit_report("moments", cfg, report)
+    _emit("moments", cfg, {}, asdict(jacobian_moments(config)))
     return 0
 
 
@@ -430,7 +404,7 @@ _parser = functools.cache(build_parser)  # argparse keeps no state between parse
 def main(argv=None) -> int:
     try:
         args, extra = _parser().parse_known_args(argv)
-        return _COMMANDS[args.command](args, extra)
+        return _COMMANDS[args.command](args, _load_config(args, extra))
     except JacspectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -312,9 +312,10 @@ def density(config: NetworkConfig, grid) -> SpectralDensity:
     The atoms are ``point_masses`` in closed form; a grid point at an atom is
     dropped, since x has a pole there.  A point lost on its march in height
     (the axis is the march's last step) raises BranchLossError naming its
-    lambda and the step.  The metadata holds ``qstar``, the config, ``slope_nodes`` (terms
-    of x(w) per residual evaluation), ``total_mass`` and the work tally
-    summed over points, ``WORK_COUNTS``: ``residual_evals`` (points at which
+    lambda and the step.  The metadata holds the config's ``settings()`` with
+    ``qstar`` resolved, ``slope_nodes`` (terms of x(w) per residual
+    evaluation), ``total_mass`` and the work tally summed over points,
+    ``WORK_COUNTS``: ``residual_evals`` (points at which
     f and f' were evaluated), ``newton_iters``, ``anchor_points`` (points
     marched in height), ``seeded_points`` (the rest) and ``fallback_points``
     (seeded points marched after their seed failed).
@@ -331,13 +332,8 @@ def density(config: NetworkConfig, grid) -> SpectralDensity:
     x = solver.x(w)[0]
 
     meta = {
+        **config.settings(),
         "qstar": solver.qstar,
-        "depth": config.depth,
-        "sigma_w": config.sigma_w,
-        "sigma_b": config.sigma_b,
-        "activation": config.activation.name,
-        "activation_params": dict(config.activation.params),
-        "ensemble": config.ensemble.kind,
         "slope_nodes": solver.nodes,
         **{key: solver.work[key] for key in WORK_COUNTS},
     }

@@ -13,13 +13,12 @@ distribution concentrates (mu_2/mu_1^2 -> 1).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import mu_k
-from .density import MASS_TOL, SpectralDensity
+from .density import SpectralDensity
 from .errors import JacspectraError
 from .propagation import NetworkConfig, resolve_qstar
 
@@ -55,16 +54,10 @@ def jacobian_moments(config: NetworkConfig) -> MomentSummary:
 def moments_from_density(density: SpectralDensity, k: int) -> float:
     """k-th moment of a density: trapezoid over the grid plus atom terms.
 
-    Warns when the total mass strays from one by more than ``MASS_TOL`` (the
-    grid probably does not cover the support).
+    A density's lost mass is warned of where it is made (``master.density``)
+    and where it is compared (``simulate.ks_distance``), not here.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    total = density.total_mass()
-    if abs(total - 1.0) > MASS_TOL:
-        warnings.warn(
-            f"density mass {total:.4f} deviates from 1 by more than {MASS_TOL}",
-            stacklevel=2,
-        )
     cont = float(np.trapezoid(density.rho * density.grid**k, density.grid))
     return cont + sum(mass * loc**k for loc, mass in density.atoms)

@@ -80,6 +80,18 @@ class NetworkConfig:
         if self.width is not None and self.width < 2:
             raise ValueError("width must be >= 2 for simulation")
 
+    def settings(self) -> dict:
+        """The network as JSON, in the schema of the CLI's provenance ``config``.
+
+        Its three writers: the CLI echo (``cli._network_from``), the ``master.density``
+        metadata (with q* resolved) and the ``simulate.run_trials`` sidecar ``config``.
+        """
+        return {
+            "activation": {"name": self.activation.name, "params": dict(self.activation.params)},
+            "ensemble": {"kind": self.ensemble.kind},
+            **{key: getattr(self, key) for key in ("sigma_w", "sigma_b", "depth", "width", "qstar")},
+        }
+
 
 def _variance_map(activation, sigma_w, sigma_b, q):
     return sigma_w * sigma_w * phi_sq_mean(activation, q) + sigma_b * sigma_b

@@ -227,14 +227,7 @@ def run_trials(
         depth=config.depth,
         trials=trials,
         seed=seed,
-        config={
-            "activation": config.activation.name,
-            "activation_params": dict(config.activation.params),
-            "ensemble": config.ensemble.kind,
-            "sigma_w": config.sigma_w,
-            "sigma_b": config.sigma_b,
-            "qstar": config.qstar,
-        },
+        config=config.settings(),
     )
 
 

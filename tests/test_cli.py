@@ -315,6 +315,50 @@ class TestPipeline:
             assert not (workdir / "th3.csv").exists()
 
 
+class TestRecords:
+    """One network through every command that has a report, each naming out.report_json."""
+
+    NETWORK = ("activation", "ensemble", "sigma_w", "sigma_b", "depth", "width", "qstar")
+    RUNS = {
+        "fixed-point": [],
+        "moments": [],
+        "theory-spectrum": ["--out.density-csv", "th.csv", "--out.density-json", "th.json"],
+        "simulate": ["--out.spectrum-csv", "sp.csv"],
+        "compare": ["--empirical.spectrum-csv", "sp.csv", "--empirical.sidecar-json", "sp.json",
+                    "--theory.density", "th.json"],
+        "limit": ["--class", "smooth", "--sigma0-sq", "0.25", "--grid.points", "40"],
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("records")
+        cfg = {"activation": {"name": "tanh"}, "critical": True, "sigma_b": 0.2, "depth": 4, "width": 16,
+               "trials": 2, "seed": 3, "grid": {"points": 100}}
+        (path / "cfg.json").write_text(json.dumps(cfg))
+        docs = {}
+        for command, args in self.RUNS.items():
+            config = [] if command in ("compare", "limit") else ["--config", "cfg.json"]
+            argv = [command, *config, *args, "--out.report-json", f"{command}.report.json"]
+            docs[command] = provenance(run_cli(argv, path))
+        return path, docs
+
+    def test_report_json_is_the_provenance_report(self, runs):
+        path, docs = runs
+        for command, doc in docs.items():
+            assert doc["outputs"]["report_json"] == f"{command}.report.json"
+            assert json.loads((path / f"{command}.report.json").read_text()) == doc["report"], command
+
+    def test_one_network_record(self, runs):
+        # the CLI echo, the density JSON metadata and the sidecar all write NetworkConfig.settings()
+        path, docs = runs
+        record = {key: docs["theory-spectrum"]["config"][key] for key in self.NETWORK}
+        assert record["activation"] == {"name": "tanh", "params": {}} and record["qstar"] > 0.0
+        assert {key: docs["simulate"]["config"][key] for key in self.NETWORK} == record
+        metadata = json.loads((path / "th.json").read_text())["metadata"]
+        assert {key: metadata[key] for key in self.NETWORK} == record
+        assert json.loads((path / "sp.json").read_text())["config"] == record
+
+
 class TestZeroAtom:
     """hard_tanh's flat pieces give J J^T a point mass at 0 of mass P(|x| > 1)."""
 
@@ -440,6 +484,24 @@ class TestErrors:
                          "--depth", "4"], "critical and double_scaling.sigma0_sq each set sigma_w"),
             ("moments", ["--sigma-b", "0.2", "--double-scaling.sigma0-sq", "0.25", "--depth", "4"],
              "double scaling runs at sigma_b = 0, got sigma_b 0.2"),
+            # its q* pins the variance of orthogonal layers only: with gaussian ones it read sigma0^2 + L
+            ("moments", ["--ensemble.kind", "gaussian", "--double-scaling.sigma0-sq", "0.25", "--depth", "64"],
+             "double scaling runs on orthogonal weights, got ensemble.kind 'gaussian'"),
+            # a number given for a path is refused, not opened as a file descriptor (1 is stdout, 0 stdin)
+            ("limit", ["--out.density-csv", "1"], "out.density_csv must be a string, got 1"),
+            ("compare", ["--empirical.spectrum-csv", "0", "--empirical.sidecar-json", "sp.json",
+                         "--theory.density", "th.csv"], "empirical.spectrum_csv must be a string, got 0"),
+            ("simulate", ["--qstar", "0.5", "--width", "8", "--out.sidecar-json", "2"],
+             "out.sidecar_json must be a string, got 2"),
+            ("moments", ["--activation.name", "leaky_relu", "--activation.params.alpha", "abc", "--depth", "2"],
+             "bad activation {'name': 'leaky_relu', 'params': {'alpha': 'abc'}}: could not convert"),
+            ("fixed-point", ["--activation.name", "leaky_relu", "--activation.params.alpha", "NaN",
+                             "--sigma-w", "1.2", "--sigma-b", "0.1"],
+             "leaky_relu needs a finite intercept and slope on every piece"),
+            ("moments", ["--double-scaling", "true", "--double-scaling.sigma0-sq", "0.25"],
+             "config['double_scaling'] must be a section of keys, got True"),
+            ("moments", ["--activation", "x", "--activation.params.alpha", "1"],
+             "config['activation'] must be a section of keys, got 'x'"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):
@@ -447,6 +509,7 @@ class TestErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and cause in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []  # a refused run writes no file
 
     @pytest.mark.parametrize(
         "key,value",
