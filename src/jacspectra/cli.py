@@ -266,7 +266,7 @@ def cmd_theory_spectrum(args, cfg: dict) -> int:
         _write_density(cfg, dens_out, "theory_spectrum.csv"),
         {
             "grid_points": dens.grid.size,  # a point at an atom is dropped
-            "total_mass": dens.metadata["total_mass"],
+            "below": dens.below, "total_mass": dens.total_mass(),
             "atoms": [list(a) for a in dens_out.atoms],
             **{k: dens.metadata[k] for k in WORK_COUNTS},
         },
@@ -361,7 +361,8 @@ def cmd_limit(args, cfg: dict) -> int:
         "limit",
         cfg,
         _write_density(cfg, dens_s, "limit.csv"),
-        {"edges": edges, "atoms": [list(a) for a in dens_s.atoms], "mass": dens.metadata["mass"]},
+        {"edges": edges, "atoms": [list(a) for a in dens_s.atoms],
+         "below": dens.below, "total_mass": dens.total_mass()},
     )
     return 0
 

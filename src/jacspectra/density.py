@@ -4,9 +4,10 @@ A density lives either over squared singular values (lambda) or singular
 values (s = sqrt(lambda)); the two are related by rho_s(s) = 2 s rho(s^2)
 with atoms mapped location-wise, total mass preserved.
 
-CSV layout (one file per density):
+CSV layout (one file per density; ``below`` is the continuum mass under grid[0]):
 
     domain,x,rho
+    below,<grid[0]>,<below>
     squared_singular,<x>,<rho>
     ...
     atom,<location>,<mass>
@@ -26,9 +27,7 @@ SQUARED_SINGULAR = "squared_singular"
 SINGULAR = "singular"
 
 _CLAMP = 1e-8
-
-# a density whose total mass strays from one by more than this is warned about
-MASS_TOL = 1e-2
+_ROUND_OFF = 1e-9  # a below-grid mass outside [0, 1] by at most this is rounding, and is clamped
 
 # default lambda grid: lowest point and number of points
 GRID_LAM_MIN = 1e-4
@@ -42,6 +41,7 @@ class SpectralDensity:
     rho: np.ndarray
     atoms: tuple = ()
     metadata: dict = field(default_factory=dict)
+    below: float = 0.0
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -60,6 +60,9 @@ class SpectralDensity:
         for loc, mass in self.atoms:
             if loc < 0 or not 0.0 <= mass <= 1.0:
                 raise ValueError(f"bad atom ({loc}, {mass})")
+        if not -_ROUND_OFF <= self.below <= 1.0 + _ROUND_OFF:
+            raise ValueError(f"below-grid mass {self.below} outside [0, 1]")
+        self.below = min(max(float(self.below), 0.0), 1.0)
 
     # -- mass and moments ---------------------------------------------------
 
@@ -70,7 +73,7 @@ class SpectralDensity:
         return float(sum(m for _, m in self.atoms))
 
     def total_mass(self) -> float:
-        return self.continuum_mass() + self.atom_mass()
+        return self.continuum_mass() + self.atom_mass() + self.below
 
     # -- CDF ------------------------------------------------------------
 
@@ -80,13 +83,14 @@ class SpectralDensity:
         return np.concatenate([[0.0], np.cumsum(seg)])
 
     def cdf(self, x, *, side: str = "right") -> np.ndarray:
-        """Continuum trapezoid CDF plus atom steps.
+        """The below-grid mass, the continuum trapezoid from grid[0], and atom steps.
 
+        Defined from grid[0] up; below it the continuum reads ``below``.
         side="right" includes the mass of an atom located exactly at x;
         side="left" gives the limit from below.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.interp(x, self.grid, self._cum(), left=0.0)
+        out = np.interp(x, self.grid, self.below + self._cum())
         for loc, mass in self.atoms:
             if side == "right":
                 out = out + mass * (x >= loc)
@@ -97,7 +101,7 @@ class SpectralDensity:
     # -- I/O --------------------------------------------------------------
 
     def write_csv(self, path) -> None:
-        lines = ["domain,x,rho"]
+        lines = ["domain,x,rho", f"below,{float(self.grid[0])!r},{self.below!r}"]
         lines += [f"{self.domain},{x!r},{r!r}" for x, r in zip(self.grid.tolist(), self.rho.tolist())]
         for loc, mass in self.atoms:
             lines.append(f"atom,{float(loc)!r},{float(mass)!r}")
@@ -110,6 +114,7 @@ class SpectralDensity:
             "grid": list(map(float, self.grid)),
             "rho": list(map(float, self.rho)),
             "atoms": [[loc, mass] for loc, mass in self.atoms],
+            "below": self.below,
             "metadata": self.metadata,
         }
         with open(path, "w") as fh:
@@ -118,7 +123,7 @@ class SpectralDensity:
 
 def read_csv(path) -> SpectralDensity:
     grid, rho, atoms = [], [], []
-    domain = None
+    domain, below, x0 = None, 0.0, None
     with open(path) as fh:
         header = fh.readline()
         if header.strip() != "domain,x,rho":
@@ -127,25 +132,24 @@ def read_csv(path) -> SpectralDensity:
             tag, x, r = line.strip().split(",")
             if tag == "atom":
                 atoms.append((float(x), float(r)))
+            elif tag == "below":
+                x0, below = float(x), float(r)
             else:
                 domain = tag
                 grid.append(float(x))
                 rho.append(float(r))
     if domain is None:
         raise ValueError("density CSV has no grid rows")
-    return SpectralDensity(domain=domain, grid=np.array(grid), rho=np.array(rho), atoms=tuple(atoms))
+    if x0 not in (None, grid[0]):
+        raise ValueError(f"density CSV's below row is at {x0!r}, not at its first grid point {grid[0]!r}")
+    return SpectralDensity(domain=domain, grid=np.array(grid), rho=np.array(rho), atoms=tuple(atoms), below=below)
 
 
 def read_json(path) -> SpectralDensity:
     with open(path) as fh:
         doc = json.load(fh)
-    return SpectralDensity(
-        domain=doc["domain"],
-        grid=np.array(doc["grid"], dtype=float),
-        rho=np.array(doc["rho"], dtype=float),
-        atoms=tuple((a, m) for a, m in doc["atoms"]),
-        metadata=doc.get("metadata", {}),
-    )
+    atoms = tuple((a, m) for a, m in doc["atoms"])
+    return SpectralDensity(doc["domain"], doc["grid"], doc["rho"], atoms, doc.get("metadata", {}), doc.get("below", 0))
 
 
 def to_singular_domain(density: SpectralDensity) -> SpectralDensity:
@@ -153,15 +157,8 @@ def to_singular_domain(density: SpectralDensity) -> SpectralDensity:
     if density.domain != SQUARED_SINGULAR:
         raise ValueError("to_singular_domain expects a squared-singular-value density")
     s = np.sqrt(density.grid)
-    rho_s = 2.0 * s * density.rho
     atoms = tuple((math.sqrt(loc), mass) for loc, mass in density.atoms)
-    return SpectralDensity(
-        domain=SINGULAR,
-        grid=s,
-        rho=rho_s,
-        atoms=atoms,
-        metadata=dict(density.metadata),
-    )
+    return SpectralDensity(SINGULAR, s, 2.0 * s * density.rho, atoms, dict(density.metadata), density.below)
 
 
 def make_lambda_grid(lam_max: float, *, lam_min: float = GRID_LAM_MIN, n: int = GRID_POINTS) -> np.ndarray:

@@ -23,6 +23,8 @@ axis; the densities solve exact parametrisations log z(w) = log lambda by
     between the edges at the roots of w^2 - s0sq w - s0sq.  There
     rho = Im w / (pi s0sq lambda), the mass above lambda is
     Im[log(w - s0sq) - w^2 / (2 s0sq)] / pi, and there are no atoms.
+
+A density's ``below`` (the continuum mass under grid[0]) is that closed form.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def smooth_w(sigma0_sq: float, lam) -> np.ndarray:
 
 
 def bernoulli_density(sigma0_sq: float, grid) -> SpectralDensity:
-    """Bernoulli-class limit density on a positive grid; metadata["mass"] is its closed-form ledger."""
+    """Bernoulli-class limit density on a positive grid; ``below`` is the closed-form continuum mass under grid[0]."""
     grid = np.asarray(grid, dtype=float)
     if grid[0] <= 0.0:
         raise ValueError("the Bernoulli limit density diverges at 0; the grid must be positive")
@@ -158,14 +160,12 @@ def bernoulli_density(sigma0_sq: float, grid) -> SpectralDensity:
     below = min(sigma0_sq, 1.0)  # continuum mass below grid[0]
     if inside[0]:
         below = (np.angle(w[0]) + (sigma0_sq - 1.0) * np.angle(w[0] + sigma0_sq)) / math.pi
-    meta = {"class": BERNOULLI, "sigma0_sq": sigma0_sq, "mass": {"continuum_total": min(sigma0_sq, 1.0),
-            "below_grid": float(below), "atoms": float(sum(m for _, m in info["atoms"]))}}
-    meta.update((k, info[k]) for k in ("lambda0", "lambda1", "lambda2"))
-    return SpectralDensity(SQUARED_SINGULAR, grid, rho, atoms=info["atoms"], metadata=meta)
+    meta = {"class": BERNOULLI, "sigma0_sq": sigma0_sq, **{k: info[k] for k in ("lambda0", "lambda1", "lambda2")}}
+    return SpectralDensity(SQUARED_SINGULAR, grid, rho, atoms=info["atoms"], metadata=meta, below=below)
 
 
 def smooth_density(sigma0_sq: float, grid) -> SpectralDensity:
-    """Smooth-class limit density on a grid; metadata["mass"] is its closed-form ledger."""
+    """Smooth-class limit density on a grid; ``below`` is the closed-form continuum mass under grid[0]."""
     grid = np.asarray(grid, dtype=float)
     lo, hi = smooth_edges(sigma0_sq)
     inside = (grid > lo) & (grid < hi)
@@ -176,5 +176,4 @@ def smooth_density(sigma0_sq: float, grid) -> SpectralDensity:
     if inside[0]:
         below = 1.0 - (np.log(w[0] - sigma0_sq) - w[0] ** 2 / (2.0 * sigma0_sq)).imag / math.pi
     meta = {"class": SMOOTH, "sigma0_sq": sigma0_sq, "lambda_minus": lo, "lambda_plus": hi}
-    meta["mass"] = {"continuum_total": 1.0, "below_grid": float(below), "atoms": 0.0}
-    return SpectralDensity(SQUARED_SINGULAR, grid, rho, metadata=meta)
+    return SpectralDensity(SQUARED_SINGULAR, grid, rho, metadata=meta, below=below)

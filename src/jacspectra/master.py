@@ -45,6 +45,11 @@ replaced by its conjugate.  ``density`` solves a grid in four steps:
   3. A point whose seed fails is marched in height, as an anchor is.
   4. rho = -Im x / (pi lambda) at each root.
 
+The mass above lambda, atoms included, is Im H(w(lambda))/pi, where H is the
+antiderivative of x d log z (log z is real on the axis) that is 0 at infinity,
+
+    H(w) = L [sum c (log(w - t) - log w) + g (x - log(1 + x)) + p log(1 + x)].
+
 A seed between two real roots is real, and Newton from it stays on the real
 line: where the support has an island between the two, the seed fails and
 the point is marched.  On a square-root edge, where f' = 0, Newton converges
@@ -68,7 +73,7 @@ from collections import Counter
 import numpy as np
 
 from .activations import slope_distribution, slope_sq_law
-from .density import MASS_TOL, SQUARED_SINGULAR, SpectralDensity
+from .density import SQUARED_SINGULAR, SpectralDensity
 from .ensembles import ORTHOGONAL
 from .errors import BranchLossError, PoleError
 from .moments import MomentSummary
@@ -83,6 +88,7 @@ __all__ = [
     "probe_atom",
 ]
 
+MASS_TOL = 1e-2  # a density whose total mass strays from one by more than this is warned about
 _NEWTON_TOL = 1e-14  # |f - target| <= 1e-14 (1 + |target|)
 _MARCH_TOL = 1e-4  # a march's tolerance above the heights it reads, where a root only seeds the next
 _NEWTON_ITERS = 24  # a root on a square-root edge, where f' = 0, converges only linearly
@@ -310,26 +316,33 @@ def density(config: NetworkConfig, grid) -> SpectralDensity:
     The continuum is read on the real axis, rho = -Im x(w) / (pi lambda) at
     the root w of f(w) = (log lambda)/L - 2 log sigma_w (module docstring).
     The atoms are ``point_masses`` in closed form; a grid point at an atom is
-    dropped, since x has a pole there.  A point lost on its march in height
-    (the axis is the march's last step) raises BranchLossError naming its
-    lambda and the step.  The metadata holds the config's ``settings()`` with
-    ``qstar`` resolved, ``slope_nodes`` (terms of x(w) per residual
-    evaluation), ``total_mass`` and the work tally summed over points,
-    ``WORK_COUNTS``: ``residual_evals`` (points at which
-    f and f' were evaluated), ``newton_iters``, ``anchor_points`` (points
+    dropped, since x has a pole there.  ``below`` is 1 - Im H(w_0)/pi at
+    grid[0]'s root, less the atoms at or under grid[0].  A point lost on its
+    march in height (the axis is the march's last step) raises
+    BranchLossError naming its lambda and the step.  The metadata holds the
+    config's ``settings()`` with ``qstar`` resolved, ``slope_nodes`` (terms
+    of x(w) per residual evaluation) and the work tally summed over points,
+    ``WORK_COUNTS``: ``residual_evals`` (points at which f and f' were
+    evaluated), ``newton_iters``, ``anchor_points`` (points
     marched in height), ``seeded_points`` (the rest) and ``fallback_points``
     (seeded points marched after their seed failed).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
         raise ValueError("grid must be a strictly increasing positive 1-D array")  # x = -1, a pole, at z = 0
-    solver = _Solver(config)
+    solver, L = _Solver(config), config.depth
     atoms = point_masses(config, solver.qstar)
     grid = grid[~np.isin(grid, [loc for loc, _ in atoms])]
 
     w, converged, fail_step = _solve_grid(solver, grid)
     _require_branch(grid, converged, w, fail_step)
-    x = solver.x(w)[0]
+    x, one_x, _ = solver.x(w)
+    # H(w_0)/L at grid[0]'s root, taken with Im w_0 >= +0, less x (f - target): H's first-order error from the root's
+    # residual, above 1e-12 near an atom, where x is large.  This f takes Log((1 + x)/x) as one log, since the
+    # rounding of two would swamp that residual
+    w0, x0, log_1x, p, g = complex(w[0].real, abs(w[0].imag)), x[0], np.log(one_x[0]), 1 - 1 / L, solver.gaussian
+    f0 = np.log(w0) + g * log_1x - p * np.log(one_x[0] / x0) - np.log(grid[0]) / L + solver.log_sw2
+    h = np.log(w0 - solver.t) @ solver.c - np.log(w0) + p * log_1x + g * (x0 - log_1x) - x0 * f0
 
     meta = {
         **config.settings(),
@@ -343,14 +356,10 @@ def density(config: NetworkConfig, grid) -> SpectralDensity:
         rho=np.maximum(-x.imag, 0.0) / (math.pi * grid),
         atoms=atoms,
         metadata=meta,
+        below=1.0 - L * h.imag / math.pi - sum(m for loc, m in atoms if loc <= grid[0]),
     )
-    total = dens.total_mass()
-    meta["total_mass"] = total
-    if abs(total - 1.0) > MASS_TOL:
-        warnings.warn(
-            f"density mass {total:.4f} off by more than {MASS_TOL}; grid may not cover the support",
-            stacklevel=2,
-        )
+    if abs(dens.total_mass() - 1.0) > MASS_TOL:
+        warnings.warn(f"density mass {dens.total_mass():.4f} off by more than {MASS_TOL}; grid misses mass", stacklevel=2)
     return dens
 
 

@@ -52,11 +52,7 @@ def jacobian_moments(config: NetworkConfig) -> MomentSummary:
 
 
 def moments_from_density(density: SpectralDensity, k: int) -> float:
-    """k-th moment of a density: trapezoid over the grid plus atom terms.
-
-    A density's lost mass is warned of where it is made (``master.density``)
-    and where it is compared (``simulate.ks_distance``), not here.
-    """
+    """k-th moment of a density: trapezoid over the grid plus atom terms."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     cont = float(np.trapezoid(density.rho * density.grid**k, density.grid))

@@ -193,9 +193,10 @@ class TestLimitCommand:
         m1 = np.trapezoid(dens.rho * dens.grid**2, dens.grid) + sum(m * loc**2 for loc, m in dens.atoms)
         assert dens.total_mass() == pytest.approx(1.0, abs=2e-2)
         assert m1 == pytest.approx(1.0, abs=5e-2)
-        mass = doc["report"]["mass"]
-        assert mass["continuum_total"] == 1.0 and mass["atoms"] == 0.0
-        assert 0.0 < mass["below_grid"] < 1e-2
+        report = doc["report"]
+        assert report["atoms"] == [] and report["below"] == dens.below
+        assert 0.0 < report["below"] < 1e-2
+        assert report["total_mass"] == pytest.approx(dens.total_mass(), abs=2e-2)
 
     def test_smooth_edges_report(self, tmp_path):
         doc = provenance(run_cli(["limit", "--class", "smooth", "--sigma0-sq", "0.25"], tmp_path))

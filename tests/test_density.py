@@ -47,6 +47,32 @@ class TestContainer:
         assert d.cdf(1.5, side="right")[0] == pytest.approx(1.0)
 
 
+class TestBelowGridMass:
+    def test_round_off_is_clamped(self):
+        grid = np.array([0.5, 1.0])
+        assert SpectralDensity(SQUARED_SINGULAR, grid, np.zeros(2), below=-2.2e-16).below == 0.0
+        assert SpectralDensity(SQUARED_SINGULAR, grid, np.zeros(2), below=1.0 + 1e-12).below == 1.0
+
+    @pytest.mark.parametrize("below", [-1e-6, 1.0 + 1e-6, math.nan])
+    def test_rejects_more_than_round_off(self, below):
+        with pytest.raises(ValueError, match="below-grid mass"):
+            SpectralDensity(SQUARED_SINGULAR, np.array([0.5, 1.0]), np.zeros(2), below=below)
+
+    def test_a_maker_round_off_is_clamped(self):
+        # the smooth law's closed form reads -2.2e-16 just above its lower edge at s0sq = 0.1
+        from jacspectra.limits import smooth_density, smooth_edges
+
+        lo, hi = smooth_edges(0.1)
+        assert smooth_density(0.1, np.array([lo * (1.0 + 1e-15), hi])).below == 0.0
+
+    def test_counts_in_total_mass_and_cdf(self):
+        d = SpectralDensity(SQUARED_SINGULAR, np.array([0.5, 2.0]), np.full(2, 0.2), ((0.0, 0.25), (1.0, 0.1)), below=0.35)
+        assert d.total_mass() == pytest.approx(1.0, abs=1e-15)
+        # from grid[0] up: below plus the atoms at or under grid[0], then the trapezoid
+        assert d.cdf(0.5)[0] == d.cdf(0.5, side="left")[0] == 0.35 + 0.25
+        assert d.cdf(2.0)[0] == pytest.approx(1.0, abs=1e-15)
+
+
 class TestDomainChange:
     def test_atom_at_one_is_fixed(self):
         d = SpectralDensity(SQUARED_SINGULAR, np.array([0.5, 2.0]), np.zeros(2), ((1.0, 1.0),), {})
@@ -71,6 +97,10 @@ class TestDomainChange:
         d = _uniform_density()
         assert to_singular_domain(d).total_mass() == pytest.approx(d.total_mass(), abs=1e-5)
 
+    def test_keeps_below_bit_for_bit(self):
+        d = SpectralDensity(SQUARED_SINGULAR, np.array([0.5, 2.0]), np.zeros(2), below=math.pi / 10)
+        assert to_singular_domain(d).below == math.pi / 10
+
     def test_requires_lambda_domain(self):
         s = to_singular_domain(_uniform_density())
         with pytest.raises(ValueError):
@@ -94,6 +124,22 @@ class TestIO:
         assert np.array_equal(back.rho, d.rho)
         assert back.atoms == d.atoms
 
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_round_trip_keeps_below_bit_for_bit(self, tmp_path, suffix):
+        d = SpectralDensity(SQUARED_SINGULAR, np.array([0.1, 1.9]), np.array([0.5, 0.0]), ((0.0, 0.25),), below=math.pi / 10)
+        p = tmp_path / f"d.{suffix}"
+        (d.write_csv if suffix == "csv" else d.write_json)(p)
+        back = (read_csv if suffix == "csv" else read_json)(p)
+        assert back.below == math.pi / 10 and back.total_mass() == d.total_mass()
+
+    def test_csv_below_row_must_sit_at_grid_start(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("domain,x,rho\nbelow,0.2,0.5\nsingular,0.1,0.0\nsingular,1.0,1.0\n")
+        with pytest.raises(ValueError, match="below row"):
+            read_csv(p)
+        p.write_text("domain,x,rho\nsingular,0.1,0.0\nsingular,1.0,1.0\n")  # no row: nothing below
+        assert read_csv(p).below == 0.0
+
     def test_csv_header(self, tmp_path):
         p = tmp_path / "d.csv"
         _uniform_density().write_csv(p)
@@ -114,12 +160,12 @@ class TestIO:
         # reference: each row formatted from float() of the numpy scalar
         grid = np.array([5e-324, 2.2250738585072014e-308, 1e-300, 1.5e-17, 0.1, 1.0, 1e16, 1e22, 1.7976931348623157e308])
         rho = np.array([0.0, 1.7976931348623157e308, 3e-310, 1e-300, 0.30000000000000004, 2.5, 1e-5, 5e-324, 1e300])
-        d = SpectralDensity(SQUARED_SINGULAR, grid, rho, ((0.0, 0.25), (1e-300, 1e-3)), {})
+        d = SpectralDensity(SQUARED_SINGULAR, grid, rho, ((0.0, 0.25), (1e-300, 1e-3)), {}, below=0.1)
         rows = [f"{d.domain},{float(x)!r},{float(r)!r}" for x, r in zip(d.grid, d.rho)]
         atoms = [f"atom,{float(loc)!r},{float(mass)!r}" for loc, mass in d.atoms]
         p = tmp_path / "d.csv"
         d.write_csv(p)
-        assert p.read_bytes() == "\n".join(["domain,x,rho", *rows, *atoms, ""]).encode()
+        assert p.read_bytes() == "\n".join(["domain,x,rho", "below,5e-324,0.1", *rows, *atoms, ""]).encode()
 
     def test_csv_bytes_stable(self, tmp_path):
         d = _uniform_density()

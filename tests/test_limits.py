@@ -196,8 +196,8 @@ def _readout(g_fn, s0sq, lam):
 
 
 def _below_grid(density_fn, s0sq, lam):
-    """The closed-form continuum mass below lambda, as the density's ledger reports it."""
-    return density_fn(s0sq, np.array([lam])).metadata["mass"]["below_grid"]
+    """The closed-form continuum mass below lambda, as the density's ``below`` carries it."""
+    return density_fn(s0sq, np.array([lam])).below
 
 
 def _smooth_mass_above(s0sq, lam):
@@ -310,12 +310,13 @@ class TestParametrisedReadout:
         assert _below_grid(smooth_density, s0sq, lo) == 0.0 and _below_grid(smooth_density, s0sq, hi) == 1.0
 
     def test_ledger_in_metadata(self):
-        mass = bernoulli_density(0.25, np.geomspace(1e-100, 2.0, 50)).metadata["mass"]
-        assert mass["continuum_total"] == 0.25 and mass["atoms"] == 0.75
-        assert 0.0 < mass["below_grid"] < 2e-3
+        # the ledger is the density's own fields, not a side entry in its metadata
+        dens = bernoulli_density(0.25, np.geomspace(1e-100, 2.0, 50))
+        assert dens.atom_mass() == 0.75 and "mass" not in dens.metadata
+        assert 0.0 < dens.below < 2e-3
         lo, hi = smooth_edges(0.25)
-        mass = smooth_density(0.25, np.linspace(0.8 * lo, hi, 50)).metadata["mass"]
-        assert mass == {"continuum_total": 1.0, "below_grid": 0.0, "atoms": 0.0}
+        dens = smooth_density(0.25, np.linspace(0.8 * lo, hi, 50))
+        assert dens.below == 0.0 and dens.atoms == () and "mass" not in dens.metadata
 
 
 EPS = np.finfo(float).eps

@@ -303,9 +303,25 @@ class TestKS:
         with pytest.raises(ValueError):
             ks_distance(spec, bad)
 
-    def test_normalization_warning_propagates(self):
+    def test_missing_mass_is_not_renormalised(self):
+        # half the theory's mass is missing and nothing warns: at s = 1 its CDF reads 0.25 against the sample's
+        # step from 0 to 1, where dividing by the total would read 0.5
         spec = EmpiricalSpectrum(np.ones(4), width=4, depth=1, trials=1, seed=0, config={})
         grid = np.linspace(0.0, 2.0, 101)
         half = SpectralDensity(SINGULAR, grid, np.full(101, 0.25), (), {})
-        with pytest.warns(UserWarning, match="mass"):
-            ks_distance(spec, half)
+        assert ks_distance(spec, half) == pytest.approx(0.75, abs=1e-12)
+
+    def test_mass_below_the_grid_is_one_bin(self):
+        # uniform on (0, 1) with its grid from 0.5: how the sample spreads under 0.5 does not matter, and
+        # without the below-grid mass the theory misses half the sample
+        n = 4000
+        upper = np.sort(np.random.default_rng(5).uniform(0.5, 1.0, n // 2))
+        grid = np.linspace(0.5, 1.0, 501)
+        theory = SpectralDensity(SINGULAR, grid, np.ones_like(grid), below=0.5)
+        ks = {}
+        for name, lower in (("spread", np.linspace(0.0, 0.5, n // 2, endpoint=False)), ("packed", np.full(n // 2, 0.01))):
+            spec = EmpiricalSpectrum(np.concatenate([lower, upper]), width=n, depth=1, trials=1, seed=0, config={})
+            ks[name] = ks_distance(spec, theory)
+        assert ks["spread"] == ks["packed"] <= 3.0 / math.sqrt(n)
+        no_below = SpectralDensity(SINGULAR, grid, np.ones_like(grid))
+        assert ks_distance(spec, no_below) >= 0.5
