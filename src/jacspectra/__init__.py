@@ -9,7 +9,8 @@ Monte Carlo simulation.
 import os
 
 # simulate runs one trial per CPU, and numpy's BLAS starts a thread per CPU when it loads: the CLI ran 2.2-2.5x
-# slower at N = 400 on 2 CPUs. Hence one BLAS thread, unless the caller set one (or imported numpy first).
+# slower at N = 400 on 2 CPUs. Hence one BLAS thread, unless the caller set one; where numpy was imported first,
+# special.one_blas_thread holds numpy's OpenBLAS at one thread for the duration of each solve.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

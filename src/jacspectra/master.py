@@ -21,9 +21,12 @@ function of one variable, with f' = 1/w + (g - p) x'/(1 + x) + p x'/x in
 closed form, and lambda enters only as (log lambda)/L: a chi^L far from 1 is
 a shift.  1 + x is formed as w sum c/(w - t) (sum c = 1), which does not
 cancel far below the support, and the logs take their arguments on the
-physical side of the cuts, Im w >= +0 and Im x <= -0 with signed zeros kept,
-where log(1 + x) - log x is the principal Log of the ratio.  At L = 1 the p
-term is left out, since p = 0 would meet Log((1 + x)/x) = inf.
+physical side of the cuts, Im w >= +0 and Im x <= -0 with signed zeros kept;
+Log((1 + x)/x) is one log, since two would cap Im f near 4e-16 and read a
+continuum below an orthogonal atom.  At L = 1 the p term is left out, since
+p = 0 would meet Log((1 + x)/x) = inf, and a smooth unit with orthogonal
+weights is refused: the quadrature makes its law sigma_w^2 phi'(h)^2
+discrete, without a continuum.
 
 Every root is found by ``special.newton``, the damped Newton that ``limits``
 uses too: f has real coefficients, so an iterate below the real axis is
@@ -75,10 +78,10 @@ import numpy as np
 from .activations import slope_distribution, slope_sq_law
 from .density import SQUARED_SINGULAR, SpectralDensity
 from .ensembles import ORTHOGONAL
-from .errors import BranchLossError, PoleError
+from .errors import BranchLossError, JacspectraError, PoleError
 from .moments import MomentSummary
 from .propagation import NetworkConfig, resolve_qstar
-from .special import newton
+from .special import newton, one_blas_thread
 
 __all__ = [
     "master_residual",
@@ -137,13 +140,13 @@ class _Solver:
         self.work["residual_evals"] += w.size
         x, one_x, r = self.x(w)
         dx = -(np.square(r, out=r) @ self.ct)
-        log_1x, d_1x = np.log(one_x), dx / one_x
+        d_1x = dx / one_x
         f, df = np.log(w), 1.0 / w
         if self.gaussian:
-            f, df = f + log_1x, df + d_1x
+            f, df = f + np.log(one_x), df + d_1x
         if self.depth > 1:
             p = 1.0 - 1.0 / self.depth
-            f, df = f - p * (log_1x - np.log(x)), df - p * (d_1x - dx / x)
+            f, df = f - p * np.log(one_x / x), df - p * (d_1x - dx / x)
         return f, df
 
     def solve(self, w, z, tol=_NEWTON_TOL):
@@ -310,26 +313,31 @@ def _solve_grid(solver: _Solver, lams):
     return w, solved, fail_step
 
 
+@one_blas_thread()
 def density(config: NetworkConfig, grid) -> SpectralDensity:
     """Squared-singular-value density of J J^T on the given lambda grid.
 
     The continuum is read on the real axis, rho = -Im x(w) / (pi lambda) at
-    the root w of f(w) = (log lambda)/L - 2 log sigma_w (module docstring).
-    The atoms are ``point_masses`` in closed form; a grid point at an atom is
-    dropped, since x has a pole there.  ``below`` is 1 - Im H(w_0)/pi at
-    grid[0]'s root, less the atoms at or under grid[0].  A point lost on its
-    march in height (the axis is the march's last step) raises
-    BranchLossError naming its lambda and the step.  The metadata holds the
-    config's ``settings()`` with ``qstar`` resolved, ``slope_nodes`` (terms
-    of x(w) per residual evaluation) and the work tally summed over points,
-    ``WORK_COUNTS``: ``residual_evals`` (points at which f and f' were
-    evaluated), ``newton_iters``, ``anchor_points`` (points
+    the root w of f(w) = (log lambda)/L - 2 log sigma_w (module docstring),
+    whose one log reads none below an atom.  The atoms are ``point_masses`` in
+    closed form; a grid point at an atom is dropped, since x has a pole there.
+    ``below`` is 1 - Im H(w_0)/pi at grid[0]'s root, less the atoms at or
+    under grid[0].  A point lost on its march in height (the axis is the
+    march's last step) raises BranchLossError naming its lambda and the step,
+    and a smooth unit at L = 1 with orthogonal weights raises JacspectraError.
+    The metadata holds the config's ``settings()`` with ``qstar`` resolved,
+    ``slope_nodes`` (terms of x(w) per residual evaluation) and the work tally
+    summed over points, ``WORK_COUNTS``: ``residual_evals`` (points at which f
+    and f' were evaluated), ``newton_iters``, ``anchor_points`` (points
     marched in height), ``seeded_points`` (the rest) and ``fallback_points``
     (seeded points marched after their seed failed).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
         raise ValueError("grid must be a strictly increasing positive 1-D array")  # x = -1, a pole, at z = 0
+    if config.depth == 1 and config.ensemble.kind == ORTHOGONAL and not config.activation.is_piecewise:
+        name = config.activation.name
+        raise JacspectraError(f"{name} at L = 1 with orthogonal weights: the quadrature makes its law discrete")
     solver, L = _Solver(config), config.depth
     atoms = point_masses(config, solver.qstar)
     grid = grid[~np.isin(grid, [loc for loc, _ in atoms])]
@@ -337,12 +345,10 @@ def density(config: NetworkConfig, grid) -> SpectralDensity:
     w, converged, fail_step = _solve_grid(solver, grid)
     _require_branch(grid, converged, w, fail_step)
     x, one_x, _ = solver.x(w)
-    # H(w_0)/L at grid[0]'s root, taken with Im w_0 >= +0, less x (f - target): H's first-order error from the root's
-    # residual, above 1e-12 near an atom, where x is large.  This f takes Log((1 + x)/x) as one log, since the
-    # rounding of two would swamp that residual
-    w0, x0, log_1x, p, g = complex(w[0].real, abs(w[0].imag)), x[0], np.log(one_x[0]), 1 - 1 / L, solver.gaussian
-    f0 = np.log(w0) + g * log_1x - p * np.log(one_x[0] / x0) - np.log(grid[0]) / L + solver.log_sw2
-    h = np.log(w0 - solver.t) @ solver.c - np.log(w0) + p * log_1x + g * (x0 - log_1x) - x0 * f0
+    # H(w_0)/L at grid[0]'s root, taken with Im w_0 >= +0.  Its first-order error from the root's residual,
+    # x (f - target), stays under 1e-12 down to a relative 1e-8 from an atom, where |x| reaches 1e8, as f is one log
+    w0, x0, log_1x = complex(w[0].real, abs(w[0].imag)), x[0], np.log(one_x[0])
+    h = np.log(w0 - solver.t) @ solver.c - np.log(w0) + (1 - 1 / L) * log_1x + solver.gaussian * (x0 - log_1x)
 
     meta = {
         **config.settings(),

@@ -33,6 +33,7 @@ from .density import SINGULAR, SpectralDensity
 from .ensembles import ORTHOGONAL
 from .errors import JacspectraError
 from .propagation import NetworkConfig, resolve_qstar
+from .special import one_blas_thread
 
 _PURPOSES = {"input": 0, "weights": 1, "bias": 2}
 _ATOM_THRESHOLD = 1e-8
@@ -202,6 +203,7 @@ def jacobian_singular_values(config: NetworkConfig, streams: TrialStreams) -> np
     return np.sort(np.linalg.svd(jac, compute_uv=False))
 
 
+@one_blas_thread()
 def run_trials(
     config: NetworkConfig,
     trials: int,

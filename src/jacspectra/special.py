@@ -30,8 +30,12 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -356,6 +360,39 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or None where numpy links another BLAS."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    lib = ctypes.CDLL(str(libs[0])) if libs else None  # the copy numpy loaded; its calls take and return an int
+    for suffix in ("64_", ""):  # the 64- and 32-bit integer builds
+        get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None) for op in ("get", "set"))
+        if get and put:
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run a block, or each call of a function it decorates, on one thread of numpy's bundled OpenBLAS, then restore
+    the thread count: importing the package before numpy pins one thread, and this holds it in any import order.
+    It does nothing where numpy links another BLAS, or where the caller chose a count: OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS reads other than 1."""
+    chosen = any(os.environ.get(var, "1") != "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    threads = None if chosen else _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@one_blas_thread()
 def gauss_normal_rule(n: int) -> QuadratureRule:
     """Gauss rule with ``n`` nodes, exact for polynomials of degree <= 2n-1.
 

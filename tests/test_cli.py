@@ -2,6 +2,7 @@ import ast
 import ctypes
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -30,6 +31,37 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PKG_PARENT, env.get("PYTHONPATH")]))
     return env
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None where numpy is not linked to it."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))  # the copy numpy loaded
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None) or lib.openblas_get_num_threads
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None) or lib.openblas_set_num_threads
+    get.argtypes, get.restype, put.argtypes = [], ctypes.c_int, [ctypes.c_int]
+    return get, put
+
+
+def _blas_outputs():
+    """The bytes of density, run_trials and gauss_normal_rule on small inputs, in hex."""
+    from jacspectra import master, simulate, special
+    from jacspectra.activations import get_activation
+    from jacspectra.density import make_lambda_grid
+    from jacspectra.ensembles import WeightEnsemble
+    from jacspectra.moments import jacobian_moments
+    from jacspectra.propagation import NetworkConfig, critical_config
+
+    cfg = critical_config(get_activation("tanh"), "gaussian", 0.2, 16)
+    grid = make_lambda_grid(master.default_lam_max(jacobian_moments(cfg)))
+    trials = NetworkConfig(get_activation("tanh"), WeightEnsemble("orthogonal"), 1.1, 0.0, depth=2, width=8)
+    return {
+        "density": master.density(cfg, grid).rho.tobytes().hex(),
+        "run_trials": simulate.run_trials(trials, 2, 0).singular_values.tobytes().hex(),
+        "gauss_normal_rule": special.gauss_normal_rule(7).nodes.tobytes().hex(),
+    }
 
 
 def run_cli(args, cwd):
@@ -503,6 +535,8 @@ class TestErrors:
              "config['double_scaling'] must be a section of keys, got True"),
             ("moments", ["--activation", "x", "--activation.params.alpha", "1"],
              "config['activation'] must be a section of keys, got 'x'"),
+            # L = 1 and orthogonal weights by default: the quadrature makes a smooth unit's law discrete
+            ("theory-spectrum", ["--critical", "true", "--sigma-b", "0.2"], "tanh at L = 1 with orthogonal weights"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):
@@ -656,13 +690,54 @@ class TestImports:
     def test_blas_one_thread_in_the_suite(self):
         # conftest imports jacspectra before numpy, so the suite runs BLAS at
         # the one thread every user path runs it at
-        libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*"))
-        if not libs:
+        if _openblas_threads() is None:
             pytest.skip("numpy is not linked to its bundled OpenBLAS")
-        lib = ctypes.CDLL(str(libs[0]))  # the copy numpy loaded
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None) or lib.openblas_get_num_threads
-        get.argtypes, get.restype = [], ctypes.c_int
+        get, _ = _openblas_threads()
         assert get() == 1
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_blas_one_thread_whatever_the_import_order(self, preset):
+        # a process that imports numpy first keeps the thread count OpenBLAS started with, here set to two: density,
+        # run_trials and gauss_normal_rule run at one thread and restore two after, with the bits the suite's
+        # one-thread BLAS gives, unless the caller chose a thread count
+        if _openblas_threads() is None:
+            pytest.skip("numpy is not linked to its bundled OpenBLAS")
+        code = "\n".join(
+            [
+                "import ctypes, json",
+                "from pathlib import Path",
+                "import numpy as np",
+                inspect.getsource(_openblas_threads),
+                inspect.getsource(_blas_outputs),
+                "get, put = _openblas_threads()",
+                "put(2)",
+                "import jacspectra",
+                "from jacspectra import master, simulate, special",
+                "seen = {}",
+                "def probe(owner, attr, key):",
+                "    fn = getattr(owner, attr)",
+                "    def counted(*args, **kwargs):",
+                "        seen.setdefault(key, set()).add(get())",
+                "        return fn(*args, **kwargs)",
+                "    setattr(owner, attr, counted)",
+                "probe(master._Solver, 'fdf', 'density')",
+                "probe(simulate, 'jacobian_singular_values', 'run_trials')",
+                "probe(special, 'hermgauss', 'gauss_normal_rule')",
+                "outputs = _blas_outputs()",
+                "print(json.dumps({'during': {k: sorted(v) for k, v in seen.items()}, 'after': get(), **outputs}))",
+            ]
+        )
+        env = {key: value for key, value in child_env().items() if "THREADS" not in key}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        threads = 1 if preset is None else 2
+        assert out.pop("during") == {key: [threads] for key in ("density", "run_trials", "gauss_normal_rule")}
+        assert out.pop("after") == 2
+        if preset is None:
+            assert out == _blas_outputs()
 
     @staticmethod
     def _bench_modules(*names):

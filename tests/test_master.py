@@ -8,7 +8,7 @@ import pytest
 from jacspectra.activations import get_activation
 from jacspectra.density import make_lambda_grid
 from jacspectra.ensembles import WeightEnsemble
-from jacspectra.errors import BranchLossError, PoleError
+from jacspectra.errors import BranchLossError, JacspectraError, PoleError
 from jacspectra import master, special
 from jacspectra.master import (
     default_lam_max,
@@ -765,6 +765,27 @@ class TestClosedFormMass:
                 jump = _closed_form_cdf(config, loc * (1 + delta)) - _closed_form_cdf(config, loc * (1 - delta))
                 assert jump == pytest.approx(mass, abs=1e-12)
 
+    @pytest.mark.parametrize("name", ["ds-hard_tanh-L256", "hard_tanh-orth-L4", "shifted_relu-orth-L4"])
+    def test_no_continuum_under_an_atom(self, name):
+        # rho at a (1 - 10^-k), k = 3..6, added to the default grid: 4.4e-23 at most, where f with log(1 + x) - log x
+        # read 7.6e-12 to 2.9e-3 there, a continuum growing like 1/delta^2 toward the atom
+        config = _ATOM_JUMP_CONFIGS[name]()
+        ((loc, _),) = [atom for atom in _rule(config) if atom[0] > 0]
+        below = loc * (1.0 - 10.0 ** -np.arange(3.0, 7.0))
+        dens = density(config, np.union1d(make_lambda_grid(default_lam_max(jacobian_moments(config))), below))
+        assert np.all(dens.rho[np.isin(dens.grid, below)] < 1e-20)
+
+    def test_deep_bernoulli_continuum_ends_at_lambda_1(self):
+        # the last of 3,000 points in [0.05, 3] with rho > 1e-12 max rho reads 0.6736 at L = 64 and 0.6786 at
+        # L = 1024, toward the Bernoulli limit's edge lambda_1 = e sigma0^2 = 0.6796; a continuum leaking under the
+        # top atom at 1.2839 read 1.2825 and 1.2835
+        grid, lam1 = np.linspace(0.05, 3.0, 3000), math.e * 0.25
+        tops = []
+        for depth in (64, 1024):
+            dens = density(double_scaled_config(get_activation("hard_tanh"), depth, 0.25), grid)
+            tops.append(dens.grid[dens.rho > 1e-12 * dens.rho.max()][-1])
+        assert lam1 - 0.01 < tops[0] < tops[1] < lam1 < tops[1] + 2.0 * (grid[1] - grid[0])
+
     def test_zero_atom_from_far_below(self):
         # F(1e-100) is the zero atom alone: 0.5 for relu orth L4 (sigma_w = sqrt 2, q* = 1), P(|h| > 1) for hard_tanh
         assert _closed_form_cdf(_relu_orth(4), 1e-100) == pytest.approx(0.5, abs=1e-12)
@@ -811,24 +832,31 @@ def _sweep_configs():
                 yield f"{name}-{kind}-L{depth}", config
 
 
+# the sweep's L = 1 orthogonal smooth units, whose law the quadrature makes discrete: density() refuses them
+_REFUSED = [f"{name}-orthogonal-L1" for name in ("tanh", "erf_sm", "erf_main", "arctan")]
+
+
 def _sweep_grid(config):
     return make_lambda_grid(default_lam_max(jacobian_moments(config)), lam_min=1e-30, n=100)
 
 
 def test_no_point_lost_across_units():
-    lost = []
+    lost, refused = [], []
     for name, config in _sweep_configs():
         grid = _sweep_grid(config)
         try:
             with warnings.catch_warnings():
                 # on these 100 points from 1e-30 the trapezoid misses the closed-form mass by 0.02-0.37 in 45 of the
-                # 54 configs, and by 1.0 for the L = 1 orthogonal smooth units, whose law is the quadrature's
-                # discrete one: not what is checked here
+                # 50 configs solved: not what is checked here
                 warnings.simplefilter("ignore", UserWarning)
                 density(config, grid)
         except BranchLossError as err:
             lost.append(f"{name}: {err}")
+        except JacspectraError as err:
+            refused.append(name)
+            assert "at L = 1 with orthogonal weights" in str(err)
     assert not lost
+    assert refused == _REFUSED
 
 
 # chi^L far from 1 at q* = 1: every march starts above its own point and the spectrum's scale chi^L, where the
@@ -952,7 +980,8 @@ def _coarse_grid(name, points, lam_min):
 
 class TestSeededGrid:
     def test_matches_full_ladder_across_units(self):
-        differ = [name for name, config in _sweep_configs() if not _seeded_and_full(config, _sweep_grid(config))[2]]
+        sweep = [(name, config) for name, config in _sweep_configs() if name not in _REFUSED]
+        differ = [name for name, config in sweep if not _seeded_and_full(config, _sweep_grid(config))[2]]
         assert not differ
 
     @pytest.mark.parametrize("name", sorted(_WORKLOAD_CONFIGS))
