@@ -364,7 +364,9 @@ class QuadratureRule:
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS that numpy bundles, or None where numpy links another BLAS."""
     libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*"))
-    lib = ctypes.CDLL(str(libs[0])) if libs else None  # the copy numpy loaded; its calls take and return an int
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))  # the copy numpy loaded; its calls take and return an int
     for suffix in ("64_", ""):  # the 64- and 32-bit integer builds
         get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None) for op in ("get", "set"))
         if get and put:

@@ -690,10 +690,10 @@ class TestImports:
     def test_blas_one_thread_in_the_suite(self):
         # conftest imports jacspectra before numpy, so the suite runs BLAS at
         # the one thread every user path runs it at
-        if _openblas_threads() is None:
+        threads = _openblas_threads()
+        if threads is None:
             pytest.skip("numpy is not linked to its bundled OpenBLAS")
-        get, _ = _openblas_threads()
-        assert get() == 1
+        assert threads[0]() == 1
 
     @pytest.mark.parametrize("preset", [None, "2"])
     def test_blas_one_thread_whatever_the_import_order(self, preset):
