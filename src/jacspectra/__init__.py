@@ -26,7 +26,7 @@ from .limits import (
     smooth_density,
     smooth_edges,
 )
-from .master import density, master_residual, point_masses, probe_atom
+from .master import density, point_masses, probe_atom
 from .moments import MomentSummary, jacobian_moments, moments_from_density
 from .propagation import (
     FixedPoint,
@@ -42,7 +42,6 @@ from .propagation import (
 )
 from .simulate import (
     EmpiricalSpectrum,
-    TrialStreams,
     empirical_density,
     jacobian_singular_values,
     ks_distance,

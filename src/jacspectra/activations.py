@@ -19,8 +19,6 @@ The law is discrete, so both quantities are evaluated exactly by splitting
 the Gaussian at the kinks (Gaussian CDF masses per piece); smooth activations
 use the one Gauss rule ``special.default_rule``, except for the two erf
 scalings, whose mu_k and integral Dh phi^2 have closed forms.
-``slope_sq_law`` alone also takes another rule, so that its sum can be
-checked against finer ones.
 """
 
 from __future__ import annotations
@@ -33,13 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ActivationClassError
-from .special import (
-    QuadratureRule,
-    default_rule,
-    erf_vec,
-    norm_cdf,
-    norm_pdf,
-)
+from .special import default_rule, erf_vec, norm_cdf, norm_pdf
 
 
 @dataclass(frozen=True)
@@ -176,7 +168,7 @@ def mu_k(spec: ActivationSpec, qstar, k: int):
 # squared-slope transform M(z)
 
 
-def slope_sq_law(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None = None):
+def slope_sq_law(spec: ActivationSpec, qstar: float):
     """Squared-slope law as nodes and weights (t, c): M(z) = sum c t / (z - t).
 
     Piecewise activations give their exact discrete law; smooth ones the
@@ -189,7 +181,7 @@ def slope_sq_law(spec: ActivationSpec, qstar: float, rule: QuadratureRule | None
     """
     if spec.pieces is not None:
         return slope_distribution(spec, qstar)
-    rule = rule or default_rule()
+    rule = default_rule()
     d = np.asarray(spec.dphi(math.sqrt(qstar) * rule.nodes), dtype=float)
     t, c = d * d, rule.weights
     if np.array_equal(t, t[::-1]):

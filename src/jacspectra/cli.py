@@ -287,12 +287,13 @@ def cmd_simulate(args, cfg: dict) -> int:
         "sidecar_json": _setting(cfg, "out.sidecar_json", csv_path.rsplit(".", 1)[0] + ".json", str),
         "histogram_csv": _setting(cfg, "out.histogram_csv", kind=str),
     }
+    bins = _setting(cfg, "bins", 200, int, least=1)
     spectrum = run_trials(config, trials, seed, threads=_threads(args))
     spectrum.write_csv(csv_path)
     with open(paths["sidecar_json"], "w") as fh:
         json.dump(spectrum.sidecar(), fh, sort_keys=True)
     if paths["histogram_csv"]:
-        empirical_density(spectrum, bins=_setting(cfg, "bins", 200, int)).write_csv(paths["histogram_csv"])
+        empirical_density(spectrum, bins=bins).write_csv(paths["histogram_csv"])
     _emit(
         "simulate",
         cfg,
@@ -306,27 +307,35 @@ def cmd_simulate(args, cfg: dict) -> int:
     return 0
 
 
+def _read(reader, *paths):
+    """reader(*paths), with a file that cannot be read or does not parse refused as JacspectraError naming it."""
+    try:
+        return reader(*paths)
+    except OSError as exc:
+        raise JacspectraError(f"cannot read {exc.filename!r}: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        detail = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise JacspectraError(f"cannot read {' with '.join(map(repr, paths))}: {detail}") from None
+
+
 def cmd_compare(args, cfg: dict) -> int:
     keys = ("empirical.spectrum_csv", "empirical.sidecar_json", "theory.density")
     spectrum_csv, sidecar_json, theory_path = (_setting(cfg, key, kind=str) for key in keys)
     if None in (spectrum_csv, sidecar_json, theory_path):
         raise JacspectraError(f"compare requires config keys {', '.join(keys)}")
-    try:
-        spectrum = EmpiricalSpectrum.read_csv(spectrum_csv, sidecar_json)
-        theory = (read_json if theory_path.endswith(".json") else read_csv)(theory_path)
-    except OSError as exc:
-        raise JacspectraError(f"cannot read {exc.filename!r}: {exc.strerror}") from None
+    spectrum = _read(EmpiricalSpectrum.read_csv, spectrum_csv, sidecar_json)
+    theory = _read(read_json if theory_path.endswith(".json") else read_csv, theory_path)
     if theory.domain != "singular":
         theory = to_singular_domain(theory)
     ks = ks_distance(spectrum, theory)
-    sq = spectrum.squared()
+    mean_sq = spectrum.mean_squared()
     th_m1 = moments_from_density(theory, 2)
     report = {
         "ks": ks,
-        "empirical_mean_squared": float(np.mean(sq)),
-        "empirical_var_squared": float(np.var(sq)),
+        "empirical_mean_squared": mean_sq,
+        "empirical_var_squared": spectrum.var_squared(),
         "theory_mean_squared": th_m1,
-        "mean_squared_delta": float(np.mean(sq)) - th_m1,
+        "mean_squared_delta": mean_sq - th_m1,
     }
     _emit("compare", cfg, {}, report)
     return 0

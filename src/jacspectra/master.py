@@ -78,13 +78,12 @@ import numpy as np
 from .activations import slope_distribution, slope_sq_law
 from .density import SQUARED_SINGULAR, SpectralDensity
 from .ensembles import ORTHOGONAL
-from .errors import BranchLossError, JacspectraError, PoleError
+from .errors import BranchLossError, JacspectraError
 from .moments import MomentSummary
 from .propagation import NetworkConfig, resolve_qstar
 from .special import newton, one_blas_thread
 
 __all__ = [
-    "master_residual",
     "density",
     "default_lam_max",
     "point_masses",
@@ -190,25 +189,6 @@ def _lagrange(u, us, vs):
 def _heights(start, stop, steps: int):
     """steps + 1 heights per column, geometric from start down to stop."""
     return start * (stop / start) ** (np.arange(steps + 1.0)[:, None] / steps)
-
-
-def master_residual(config: NetworkConfig, G, z):
-    """Residual of the implicit resolvent equation at (G, z).
-
-    Zero exactly when G solves the equation.  Raises PoleError at the
-    excluded points zG - 1 in {0, -1}.
-    """
-    t, c = slope_sq_law(config.activation, resolve_qstar(config).qstar)
-    G = np.asarray(G, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    M = z * G - 1.0
-    if np.any(M == 0) or np.any(M == -1.0):
-        raise PoleError("master residual evaluated at a pole (zG-1 in {0,-1})")
-    M1, inv_sw2, p = 1.0 + M, config.sigma_w**-2.0, 1.0 - 1.0 / config.depth
-    with np.errstate(all="ignore"):
-        w = z ** (1.0 / config.depth) * ((inv_sw2 / M1 if config.ensemble.kind != ORTHOGONAL else inv_sw2) * (M1 / M) ** p)
-        out = M - (1.0 / (w[..., None] - t.astype(complex))) @ (c * t).astype(complex)
-    return complex(out) if out.ndim == 0 else out
 
 
 def _require_branch(lams, converged, w, fail_step) -> None:

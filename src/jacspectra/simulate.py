@@ -51,20 +51,6 @@ def stream(seed: int, trial: int, layer: int, purpose: str) -> np.random.Generat
 
 
 @dataclass(frozen=True)
-class TrialStreams:
-    """All randomness of one trial, addressed by layer and purpose."""
-
-    seed: int
-    trial: int
-
-    def input(self) -> np.random.Generator:
-        return stream(self.seed, self.trial, 0, "input")
-
-    def layer(self, layer: int, purpose: str) -> np.random.Generator:
-        return stream(self.seed, self.trial, layer, purpose)
-
-
-@dataclass(frozen=True)
 class EmpiricalSpectrum:
     singular_values: np.ndarray  # sorted ascending, pooled over trials
     width: int
@@ -163,14 +149,14 @@ def sample_gaussian(n: int, sigma_w: float, rng: np.random.Generator) -> np.ndar
     return w
 
 
-def jacobian_singular_values(config: NetworkConfig, streams: TrialStreams) -> np.ndarray:
-    """Singular values of the input-output Jacobian of one sampled network."""
+def jacobian_singular_values(config: NetworkConfig, seed: int, trial: int) -> np.ndarray:
+    """Singular values of the input-output Jacobian of the network that trial ``trial`` of ``seed`` samples."""
     if config.width is None:
         raise ValueError("config.width is required for simulation")
     n = config.width
     qstar = resolve_qstar(config).qstar
     radius_sq = n * max(qstar - config.sigma_b**2, 0.0) / config.sigma_w**2
-    u = streams.input().standard_normal(n)
+    u = stream(seed, trial, 0, "input").standard_normal(n)
     x = u * (math.sqrt(radius_sq) / np.linalg.norm(u)) if radius_sq > 0 else np.zeros(n)
 
     phi, dphi = config.activation.phi, config.activation.dphi
@@ -178,8 +164,8 @@ def jacobian_singular_values(config: NetworkConfig, streams: TrialStreams) -> np
     xj = np.eye(n, n + 1, 1) if orthogonal else None  # the one buffer [x | J] of orthogonal layers, J = I
     jac = xj[:, 1:] if orthogonal else None  # a Gaussian J is set by the first layer
     for layer in range(1, config.depth + 1):
-        rng = streams.layer(layer, "weights")
-        b = streams.layer(layer, "bias").standard_normal(n) * config.sigma_b
+        rng = stream(seed, trial, layer, "weights")
+        b = stream(seed, trial, layer, "bias").standard_normal(n) * config.sigma_b
         if orthogonal:  # Q acts on [x | J] in place, never formed; Q_1 on x alone, as sigma(J Q_1) = sigma(J)
             xj[:, 0] = x
             _apply_householder(*_householder_haar(n, rng), xj if layer > 1 else xj[:, :1])
@@ -218,7 +204,7 @@ def run_trials(
     depend on the execution schedule.
     """
     def one(trial: int) -> np.ndarray:
-        return jacobian_singular_values(config, TrialStreams(seed, trial))
+        return jacobian_singular_values(config, seed, trial)
 
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:
         pooled = np.sort(np.concatenate(list(pool.map(one, range(trials)))))
@@ -247,16 +233,14 @@ def empirical_density(spectrum: EmpiricalSpectrum, bins=200) -> SpectralDensity:
         grid = np.array([0.5, 1.0])
         return SpectralDensity(SINGULAR, grid, np.zeros(2), atoms, {"bins": 0})
     lo, hi = float(body.min()), float(body.max())
-    if hi - lo < 1e-9 * (1.0 + hi):  # all mass at one spot (e.g. pure isometries)
-        pad = max(1e-6, 1e-9 * (1.0 + hi))
-        hist, edges = np.histogram(body, bins=bins, range=(lo - pad, hi + pad), density=True)
-    else:
-        hist, edges = np.histogram(body, bins=bins, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    rho = hist * (1.0 - atom_mass)
+    pad = max(1e-6, 1e-9 * (1.0 + hi)) if hi - lo < 1e-9 * (1.0 + hi) else 0.0  # all mass at one spot (isometries)
+    hist, edges = np.histogram(body, bins=bins, range=(lo - pad, hi + pad), density=True)
+    # bin centres between the two outer edges, each an end at its bin's height: the trapezoid holds every bin's mass
+    grid = np.concatenate([edges[:1], 0.5 * (edges[:-1] + edges[1:]), edges[-1:]])
+    rho = np.concatenate([hist[:1], hist, hist[-1:]]) * (1.0 - atom_mass)
     return SpectralDensity(
         domain=SINGULAR,
-        grid=centers,
+        grid=grid,
         rho=rho,
         atoms=atoms,
         metadata={"bins": int(np.size(hist)), "n_values": int(sv.size)},

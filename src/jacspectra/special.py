@@ -356,9 +356,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 @functools.cache
 def _openblas_threads():
@@ -396,38 +393,24 @@ def one_blas_thread():
 
 @one_blas_thread()
 def gauss_normal_rule(n: int) -> QuadratureRule:
-    """Gauss rule with ``n`` nodes, exact for polynomials of degree <= 2n-1.
+    """Gauss rule with ``n`` nodes, 1 <= n <= 250, exact for polynomials of degree <= 2n-1.
 
-    Moderate sizes come from Gauss-Hermite nodes (weight e^{-x^2}) rescaled
-    by h = sqrt(2) x to the unit-variance normal measure; large sizes use
-    Golub-Welsch on the probabilists' Hermite Jacobi matrix, since the
-    polynomial-evaluation route overflows past a few hundred nodes.
+    Gauss-Hermite nodes (weight e^{-x^2}) rescaled by h = sqrt(2) x to the
+    unit-variance normal measure; past 250 nodes their polynomial evaluation
+    overflows, so a larger ``n`` raises ValueError.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
-    if n <= 250:
-        x, w = hermgauss(n)
-        nodes = _SQRT2 * x
-        weights = w / math.sqrt(math.pi)
-    else:
-        off = np.sqrt(np.arange(1.0, n))
-        nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        weights = vecs[0] ** 2
-        keep = weights > 0.0  # extreme-node weights underflow to exact zero
-        nodes, weights = nodes[keep], weights[keep]
+    if not 1 <= n <= 250:
+        raise ValueError(f"a Gauss rule takes 1 to 250 nodes, got {n}")
+    x, w = hermgauss(n)
+    nodes = _SQRT2 * x
+    weights = w / math.sqrt(math.pi)
     weights = weights / weights.sum()
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-_RULE_CACHE: dict[int, QuadratureRule] = {}
-
-DEFAULT_QUAD_NODES = 201
-
-
-def default_rule(n: int = DEFAULT_QUAD_NODES) -> QuadratureRule:
-    rule = _RULE_CACHE.get(n)
-    if rule is None:
-        rule = _RULE_CACHE[n] = gauss_normal_rule(n)
-    return rule
+@functools.cache
+def default_rule() -> QuadratureRule:
+    """The one 201-node Gauss rule that every smooth unit's expectations use."""
+    return gauss_normal_rule(201)

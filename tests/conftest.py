@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jacspectra.activations import slope_distribution
-from jacspectra.errors import BracketError
+from jacspectra.activations import slope_distribution, slope_sq_law
+from jacspectra.ensembles import ORTHOGONAL
+from jacspectra.errors import BracketError, PoleError
+from jacspectra.propagation import resolve_qstar
 from jacspectra.special import default_rule, eval_where
 
 DATA = Path(__file__).parent / "data"
@@ -94,6 +96,33 @@ def _unpruned_slope_sq_law(spec, qstar, rule=None):
 def unpruned_slope_sq_law():
     """Reference squared-slope law for ``activations.slope_sq_law``: every node of the rule."""
     return _unpruned_slope_sq_law
+
+
+def _master_residual(config, G, z):
+    """Residual of the paper's implicit resolvent equation at (G, z), in G:
+
+        zG - 1 - M(z^{1/L} S(zG - 1) ((zG)/(zG - 1))^{1 - 1/L}),   S(x) = 1/(sigma_w^2 (1 + x)) or 1/sigma_w^2,
+
+    with M the sum over ``slope_sq_law``.  Zero exactly when G solves the equation.  Raises PoleError at the
+    excluded points zG - 1 in {0, -1}.
+    """
+    t, c = slope_sq_law(config.activation, resolve_qstar(config).qstar)
+    G = np.asarray(G, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    M = z * G - 1.0
+    if np.any(M == 0) or np.any(M == -1.0):
+        raise PoleError("master residual evaluated at a pole (zG-1 in {0,-1})")
+    M1, inv_sw2, p = 1.0 + M, config.sigma_w**-2.0, 1.0 - 1.0 / config.depth
+    with np.errstate(all="ignore"):
+        w = z ** (1.0 / config.depth) * ((inv_sw2 / M1 if config.ensemble.kind != ORTHOGONAL else inv_sw2) * (M1 / M) ** p)
+        out = M - (1.0 / (w[..., None] - t.astype(complex))) @ (c * t).astype(complex)
+    return complex(out) if out.ndim == 0 else out
+
+
+@pytest.fixture(scope="session")
+def master_residual():
+    """The G-space master equation (same signature as ``_master_residual``): the reference the solver's roots meet."""
+    return _master_residual
 
 
 def _newton_reference(fdf, w, target, tol=1e-14, max_iter=50, halvings=0):

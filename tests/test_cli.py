@@ -438,6 +438,19 @@ class TestZeroAtom:
         assert written.domain == SQUARED_SINGULAR  # --singular-domain false
 
 
+# compare's input files in test_refused_without_traceback: a good spectrum, and one input wrong in each other file
+_GOOD_SPECTRUM = ["--empirical.spectrum_csv", "sv.csv", "--empirical.sidecar_json", "sv.json"]
+_COMPARE_INPUTS = {
+    "sv.csv": "s\n0.5\n",
+    "sv.json": json.dumps({"width": 1, "depth": 1, "trials": 1, "seed": 0, "config": {}}),
+    "sv_two.json": json.dumps({"width": 2, "depth": 1, "trials": 1, "seed": 0, "config": {}}),
+    "theory.json": json.dumps({"domain": "singular", "grid": [0.5, 1.0], "rho": [1.0, 1.0], "atoms": []}),
+    "header.csv": "x,rho\n0.5,1.0\n",
+    "backwards.csv": "domain,x,rho\nsingular,1.0,0.5\nsingular,0.5,0.5\n",
+    "no_atoms.json": json.dumps({"domain": "singular", "grid": [0.5, 1.0], "rho": [1.0, 1.0]}),
+}
+
+
 class TestErrors:
     def test_unknown_command(self, tmp_path):
         proc = run_cli(["spectralize"], tmp_path)
@@ -537,14 +550,32 @@ class TestErrors:
              "config['activation'] must be a section of keys, got 'x'"),
             # L = 1 and orthogonal weights by default: the quadrature makes a smooth unit's law discrete
             ("theory-spectrum", ["--critical", "true", "--sigma-b", "0.2"], "tanh at L = 1 with orthogonal weights"),
+            # malformed compare inputs, written from _COMPARE_INPUTS, are refused naming the file
+            ("compare", [*_GOOD_SPECTRUM, "--theory.density", "header.csv"],
+             "cannot read 'header.csv': unexpected density CSV header: 'x,rho'"),
+            ("compare", [*_GOOD_SPECTRUM, "--theory.density", "backwards.csv"],
+             "cannot read 'backwards.csv': grid must be strictly increasing"),
+            ("compare", [*_GOOD_SPECTRUM, "--theory.density", "no_atoms.json"],
+             "cannot read 'no_atoms.json': no key 'atoms'"),
+            ("compare", ["--empirical.spectrum_csv", "sv.csv", "--empirical.sidecar_json", "sv_two.json",
+                         "--theory.density", "theory.json"],
+             "cannot read 'sv.csv' with 'sv_two.json': expected width * trials singular values"),
+            # bins is read before the trials run, so a bad one writes no spectrum
+            ("simulate", ["--qstar", "0.5", "--width", "8", "--out.histogram-csv", "h.csv", "--bins", "0"],
+             "bins must be >= 1, got 0"),
+            ("simulate", ["--qstar", "0.5", "--width", "8", "--out.histogram-csv", "h.csv", "--bins", "-3"],
+             "bins must be >= 1, got -3"),
         ],
     )
     def test_refused_without_traceback(self, tmp_path, command, args, cause):
+        inputs = [name for name in args if name in _COMPARE_INPUTS]
+        for name in inputs:
+            (tmp_path / name).write_text(_COMPARE_INPUTS[name])
         proc = run_cli([command, "--activation.name", "tanh", *args], tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and cause in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert list(tmp_path.iterdir()) == []  # a refused run writes no file
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)  # a refused run writes no file
 
     @pytest.mark.parametrize(
         "key,value",
@@ -646,17 +677,15 @@ class TestImports:
                 "import sys",
                 "import numpy as np",
                 "import jacspectra",
-                "from jacspectra.activations import get_activation, slope_sq_law",
+                "from jacspectra.activations import get_activation",
                 "from jacspectra.limits import bernoulli_density, smooth_density",
                 "from jacspectra.density import make_lambda_grid",
                 "from jacspectra.master import default_lam_max, density",
                 "from jacspectra.moments import jacobian_moments",
                 "from jacspectra.propagation import critical_config, critical_sigma_w",
-                "from jacspectra.special import default_rule",
                 "cfg = critical_config(get_activation('tanh'), 'orthogonal', 0.2, 4)",
                 "grid = make_lambda_grid(default_lam_max(jacobian_moments(cfg)), n=20)",
                 "density(cfg, grid)",
-                "slope_sq_law(cfg.activation, cfg.qstar, default_rule(301))",
                 "critical_sigma_w(get_activation('hard_tanh'), 0.2)",
                 "bernoulli_density(0.25, np.linspace(0.1, 2.0, 5))",
                 "smooth_density(0.25, np.linspace(0.5, 2.0, 5))",
@@ -766,6 +795,17 @@ class TestImports:
         finally:
             tracer.uninstall()
         assert not hasattr(ns.master.probe_atom, "__wrapped__")
+
+    def test_benchmark_smoke(self):
+        # the one check that runs the benchmark's traced hooks and its output checks end to end, on tiny inputs
+        root = Path(__file__).resolve().parent.parent
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        proc = subprocess.run([sys.executable, "bench/run.py", "--smoke"], cwd=root, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+        counts = {0: len(spec["end_to_end"]), 1: len(spec["per_layer"])}
+        expected = [f"smoke {w['name']} trace={t}: exit 0, {counts[t]} metrics" for w in spec["workloads"] for t in (0, 1)]
+        assert proc.stdout.splitlines() == expected
 
     @pytest.mark.parametrize("kind", ["orthogonal", "gaussian"])
     def test_benchmark_reads_the_network_config(self, kind):

@@ -13,7 +13,6 @@ from jacspectra import master, special
 from jacspectra.master import (
     default_lam_max,
     density,
-    master_residual,
     point_masses,
     probe_atom,
 )
@@ -112,11 +111,11 @@ def fc_cdf(depth, lam):
 
 
 class TestMasterResidual:
-    def test_orthogonal_identity_spectrum_is_exact_root(self):
+    def test_orthogonal_identity_spectrum_is_exact_root(self, master_residual):
         z = 2.0 + 1.0j
         assert master_residual(_linear_orth(), 1.0 / (z - 1.0), z) == 0
 
-    def test_mp_stieltjes_is_root(self, mp_oracle):
+    def test_mp_stieltjes_is_root(self, mp_oracle, master_residual):
         z = complex(*mp_oracle["stieltjes_z"])
         g_closed = (z - np.sqrt(z * (z - 4.0))) / (2.0 * z)
         # closed form agrees with the pooled-sample transform ...
@@ -125,12 +124,12 @@ class TestMasterResidual:
         # ... and solves the depth-1 gaussian master equation
         assert abs(master_residual(_linear_gauss(), g_closed, z)) <= 1e-8
 
-    def test_asymptotic_residual(self):
+    def test_asymptotic_residual(self, master_residual):
         z = 1e6 + 1.0j
         for cfg in (_linear_orth(), _linear_gauss(), _relu_orth()):
             assert abs(master_residual(cfg, 1.0 / z, z)) <= 1e-4
 
-    def test_pole_error(self):
+    def test_pole_error(self, master_residual):
         with pytest.raises(PoleError):
             master_residual(_linear_orth(), 1.0 / 2.0, 2.0)  # zG - 1 = 0
 
@@ -549,6 +548,25 @@ class TestAgainstFixedLadder:
     def test_fewer_residual_evaluations(self, against_fixed):
         new, ref = against_fixed
         assert new.metadata["residual_evals"] < ref.metadata["residual_evals"]
+
+
+@pytest.mark.parametrize("name", ["hard_tanh-orth-L16", "tanh-gauss-L16", "tanh-orth-L4", "erf_sm-orth-L64"])
+def test_roots_solve_the_master_equation(name, master_residual, monkeypatch):
+    # the roots w that density() reads rho at give G = (1 + x(w))/lambda, which solves the paper's equation in G
+    config, seen = _THEORY_CONFIGS[name](), []
+    solve = master._solve_grid
+
+    def spy(solver, lams):
+        out = solve(solver, lams)
+        seen.append((solver, lams, out[0]))
+        return out
+
+    monkeypatch.setattr(master, "_solve_grid", spy)
+    density(config, make_lambda_grid(default_lam_max(jacobian_moments(config)), n=200))
+    (solver, lams, w), = seen
+    x, one_x, _ = solver.x(w)
+    residual = master_residual(config, one_x / lams, lams)
+    assert np.all(np.abs(residual) <= 1e-12 * np.abs(x))  # 1.5e-15 |x| measured
 
 
 def _eps_G(solver, location, h, w):

@@ -8,7 +8,6 @@ from jacspectra.activations import get_activation, mu_k
 from jacspectra.density import SQUARED_SINGULAR, SpectralDensity
 from jacspectra.ensembles import WeightEnsemble
 from jacspectra.errors import PoleError
-from jacspectra.master import master_residual
 from jacspectra.moments import jacobian_moments, moments_from_density
 from jacspectra.propagation import NetworkConfig, critical_sigma_w
 
@@ -21,7 +20,7 @@ def _critical_config(name, ensemble_kind, depth, qstar):
 
 
 class TestSTransform:
-    def test_gaussian_pole(self):
+    def test_gaussian_pole(self, master_residual):
         # the master residual, which evaluates S, refuses its pole at zG - 1 = -1
         cfg = NetworkConfig(get_activation("linear"), WeightEnsemble("gaussian"), 1.0, 0.0, depth=1, qstar=1.0)
         with pytest.raises(PoleError):

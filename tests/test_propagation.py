@@ -20,7 +20,7 @@ from jacspectra.propagation import (
     qstar_fixed_point,
     resolve_qstar,
 )
-from jacspectra.simulate import TrialStreams, jacobian_singular_values
+from jacspectra.simulate import jacobian_singular_values
 from jacspectra.special import bracket_root
 
 
@@ -430,7 +430,7 @@ class TestResolveQstar:
         [
             lambda cfg: density(cfg, np.array([0.5, 1.0])),
             jacobian_moments,
-            lambda cfg: jacobian_singular_values(cfg, TrialStreams(0, 0)),
+            lambda cfg: jacobian_singular_values(cfg, 0, 0),
         ],
         ids=["density", "jacobian_moments", "jacobian_singular_values"],
     )
